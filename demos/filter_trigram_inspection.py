@@ -10,11 +10,10 @@ whether a detector fires on source text, target text, or both.
 """
 
 from textda.config import TrainConfig
-from textda.data import build_vocab, load_pretrained_embeddings, split_dev
+from textda.data import build_vocab
 from textda.evaluation import filter_analysis, render_filter_report
-from textda.rng import named_rng
 from textda.synth import SyntheticSpec, generate_synthetic
-from textda.trainer import train
+from textda.trainer import run_seed
 
 spec = SyntheticSpec(n_train=2000, n_test=1000, shift=0.7, seed=11)
 corpora = generate_synthetic(spec)
@@ -27,10 +26,7 @@ cfg = TrainConfig(variant="DAS", lambda1=5.0, lambda2=0.2, lambda3=3.0,
                   dropout_rate=0.3, learning_rate=1e-3, seed=100)
 
 vocab = build_vocab([source, target], cfg.vocab_size)
-train_split, dev = split_dev(source, cfg.n_dev, named_rng(cfg.seed, "split"))
-embeddings, _ = load_pretrained_embeddings(
-    None, vocab, cfg.embedding_dim, named_rng(cfg.seed, "embeddings"))
-params, history = train(cfg, vocab, embeddings, train_split, target, dev)
+params = run_seed(cfg, vocab, source, target).params
 
 # tag the scanned corpora so each trigram reports where it was seen;
 # a "*" slot is the padding position at a document edge

@@ -10,11 +10,9 @@ on. Labels from the target domain are used only for the final score.
 """
 
 from textda.config import TrainConfig
-from textda.data import build_vocab, load_pretrained_embeddings, split_dev
-from textda.evaluation import evaluate_corpus
-from textda.rng import named_rng
+from textda.data import build_vocab
 from textda.synth import SyntheticSpec, generate_synthetic
-from textda.trainer import train
+from textda.trainer import run_seed
 
 spec = SyntheticSpec(n_train=2000, n_test=1000, shift=0.7, seed=11)
 corpora = generate_synthetic(spec)
@@ -35,18 +33,14 @@ configs = {
 
 for name, cfg in configs.items():
     vocab = build_vocab([source, target], cfg.vocab_size)
-    train_split, dev = split_dev(source, cfg.n_dev, named_rng(cfg.seed, "split"))
-    embeddings, _ = load_pretrained_embeddings(
-        None, vocab, cfg.embedding_dim, named_rng(cfg.seed, "embeddings"))
-    params, history = train(cfg, vocab, embeddings, train_split, target, dev)
+    run = run_seed(cfg, vocab, source, target, test)
 
     if cfg.variant == "DAS":
         print(f"\n{name}: loss terms by epoch "
               f"(J aligns features, Gamma is entropy, Omega tracks the ensemble)")
-        for m in history.epochs:
+        for m in run.history.epochs:
             print(f"  epoch {m.epoch:2d}  L={m.L:7.4f}  J={m.J:8.5f}  "
                   f"Gamma={m.Gamma:7.4f}  Omega={m.Omega:7.4f}  "
                   f"dev_error={m.dev_error:.3f}")
-    report = evaluate_corpus(params, vocab, test, cfg.max_doc_len, cfg.eval_batch)
-    print(f"{name}: target accuracy {report.accuracy:.3f}, "
-          f"macro F1 {report.macro_f1:.3f} (best epoch {history.best_epoch})")
+    print(f"{name}: target accuracy {run.accuracy:.3f}, "
+          f"macro F1 {run.macro_f1:.3f} (best epoch {run.best_epoch})")

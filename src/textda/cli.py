@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -16,22 +17,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig, parse_config_file
-from .data import Vocab, build_vocab, load_corpus, load_pretrained_embeddings, pad_batch, save_corpus, split_dev
+from .data import BatchTriple, Vocab, build_vocab, load_corpus, pad_batch, save_corpus
 from .errors import ConfigError, DataError, NumericalError, TextdaError
 from .evaluation import evaluate_corpus, filter_analysis, render_filter_report
 from .losses import (
     bootstrap_loss,
-    compose_total,
     entropy_min_loss,
     feature_adaptation_loss,
     mmd_rbf,
     rampup_weight,
     source_cross_entropy,
 )
-from .model import classify, encode_batch, load_checkpoint, save_checkpoint
+from .model import ModelParams, classify, encode_batch, load_checkpoint, save_checkpoint
 from .rng import named_rng
 from .synth import SyntheticSpec, generate_synthetic
-from .trainer import train, write_history_csv
+from .trainer import objective, run_seed, union_pools, write_history_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +114,9 @@ def _require_files(*paths) -> None:
             raise DataError(f"input file not found: {p}")
 
 
-def _load_vocab_for_checkpoint(vocab_path, header: dict) -> Vocab:
+def _load_model(checkpoint, vocab_path) -> tuple[ModelParams, Vocab]:
+    """A checkpoint plus the vocabulary it was trained with (size and hash checked)."""
+    params, header = load_checkpoint(checkpoint)
     vocab = Vocab.load(vocab_path)
     if len(vocab) != header["vocab_size"]:
         raise DataError(
@@ -123,7 +125,15 @@ def _load_vocab_for_checkpoint(vocab_path, header: dict) -> Vocab:
         raise DataError(
             f"vocab hash mismatch: checkpoint expects {header['vocab_hash']}, "
             f"file {vocab_path} hashes to {vocab.content_hash()}")
-    return vocab
+    return params, vocab
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write through a temporary file, so `path` always holds a whole report."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def cmd_train(args) -> int:
@@ -140,59 +150,9 @@ def cmd_train(args) -> int:
         load_corpus(args.source_unlabeled, "source", args.scheme) if args.source_unlabeled else None)
     test = load_corpus(args.test, "target", args.scheme) if args.test else None
 
-    pools = [source, target] + ([source_unlabeled] if source_unlabeled else [])
-    vocab = build_vocab(pools, cfg.vocab_size)
+    vocab = build_vocab(union_pools(source, target, source_unlabeled), cfg.vocab_size)
     vocab.save(out / "vocab.txt")
     vocab_hash = vocab.content_hash()
-
-    run_reports = []
-    for k in range(args.runs):
-        run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
-        run_dir = out if args.runs == 1 else out / f"run{k:02d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        train_split, dev = split_dev(source, run_cfg.n_dev, named_rng(run_cfg.seed, "split"))
-        embeddings, found = load_pretrained_embeddings(
-            args.embeddings, vocab, run_cfg.embedding_dim, named_rng(run_cfg.seed, "embeddings"))
-        params, history = train(
-            run_cfg, vocab, embeddings, train_split, target, dev,
-            source_unlabeled=source_unlabeled,
-            dump_ensemble_dir=run_dir if args.dump_ensemble else None,
-        )
-        ckpt_path = run_dir / "model.ckpt"
-        save_checkpoint(params, vocab_hash, ckpt_path)
-        write_history_csv(history, run_dir / "history.csv")
-        entry = {
-            "seed": run_cfg.seed,
-            "best_epoch": history.best_epoch,
-            "dev_error": history.epochs[history.best_epoch - 1].dev_error,
-            "checkpoint": str(ckpt_path),
-            "history": str(run_dir / "history.csv"),
-            "pretrained_tokens_found": found,
-            "test": None,
-        }
-        if test is not None:
-            report = evaluate_corpus(params, vocab, test, run_cfg.max_doc_len, run_cfg.eval_batch)
-            entry["test"] = {"accuracy": report.accuracy, "macro_f1": report.macro_f1}
-            print(f"run {k}: seed {run_cfg.seed} best_epoch {history.best_epoch} "
-                  f"dev_error {entry['dev_error']:.4f} "
-                  f"test_accuracy {report.accuracy:.4f} test_macro_f1 {report.macro_f1:.4f}")
-        else:
-            print(f"run {k}: seed {run_cfg.seed} best_epoch {history.best_epoch} "
-                  f"dev_error {entry['dev_error']:.4f}")
-        run_reports.append(entry)
-
-    aggregate = None
-    if test is not None:
-        accs = [r["test"]["accuracy"] for r in run_reports]
-        f1s = [r["test"]["macro_f1"] for r in run_reports]
-        aggregate = {
-            "accuracy_mean": float(np.mean(accs)),
-            "accuracy_std": float(np.std(accs)),
-            "macro_f1_mean": float(np.mean(f1s)),
-            "macro_f1_std": float(np.std(f1s)),
-        }
-        print(f"aggregate over {args.runs} run(s): "
-              f"accuracy {aggregate['accuracy_mean']:.4f} macro_f1 {aggregate['macro_f1_mean']:.4f}")
 
     report = {
         "command": "train",
@@ -208,37 +168,66 @@ def cmd_train(args) -> int:
             "vocab": str(out / "vocab.txt"),
             "vocab_hash": vocab_hash,
         },
-        "runs": run_reports,
-        "aggregate": aggregate,
+        "runs": [],
+        "aggregate": None,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+    for k in range(args.runs):
+        run_dir = out if args.runs == 1 else out / f"run{k:02d}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        run = run_seed(dataclasses.replace(cfg, seed=cfg.seed + k), vocab, source, target, test,
+                       args.embeddings, source_unlabeled, run_dir if args.dump_ensemble else None)
+        ckpt_path = run_dir / "model.ckpt"
+        save_checkpoint(run.params, vocab_hash, ckpt_path)
+        write_history_csv(run.history, run_dir / "history.csv")
+        line = f"run {k}: seed {run.seed} best_epoch {run.best_epoch} dev_error {run.dev_error:.4f}"
+        if test is not None:
+            line += f" test_accuracy {run.accuracy:.4f} test_macro_f1 {run.macro_f1:.4f}"
+        print(line)
+        report["runs"].append({
+            "seed": run.seed,
+            "best_epoch": run.best_epoch,
+            "dev_error": run.dev_error,
+            "checkpoint": str(ckpt_path),
+            "history": str(run_dir / "history.csv"),
+            "pretrained_tokens_found": run.pretrained_tokens_found,
+            "test": None if test is None else {"accuracy": run.accuracy, "macro_f1": run.macro_f1},
+        })
+        if test is not None:
+            accs = [r["test"]["accuracy"] for r in report["runs"]]
+            f1s = [r["test"]["macro_f1"] for r in report["runs"]]
+            report["aggregate"] = {
+                "accuracy_mean": float(np.mean(accs)),
+                "accuracy_std": float(np.std(accs)),
+                "macro_f1_mean": float(np.mean(f1s)),
+                "macro_f1_std": float(np.std(f1s)),
+            }
+        _write_json(out / "report.json", report)
+
+    aggregate = report["aggregate"]
+    if aggregate is not None:
+        print(f"aggregate over {args.runs} run(s): "
+              f"accuracy {aggregate['accuracy_mean']:.4f} macro_f1 {aggregate['macro_f1_mean']:.4f}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_train_config(args)
     _require_files(args.checkpoint, args.vocab, args.test)
-    params, header = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for_checkpoint(args.vocab, header)
+    params, vocab = _load_model(args.checkpoint, args.vocab)
     test = load_corpus(args.test, "target", args.scheme)
     report = evaluate_corpus(params, vocab, test, cfg.max_doc_len, cfg.eval_batch)
     print(report.summary())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         payload = {"command": "evaluate", "checkpoint": str(args.checkpoint),
                    "test": str(args.test), **report.to_dict()}
-        (out / "eval_report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                              encoding="utf-8")
+        _write_json(Path(args.out) / "eval_report.json", payload)
     return 0
 
 
 def cmd_analyze_filters(args) -> int:
     cfg = _load_train_config(args)
     _require_files(args.checkpoint, args.vocab)
-    params, header = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for_checkpoint(args.vocab, header)
+    params, vocab = _load_model(args.checkpoint, args.vocab)
     corpora = []
     for value in args.corpus:
         tag, sep, path = value.partition("=")
@@ -260,7 +249,10 @@ def cmd_analyze_filters(args) -> int:
 
 def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
     """Toy problem (V=20, d=4, h=6, C=3, 4-document batches) plus builders for
-    each loss component on it."""
+    each loss component on it. "total" is the trainer's own objective with
+    dropout off and, unless configured, MMD sigma pinned to 1.0: the median
+    heuristic depends on the features, which finite differences would see
+    but the tape treats as a constant."""
     V, d, h, C, window = 20, 4, 6, 3, 3
     rng = named_rng(cfg.seed, "gradcheck")
     E = rng.uniform(-0.5, 0.5, (V, d))
@@ -276,43 +268,35 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
     def docs(lengths):
         return [rng.integers(2, V, size=n).astype(np.int64) for n in lengths]
 
-    enc_s, enc_t, enc_u = docs([5, 3, 7, 4]), docs([6, 4, 3, 5]), docs([4, 5, 2, 6])
+    pools = [docs([5, 3, 7, 4]), docs([6, 4, 3, 5]), docs([4, 5, 2, 6])]
     y = np.eye(C)[rng.integers(0, C, 4)]
     z_tilde = np.eye(C)[rng.integers(0, C, 4)]
-    mats = {name: pad_batch(enc, np.arange(4))
-            for name, enc in (("s", enc_s), ("t", enc_t), ("u", enc_u))}
+    batch = BatchTriple(np.arange(4), np.arange(4), np.arange(4))
     weights = cfg.effective_weights()
     w_t = rampup_weight(cfg.epochs, cfg.epochs, weights.lambda3)
+    total_cfg = dataclasses.replace(
+        cfg, dropout_rate=0.0, mmd_sigma=1.0 if cfg.mmd_sigma is None else cfg.mmd_sigma)
 
     def encode(tape, leaves, which):
-        mat, lengths = mats[which]
+        mat, lengths = pad_batch(pools[which], np.arange(4))
         return encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
 
     def build(component):
         def fn(tape, leaves):
             if corrupt:
                 tape.record(lambda: leaves["W"].grad.__iadd__(1e-3))
-            enc_bs = encode(tape, leaves, "s")
+            if component == "total":
+                return objective(tape, leaves, pools, batch, y, z_tilde, weights, w_t, total_cfg, None)[0]
+            enc_bs = encode(tape, leaves, 0)
             if component == "L":
                 return source_cross_entropy(y, classify(tape, leaves, enc_bs.xi))
             if component == "J":
-                return feature_adaptation_loss(enc_bs.xi, encode(tape, leaves, "t").xi, cfg.l1_eps)
+                return feature_adaptation_loss(enc_bs.xi, encode(tape, leaves, 1).xi, cfg.l1_eps)
             if component == "MMD":
-                return mmd_rbf(enc_bs.xi, encode(tape, leaves, "t").xi, sigma=1.0)
+                return mmd_rbf(enc_bs.xi, encode(tape, leaves, 1).xi, sigma=1.0)
             if component == "Gamma":
-                return entropy_min_loss(classify(tape, leaves, encode(tape, leaves, "t").xi))
-            if component == "Omega":
-                return bootstrap_loss(z_tilde, classify(tape, leaves, encode(tape, leaves, "u").xi))
-            # composed total, every component active
-            L = source_cross_entropy(y, classify(tape, leaves, enc_bs.xi))
-            enc_bt = encode(tape, leaves, "t")
-            if cfg.distance_loss == "mmd-rbf":
-                J = mmd_rbf(enc_bs.xi, enc_bt.xi, sigma=1.0)
-            else:
-                J = feature_adaptation_loss(enc_bs.xi, enc_bt.xi, cfg.l1_eps)
-            Gamma = entropy_min_loss(classify(tape, leaves, enc_bt.xi))
-            Omega = bootstrap_loss(z_tilde, classify(tape, leaves, encode(tape, leaves, "u").xi))
-            return compose_total(L, J, Gamma, Omega, weights, w_t)
+                return entropy_min_loss(classify(tape, leaves, encode(tape, leaves, 1).xi))
+            return bootstrap_loss(z_tilde, classify(tape, leaves, encode(tape, leaves, 2).xi))
 
         return fn
 
@@ -332,12 +316,9 @@ def cmd_gradcheck(args) -> int:
         if not report.passed:
             failed.append(component)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         payload = {"command": "gradcheck", "tol": 1e-4, "h": 1e-5,
                    "passed": not failed, "components": results}
-        (out / "gradcheck.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                            encoding="utf-8")
+        _write_json(Path(args.out) / "gradcheck.json", payload)
     if failed:
         raise NumericalError(f"gradient check failed for: {', '.join(failed)}")
     print("gradient check passed for all components")
@@ -372,18 +353,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except TextdaError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 if __name__ == "__main__":

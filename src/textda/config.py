@@ -99,39 +99,36 @@ class TrainConfig:
 
     @classmethod
     def from_strings(cls, mapping: dict[str, str]) -> "TrainConfig":
-        """Build from raw string values (config files, CLI overrides)."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        coerced: dict = {}
-        for key, raw in mapping.items():
-            if key not in fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            coerced[key] = _coerce(key, raw.strip())
-        return cls(**coerced)
+        """Build from raw string values (config files, CLI overrides): each is
+        parsed by its field's annotation; from_dict rejects unknown keys."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        return cls.from_dict({key: _coerce(key, types[key], raw.strip()) if key in types else raw
+                              for key, raw in mapping.items()})
 
 
-def _coerce(key: str, raw: str):
-    int_fields = {"epochs", "batch_size", "seed", "window", "hidden", "embedding_dim",
-                  "vocab_size", "n_dev", "max_doc_len", "eval_batch"}
-    float_fields = {"lambda1", "lambda2", "lambda3", "alpha", "learning_rate",
-                    "dropout_rate", "max_norm", "rmsprop_rho", "rmsprop_eps", "l1_eps"}
-    bool_fields = {"balance_source", "bootstrap_from_epoch1"}
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_optional_float(raw: str) -> float | None:
+    return None if raw.lower() in ("", "none", "median") else float(raw)
+
+
+# field annotation (a string under postponed evaluation) -> parser
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "float | None": _parse_optional_float}
+
+
+def _coerce(key: str, annotation: str, raw: str):
     try:
-        if key in int_fields:
-            return int(raw)
-        if key in float_fields:
-            return float(raw)
-        if key in bool_fields:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if key == "mmd_sigma":
-            return None if raw.lower() in ("", "none", "median") else float(raw)
+        return _PARSERS[annotation](raw)
     except ValueError as e:
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from e
-    return raw  # string fields: variant, distance_loss
 
 
 def parse_config_file(path) -> dict[str, str]:

@@ -263,6 +263,8 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
                 E[idx] = [float(v) for v in parts[1:]]
             except ValueError as e:
                 raise DataError(f"{p}: line {lineno}: non-numeric embedding value") from e
+            if not np.isfinite(E[idx]).all():
+                raise DataError(f"{p}: line {lineno}: non-finite embedding value")
             if idx not in seen:
                 seen.add(idx)
                 found += 1

@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so library code should raise the
-most specific class that applies rather than bare ValueError.
+Each class carries the CLI's process exit code, so library code should raise
+the most specific class that applies rather than bare ValueError.
 """
 
 
 class TextdaError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class ConfigError(TextdaError):
@@ -17,10 +19,14 @@ class DataError(TextdaError):
     """Bad corpus/embedding/checkpoint input: missing path, malformed line,
     out-of-range rating, vocab hash mismatch."""
 
+    exit_code = 2
+
 
 class NumericalError(TextdaError):
     """Non-finite or diverging values, failed gradient check, invalid
     numeric arguments to an operation."""
+
+    exit_code = 3
 
 
 class ShapeError(NumericalError):

@@ -15,7 +15,7 @@ trigrams with the highest post-ReLU activation. Padding positions render as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import t as _student_t
@@ -105,13 +105,7 @@ class EvalReport:
     confusion: list
 
     def to_dict(self) -> dict:
-        return {
-            "n_docs": self.n_docs,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         lines = [

@@ -79,10 +79,7 @@ class ModelParams:
         return {name: getattr(self, name) for name in PARAM_ORDER}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            E=self.E.copy(), W=self.W.copy(), b=self.b.copy(),
-            F_w=self.F_w.copy(), F_b=self.F_b.copy(), window=self.window,
-        )
+        return ModelParams(window=self.window, **{name: arr.copy() for name, arr in self.arrays().items()})
 
     def leaves(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
         return {name: tape.leaf(arr) for name, arr in self.arrays().items()}
@@ -208,13 +205,17 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint {p}: bad header ({e})") from e
+    if not isinstance(header, dict):
+        raise DataError(f"checkpoint {p}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"checkpoint {p}: unsupported format version {header.get('format_version')!r}")
-    try:
-        V, d = header["vocab_size"], header["embedding_dim"]
-        l, h, C = header["window"], header["hidden"], header["n_classes"]
-    except KeyError as e:
-        raise DataError(f"checkpoint {p}: header missing field {e}") from e
+    dims = ("vocab_size", "embedding_dim", "window", "hidden", "n_classes")
+    for key in dims:
+        if type(header.get(key)) is not int or header[key] < 1:
+            raise DataError(f"checkpoint {p}: header field {key!r} must be a positive int, got {header.get(key)!r}")
+    V, d, l, h, C = (header[key] for key in dims)
+    if l % 2 == 0:
+        raise DataError(f"checkpoint {p}: window must be odd, got {l}")
     shapes = {"E": (V, d), "W": (h, l * d), "b": (h,), "F_w": (C, h), "F_b": (C,)}
     body = blob[nl + 1 :]
     need = sum(int(np.prod(s)) for s in shapes.values()) * 8
@@ -230,6 +231,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             .astype(np.float64)
             .reshape(shape)
         )
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"checkpoint {p}: parameter {name} has non-finite values")
         offset += count * 8
     params = ModelParams(window=l, **arrays)
     return params, header

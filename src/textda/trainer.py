@@ -22,21 +22,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, Tensor
 from .config import TrainConfig
 from .data import (
     PAD_INDEX,
+    BatchStream,
+    BatchTriple,
     Corpus,
     Vocab,
-    BatchStream,
+    build_vocab,
     load_pretrained_embeddings,
     pad_batch,
     split_dev,
 )
 from .ensemble import EnsembleState, predict_all
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
+from .evaluation import EvalReport, evaluate_corpus
 from .losses import (
     LossBreakdown,
+    LossWeights,
     bootstrap_loss,
     compose_total,
     entropy_min_loss,
@@ -55,10 +59,13 @@ __all__ = [
     "EpochMetrics",
     "History",
     "RMSProp",
+    "objective",
     "train",
     "select_model",
+    "run_seed",
     "run_multi_seed",
     "RunResult",
+    "union_pools",
     "write_history_csv",
     "parse_history_csv",
     "CSV_COLUMNS",
@@ -121,6 +128,48 @@ def _dev_error(params: ModelParams, enc_dev, dev_labels: np.ndarray, eval_batch:
     return float((preds != dev_labels).mean())
 
 
+def union_pools(source: Corpus, target: Corpus, source_unlabeled: Corpus | None = None) -> list[Corpus]:
+    """Training corpora in the order the vocabulary and the ensemble see them."""
+    return [source, target] + ([source_unlabeled] if source_unlabeled else [])
+
+
+def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray]], batch: BatchTriple,
+              labels: np.ndarray, targets: np.ndarray | None, weights: LossWeights, w_t: float,
+              config: TrainConfig, rng: np.random.Generator | None) -> tuple[Tensor, LossBreakdown]:
+    """One step's L + lambda1 J + lambda2 Gamma + w_t Omega on the tape, and its
+    logged breakdown. `batch` indexes the encoded source, target and union
+    `pools`, the one-hot source `labels` and the ensemble's one-hot `targets`.
+    Zero-weight terms, and Omega without targets, are skipped and log 0.0.
+    Encoding runs source, target, union: the order of the dropout draws."""
+    enc_s, enc_t, enc_u = pools
+
+    def encode(docs, idx):
+        mat, lengths = pad_batch(docs, idx)
+        return encode_batch(tape, leaves, mat, lengths, config.dropout_rate, training=True, rng=rng).xi
+
+    xi_s = encode(enc_s, batch.source_idx)
+    L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
+    J = Gamma = Omega = None
+    if weights.lambda1 > 0.0 or weights.lambda2 > 0.0:
+        xi_t = encode(enc_t, batch.target_idx)
+        if weights.lambda1 > 0.0:
+            if config.distance_loss == "mmd-rbf":
+                sigma = config.mmd_sigma
+                if sigma is None:
+                    sigma = median_heuristic_sigma(xi_s.data, xi_t.data)
+                J = mmd_rbf(xi_s, xi_t, sigma)
+            else:
+                J = feature_adaptation_loss(xi_s, xi_t, config.l1_eps)
+        if weights.lambda2 > 0.0:
+            Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
+    if weights.lambda3 > 0.0 and targets is not None:
+        xi_u = encode(enc_u, batch.union_idx)
+        Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
+    total = compose_total(L, J, Gamma, Omega, weights, w_t)
+    terms = (0.0 if x is None else float(x.data) for x in (L, J, Gamma, Omega))
+    return total, total_loss(*terms, weights, w_t)
+
+
 def train(
     config: TrainConfig,
     vocab: Vocab,
@@ -134,15 +183,14 @@ def train(
     """Run the full schedule and return (best-epoch parameters, history).
 
     `source` must be labeled; `target` and `source_unlabeled` labels are never
-    read. The union pool for ensemble bookkeeping is source + target
-    (+ source_unlabeled), in that order.
+    read. The union pool for ensemble bookkeeping is `union_pools` order.
     """
     weights = config.effective_weights()
     cap = config.max_doc_len
-    enc_s = [vocab.encode(d.tokens, cap) for d in source]
-    enc_t = [vocab.encode(d.tokens, cap) for d in target]
-    enc_su = [vocab.encode(d.tokens, cap) for d in (source_unlabeled or [])]
-    enc_union = enc_s + enc_t + enc_su
+    enc_s, enc_t, *enc_su = [[vocab.encode(d.tokens, cap) for d in corpus]
+                             for corpus in union_pools(source, target, source_unlabeled)]
+    enc_union = [doc for pool in (enc_s, enc_t, *enc_su) for doc in pool]
+    pools = [enc_s, enc_t, enc_union]
     enc_dev = [vocab.encode(d.tokens, cap) for d in dev]
     dev_labels = dev.label_indices()
     labels_s = source.label_indices()
@@ -159,7 +207,6 @@ def train(
     rng_drop = named_rng(config.seed, "dropout")
 
     need_ensemble = weights.lambda3 > 0.0
-    need_target = weights.lambda1 > 0.0 or weights.lambda2 > 0.0
     ensemble = EnsembleState.zeros(len(enc_union), N_CLASSES, config.alpha) if need_ensemble else None
     z_tilde: np.ndarray | None = None
     if need_ensemble and config.bootstrap_from_epoch1:
@@ -172,50 +219,13 @@ def train(
     for t in range(1, config.epochs + 1):
         tick = time.perf_counter()
         w_t = rampup_weight(t, config.epochs, weights.lambda3)
-        omega_active = need_ensemble and z_tilde is not None
-        sums = {"L": 0.0, "J": 0.0, "Gamma": 0.0, "Omega": 0.0}
-        iters = 0
+        sums, iters = np.zeros(4), 0  # L, J, Gamma, Omega; added in step order
 
         for triple in stream.epoch():
             tape = Tape()
             leaves = params.leaves(tape)
-
-            mat_s, len_s = pad_batch(enc_s, triple.source_idx)
-            enc_bs = encode_batch(tape, leaves, mat_s, len_s,
-                                  config.dropout_rate, training=True, rng=rng_drop)
-            probs_s = classify(tape, leaves, enc_bs.xi)
-            L_t = source_cross_entropy(onehot_s[triple.source_idx], probs_s)
-
-            J_t = Gamma_t = Omega_t = None
-            if need_target:
-                mat_t, len_t = pad_batch(enc_t, triple.target_idx)
-                enc_bt = encode_batch(tape, leaves, mat_t, len_t,
-                                      config.dropout_rate, training=True, rng=rng_drop)
-                if weights.lambda1 > 0.0:
-                    if config.distance_loss == "mmd-rbf":
-                        sigma = config.mmd_sigma
-                        if sigma is None:
-                            sigma = median_heuristic_sigma(enc_bs.xi.data, enc_bt.xi.data)
-                        J_t = mmd_rbf(enc_bs.xi, enc_bt.xi, sigma)
-                    else:
-                        J_t = feature_adaptation_loss(enc_bs.xi, enc_bt.xi, config.l1_eps)
-                if weights.lambda2 > 0.0:
-                    Gamma_t = entropy_min_loss(classify(tape, leaves, enc_bt.xi))
-            if omega_active:
-                mat_u, len_u = pad_batch(enc_union, triple.union_idx)
-                enc_bu = encode_batch(tape, leaves, mat_u, len_u,
-                                      config.dropout_rate, training=True, rng=rng_drop)
-                probs_u = classify(tape, leaves, enc_bu.xi)
-                Omega_t = bootstrap_loss(z_tilde[triple.union_idx], probs_u)
-
-            total_t = compose_total(L_t, J_t, Gamma_t, Omega_t, weights, w_t)
-            step = total_loss(
-                float(L_t.data),
-                float(J_t.data) if J_t is not None else 0.0,
-                float(Gamma_t.data) if Gamma_t is not None else 0.0,
-                float(Omega_t.data) if Omega_t is not None else 0.0,
-                weights, w_t,
-            )
+            total_t, step = objective(tape, leaves, pools, triple, onehot_s, z_tilde,
+                                      weights, w_t, config, rng_drop)
             for name, value in (("L", step.L), ("J", step.J), ("Gamma", step.Gamma),
                                 ("Omega", step.Omega), ("total", step.total)):
                 if abs(value) > DIVERGENCE_LIMIT:
@@ -229,15 +239,10 @@ def train(
             grads["E"][PAD_INDEX] = 0.0  # padding embedding stays frozen
             optimizer.step(params.arrays(), grads)
             apply_max_norm(params.F_w, config.max_norm)
-
-            sums["L"] += step.L
-            sums["J"] += step.J
-            sums["Gamma"] += step.Gamma
-            sums["Omega"] += step.Omega
+            sums += (step.L, step.J, step.Gamma, step.Omega)
             iters += 1
 
-        means = {k: v / iters for k, v in sums.items()}
-        epoch_row = total_loss(means["L"], means["J"], means["Gamma"], means["Omega"], weights, w_t)
+        epoch_row = total_loss(*map(float, sums / iters), weights, w_t)
 
         dev_error = _dev_error(params, enc_dev, dev_labels, config.eval_batch)
         if dev_error < best_error:
@@ -251,11 +256,8 @@ def train(
             if dump_ensemble_dir is not None:
                 np.save(Path(dump_ensemble_dir) / f"ensemble_epoch{t:03d}.npy", ensemble.Z)
 
-        history.epochs.append(EpochMetrics(
-            epoch=t, L=epoch_row.L, J=epoch_row.J, Gamma=epoch_row.Gamma,
-            Omega=epoch_row.Omega, w_t=epoch_row.w_t, total=epoch_row.total,
-            dev_error=dev_error, seconds=time.perf_counter() - tick,
-        ))
+        history.epochs.append(EpochMetrics(t, **dataclasses.asdict(epoch_row), dev_error=dev_error,
+                                           seconds=time.perf_counter() - tick))
 
     history.best_epoch = select_model(history)
     return best_params, history
@@ -266,10 +268,7 @@ def write_history_csv(history: History, path) -> None:
     parsed row reproduces it bit for bit."""
     lines = [",".join(CSV_COLUMNS)]
     for m in history.epochs:
-        lines.append(",".join([
-            str(m.epoch),
-            *(repr(v) for v in (m.L, m.J, m.Gamma, m.Omega, m.w_t, m.total, m.dev_error, m.seconds)),
-        ]))
+        lines.append(",".join([str(m.epoch), *(repr(getattr(m, name)) for name in CSV_COLUMNS[1:])]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -278,12 +277,14 @@ def parse_history_csv(path) -> History:
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ConfigError(f"{path}: unexpected history header")
     history = History()
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        history.epochs.append(EpochMetrics(
-            epoch=int(parts[0]),
-            **{name: float(v) for name, v in zip(CSV_COLUMNS[1:], parts[1:])},
-        ))
+        if len(parts) != len(CSV_COLUMNS):
+            raise DataError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
+        try:
+            history.epochs.append(EpochMetrics(int(parts[0]), *(float(v) for v in parts[1:])))
+        except ValueError as e:
+            raise DataError(f"{path}: line {lineno}: non-numeric field ({e})") from e
     if history.epochs:
         history.best_epoch = select_model(history)
     return history
@@ -291,11 +292,52 @@ def parse_history_csv(path) -> History:
 
 @dataclass
 class RunResult:
+    """One seed's best-epoch parameters and history, the count of vocabulary
+    tokens with a pretrained vector, and the test report (None without one)."""
+
     seed: int
-    best_epoch: int
-    dev_error: float
-    accuracy: float
-    macro_f1: float
+    params: ModelParams
+    history: History
+    pretrained_tokens_found: int
+    report: EvalReport | None
+
+    @property
+    def best_epoch(self) -> int:
+        return self.history.best_epoch
+
+    @property
+    def dev_error(self) -> float:
+        return self.history.epochs[self.best_epoch - 1].dev_error
+
+    @property
+    def accuracy(self) -> float:
+        return self.report.accuracy
+
+    @property
+    def macro_f1(self) -> float:
+        return self.report.macro_f1
+
+
+def run_seed(
+    config: TrainConfig,
+    vocab: Vocab,
+    source: Corpus,
+    target: Corpus,
+    test: Corpus | None = None,
+    embeddings_path=None,
+    source_unlabeled: Corpus | None = None,
+    dump_ensemble_dir=None,
+) -> RunResult:
+    """One run under config.seed: its own dev split and embedding
+    initialization, training, then evaluation on `test` when given."""
+    train_split, dev = split_dev(source, config.n_dev, named_rng(config.seed, "split"))
+    embeddings, found = load_pretrained_embeddings(
+        embeddings_path, vocab, config.embedding_dim, named_rng(config.seed, "embeddings"))
+    params, history = train(config, vocab, embeddings, train_split, target, dev,
+                            source_unlabeled=source_unlabeled, dump_ensemble_dir=dump_ensemble_dir)
+    report = None if test is None else evaluate_corpus(params, vocab, test, config.max_doc_len,
+                                                       config.eval_batch)
+    return RunResult(config.seed, params, history, found, report)
 
 
 def run_multi_seed(
@@ -307,29 +349,11 @@ def run_multi_seed(
     embeddings_path=None,
     source_unlabeled: Corpus | None = None,
 ) -> list[RunResult]:
-    """Independent runs with seeds config.seed + 0 .. n_runs - 1, each with
-    its own dev split and embedding initialization, evaluated on `test`."""
-    from .data import build_vocab
-    from .evaluation import evaluate_corpus
-
+    """Independent runs with seeds config.seed + 0 .. n_runs - 1 over one
+    shared vocabulary, each evaluated on `test`."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    pools = [source, target] + ([source_unlabeled] if source_unlabeled else [])
-    vocab = build_vocab(pools, config.vocab_size)
-    results = []
-    for k in range(n_runs):
-        cfg = dataclasses.replace(config, seed=config.seed + k)
-        train_split, dev = split_dev(source, cfg.n_dev, named_rng(cfg.seed, "split"))
-        embeddings, _ = load_pretrained_embeddings(
-            embeddings_path, vocab, cfg.embedding_dim, named_rng(cfg.seed, "embeddings"))
-        params, history = train(cfg, vocab, embeddings, train_split, target, dev,
-                                source_unlabeled=source_unlabeled)
-        report = evaluate_corpus(params, vocab, test, cfg.max_doc_len, cfg.eval_batch)
-        results.append(RunResult(
-            seed=cfg.seed,
-            best_epoch=history.best_epoch,
-            dev_error=history.epochs[history.best_epoch - 1].dev_error,
-            accuracy=report.accuracy,
-            macro_f1=report.macro_f1,
-        ))
-    return results
+    vocab = build_vocab(union_pools(source, target, source_unlabeled), config.vocab_size)
+    return [run_seed(dataclasses.replace(config, seed=config.seed + k), vocab, source, target,
+                     test, embeddings_path, source_unlabeled)
+            for k in range(n_runs)]

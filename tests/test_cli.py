@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from textda import trainer
 from textda.cli import main
 from textda.config import TrainConfig
 from textda.data import Vocab, load_corpus
+from textda.errors import NumericalError
 from textda.trainer import parse_history_csv
 
 TINY_CONF = """\
@@ -106,6 +108,35 @@ def test_train_multi_run_layout(tmp_path, synth_dir):
         assert (out / sub / "model.ckpt").is_file()
         assert (out / sub / "history.csv").is_file()
     assert (out / "vocab.txt").is_file()
+
+
+def test_train_report_keeps_finished_runs_when_a_later_run_fails(tmp_path, synth_dir, monkeypatch):
+    real_train = trainer.train
+    calls = []
+
+    def failing_second_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalError("injected failure")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", failing_second_call)
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    out = tmp_path / "partial"
+    code = main([
+        "train", "--config", str(conf), "--out", str(out), "--seed", "7", "--runs", "3",
+        "--source", str(synth_dir / "source_labeled.jsonl"),
+        "--target", str(synth_dir / "target_unlabeled.jsonl"),
+        "--test", str(synth_dir / "target_test.jsonl"),
+    ])
+    assert code != 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    (run,) = report["runs"]
+    assert run["seed"] == 7
+    assert report["aggregate"]["accuracy_mean"] == run["test"]["accuracy"]
+    assert (out / "run00" / "model.ckpt").is_file()
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "run00", "run01", "vocab.txt"]
 
 
 def test_train_missing_source_exits_2_and_names_path(tmp_path, synth_dir, capsys):
@@ -236,6 +267,20 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
     payload = json.loads((out / "gradcheck.json").read_text(encoding="utf-8"))
     assert payload["passed"] is True
     assert payload["components"]["total"]["max_rel_error"] < 1e-4
+
+
+@pytest.mark.parametrize("conf", [
+    "variant = MMD-baseline\ndistance_loss = mmd-rbf\n",
+    "variant = MMD-baseline\ndistance_loss = mmd-rbf\nmmd_sigma = 2.0\n",
+    "variant = NaiveNN\n",
+])
+def test_gradcheck_passes_under_other_variants(tmp_path, capsys, conf):
+    path = tmp_path / "variant.conf"
+    path.write_text(conf, encoding="utf-8")
+    assert main(["gradcheck", "--config", str(path)]) == 0
+    text = capsys.readouterr().out
+    for component in ("L", "J", "Gamma", "Omega", "MMD", "total"):
+        assert f"{component:6s} PASS" in text
 
 
 def test_gradcheck_detects_corrupted_gradients(capsys):

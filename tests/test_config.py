@@ -70,6 +70,22 @@ def test_from_strings_coercion():
         TrainConfig.from_strings({"lambda9": "1"})
 
 
+@pytest.mark.parametrize("mmd_sigma", [None, 0.75])
+def test_from_strings_round_trips_every_field(mmd_sigma):
+    config = TrainConfig(
+        variant="MMD-baseline", distance_loss="mmd-rbf", lambda1=1.5, lambda2=0.25,
+        lambda3=2.5, alpha=0.3, learning_rate=1e-3, epochs=7, batch_size=11, seed=13,
+        window=5, hidden=17, embedding_dim=19, dropout_rate=0.1, max_norm=2.5,
+        vocab_size=123, n_dev=9, max_doc_len=77, balance_source=False, rmsprop_rho=0.8,
+        rmsprop_eps=1e-7, l1_eps=1e-5, eval_batch=31, mmd_sigma=mmd_sigma,
+        bootstrap_from_epoch1=True,
+    )
+    back = TrainConfig.from_strings({k: str(v) for k, v in config.to_dict().items()})
+    assert back == config
+    changed = {k for k, v in config.to_dict().items() if v != getattr(TrainConfig(), k)}
+    assert changed | {"mmd_sigma"} == set(config.to_dict())
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text(

@@ -245,6 +245,15 @@ def test_embeddings_reject_bad_rows(tmp_path):
         load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_embeddings_reject_non_finite_values(tmp_path, value):
+    vocab = build_vocab([_corpus_of(["a b"])], size=10)
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"b 0.5 0.5\na 1.0 {value}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"vecs\.txt: line 2: non-finite"):
+        load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
+
+
 # ----------------------------------------------------------------- dev splits
 
 

@@ -1,5 +1,7 @@
 """Encoder and classifier: hand-traced convolutions, pooling, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,46 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(nover)
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def _rewrite_checkpoint(src, dst, header_updates=None, body=None):
+    blob = src.read_bytes()
+    nl = blob.find(b"\n")
+    header = {**json.loads(blob[:nl]), **(header_updates or {})}
+    dst.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + (blob[nl + 1 :] if body is None else body))
+    return dst
+
+
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    params = _toy_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, vocab_hash="00", path=path)
+    for bad in (np.nan, np.inf):
+        F_b = params.F_b.copy()
+        F_b[1] = bad
+        poisoned = ModelParams(E=params.E, W=params.W, b=params.b, F_w=params.F_w, F_b=F_b, window=3)
+        save_checkpoint(poisoned, vocab_hash="00", path=tmp_path / "bad.ckpt")
+        with pytest.raises(DataError, match="F_b has non-finite"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hidden", 0), ("vocab_size", -5), ("embedding_dim", "1"), ("n_classes", 3.0),
+    ("window", True), ("hidden", None),
+])
+def test_checkpoint_rejects_bad_header_dimensions(tmp_path, field, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_toy_params(), vocab_hash="00", path=path)
+    bad = _rewrite_checkpoint(path, tmp_path / "bad.ckpt", {field: value})
+    with pytest.raises(DataError, match=f"{field}.*positive int"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_even_window_as_data_error(tmp_path):
+    # window 2 with d = 1 and h = 1 still matches the stored byte count
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_toy_params(), vocab_hash="00", path=path)
+    body = np.zeros(5 + 2 + 1 + 3 + 3, dtype="<f8").tobytes()
+    bad = _rewrite_checkpoint(path, tmp_path / "bad.ckpt", {"window": 2}, body)
+    with pytest.raises(DataError, match="window must be odd"):
+        load_checkpoint(bad)

@@ -8,7 +8,7 @@ import pytest
 
 from textda.config import TrainConfig
 from textda.data import Corpus, Document, build_vocab, load_pretrained_embeddings, split_dev
-from textda.errors import ConfigError, NumericalError
+from textda.errors import ConfigError, DataError, NumericalError
 from textda.losses import rampup_weight
 from textda.rng import named_rng
 from textda.synth import SyntheticSpec, generate_synthetic
@@ -111,6 +111,20 @@ def test_parse_history_rejects_bad_header(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("epoch,L\n1,0.5\n", encoding="utf-8")
     with pytest.raises(ConfigError):
+        parse_history_csv(path)
+
+
+@pytest.mark.parametrize("row,problem", [
+    ("1,0.1,0.2,0.3,0.4,0.5,0.6,0.7", "expected 9 fields, got 8"),
+    ("1,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "expected 9 fields, got 10"),
+    ("1,0.1,0.2,oops,0.4,0.5,0.6,0.7,0.8", "non-numeric"),
+    ("one,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8", "non-numeric"),
+])
+def test_parse_history_rejects_bad_rows(tmp_path, row, problem):
+    path = tmp_path / "history.csv"
+    good = "1,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
+    path.write_text(",".join(CSV_COLUMNS) + f"\n{good}\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"history\.csv: line 3: {problem}"):
         parse_history_csv(path)
 
 
