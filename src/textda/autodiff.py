@@ -2,9 +2,13 @@
 
 A Tape records one forward computation as an ordered list of backward
 closures; Tape.backward replays them in reverse, accumulating into each
-tensor's .grad buffer. Everything is float64. The op set is exactly what the
-classifier and its losses need, each backward hand-derived and covered by
-grad_check (central finite differences) in the test suite.
+tensor's .grad buffer, and drops each once it has run, so a consumed tape
+holds no reference cycle and its tensors are freed by reference counting.
+A gradient buffer is allocated on first accumulation, taking over the fresh
+array the closure hands in. NoGradTape records nothing, for forward-only
+passes. Everything is float64. The op set is exactly what the classifier
+and its losses need, each backward hand-derived and covered by grad_check
+(central finite differences) in the test suite.
 
 Conventions fixed here and relied on elsewhere:
   relu subgradient at 0 is 0; max pooling breaks ties toward the lowest
@@ -22,7 +26,9 @@ from .errors import NumericalError, ShapeError
 
 __all__ = [
     "Tape",
+    "NoGradTape",
     "Tensor",
+    "accumulate",
     "affine",
     "relu",
     "softmax",
@@ -42,21 +48,38 @@ __all__ = [
 
 
 class Tensor:
-    """Array plus gradient buffer, bound to the tape that produced it."""
+    """Array plus gradient buffer, bound to the tape that produced it. The
+    buffer is allocated lazily; reading .grad before any accumulation gives
+    zeros."""
 
-    __slots__ = ("data", "grad", "tape", "softmax_logits")
+    __slots__ = ("data", "_grad", "tape", "softmax_logits", "__weakref__")
 
     def __init__(self, data, tape: "Tape"):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self.tape = tape
         # set by softmax() so cross-entropy style losses can differentiate
         # through the fused log-sum-exp path
         self.softmax_logits: "Tensor | None" = None
 
     @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @property
     def shape(self):
         return self.data.shape
+
+
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add gradient g into t.grad. g must be a fresh array that nothing else
+    holds: a tensor without a buffer takes it over."""
+    if t._grad is None:
+        t._grad = np.asarray(g)  # a numpy scalar becomes a 0-d array
+    else:
+        t._grad += g
 
 
 class Tape:
@@ -86,9 +109,22 @@ class Tape:
         if self._finished:
             raise NumericalError("backward: tape already consumed; build a fresh tape per evaluation")
         self._finished = True
-        loss.grad = np.ones_like(loss.data)
-        for step in reversed(self._steps):
-            step()
+        loss._grad = np.ones_like(loss.data)
+        # drop each closure once it has run, so the intermediates it holds
+        # are freed during the pass rather than after it
+        steps, self._steps = self._steps, []
+        while steps:
+            steps.pop()()
+
+
+class NoGradTape(Tape):
+    """A tape for forward-only passes: it records no closures."""
+
+    def record(self, backward) -> None:
+        pass
+
+    def backward(self, loss: Tensor) -> None:
+        raise NumericalError("backward: a NoGradTape records no operations; use a Tape to differentiate")
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -112,9 +148,9 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
         def back():
             g = out.grad
-            x.grad += W.data.T @ g
-            W.grad += np.outer(g, x.data)
-            b.grad += g
+            accumulate(x, W.data.T @ g)
+            accumulate(W, np.outer(g, x.data))
+            accumulate(b, g.copy())
 
     elif x.data.ndim == 2:
         if x.data.shape[1] != n:
@@ -123,9 +159,9 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
         def back():
             g = out.grad
-            x.grad += g @ W.data
-            W.grad += g.T @ x.data
-            b.grad += g.sum(axis=0)
+            accumulate(x, g @ W.data)
+            accumulate(W, g.T @ x.data)
+            accumulate(b, g.sum(axis=0))
 
     else:
         raise ShapeError(f"affine: x must be 1-D or 2-D, got shape {x.data.shape}")
@@ -138,7 +174,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0  # subgradient at 0 is 0
 
     def back():
-        x.grad += out.grad * mask
+        accumulate(x, out.grad * mask)
 
     x.tape.record(back)
     return out
@@ -159,7 +195,7 @@ def softmax(x: Tensor) -> Tensor:
         g = out.grad if out.grad.ndim == 2 else out.grad[None, :]
         dot = (g * p).sum(axis=1, keepdims=True)
         dx = p * (g - dot)
-        x.grad += dx if x.data.ndim == 2 else dx[0]
+        accumulate(x, dx if x.data.ndim == 2 else dx[0])
 
     x.tape.record(back)
     return out
@@ -204,12 +240,12 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndar
     masked = np.where(valid[:, :, None], data3, -np.inf)
     arg = masked.argmax(axis=1)  # first maximizer along positions
     out = H.tape.wrap(np.take_along_axis(data3, arg[:, None, :], axis=1)[:, 0, :])
-    rows = np.arange(n_docs)[:, None]
-    cols = np.arange(h)[None, :]
 
     def back():
-        g3 = H.grad.reshape(n_docs, positions, h)
-        np.add.at(g3, (rows, arg, cols), out.grad)
+        # each (doc, position, filter) wins at most once, so a plain
+        # fancy-index += is exact
+        rows = np.arange(n_docs)[:, None] * positions + arg
+        H.grad[rows, np.arange(h)[None, :]] += out.grad
 
     H.tape.record(back)
     return out, arg
@@ -229,7 +265,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     out = x.tape.wrap(x.data * keep)
 
     def back():
-        x.grad += out.grad * keep
+        accumulate(x, out.grad * keep)
 
     x.tape.record(back)
     return out
@@ -250,7 +286,7 @@ def l1_normalize(v: Tensor, eps: float = 1e-6) -> Tensor:
 
     def back():
         g = out.grad
-        v.grad += (g - (g * y).sum()) / s
+        accumulate(v, (g - (g * y).sum()) / s)
 
     v.tape.record(back)
     return out
@@ -264,7 +300,7 @@ def batch_mean(X: Tensor) -> Tensor:
     out = X.tape.wrap(X.data.mean(axis=0))
 
     def back():
-        X.grad += out.grad[None, :] / n
+        accumulate(X, np.repeat(out.grad[None, :] / n, n, axis=0))
 
     X.tape.record(back)
     return out
@@ -275,8 +311,9 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
 
     idx_win is an integer array [n_docs, positions, l]; the result is
     [n_docs * positions, l * d] with each row the concatenation of the l
-    embedding vectors of one window. Backward scatter-adds into E.grad, so
-    repeated tokens accumulate correctly.
+    embedding vectors of one window. Backward sums the rows' gradients per
+    (token, column) with one bincount, so repeated tokens accumulate
+    correctly.
     """
     idx_win = np.asarray(idx_win)
     if idx_win.ndim != 3:
@@ -292,7 +329,8 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
     out = E.tape.wrap(gathered.reshape(n_docs * positions, l * d))
 
     def back():
-        np.add.at(E.grad, idx_win, out.grad.reshape(n_docs, positions, l, d))
+        flat = (idx_win.reshape(-1, 1) * d + np.arange(d)).ravel()
+        accumulate(E, np.bincount(flat, weights=out.grad.ravel(), minlength=V * d).reshape(V, d))
 
     E.tape.record(back)
     return out
@@ -305,8 +343,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = tape.wrap(a.data + b.data)
 
     def back():
-        a.grad += out.grad
-        b.grad += out.grad
+        accumulate(a, out.grad.copy())
+        accumulate(b, out.grad.copy())
 
     tape.record(back)
     return out
@@ -320,8 +358,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = tape.wrap(a.data * b.data)
 
     def back():
-        a.grad += out.grad * b.data
-        b.grad += out.grad * a.data
+        accumulate(a, out.grad * b.data)
+        accumulate(b, out.grad * a.data)
 
     tape.record(back)
     return out
@@ -332,7 +370,7 @@ def vsum(x: Tensor) -> Tensor:
     out = x.tape.wrap(float(x.data.sum()))
 
     def back():
-        x.grad += out.grad
+        accumulate(x, np.full(x.data.shape, out.grad))
 
     x.tape.record(back)
     return out
@@ -343,7 +381,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = x.tape.wrap(c * x.data)
 
     def back():
-        x.grad += c * out.grad
+        accumulate(x, c * out.grad)
 
     x.tape.record(back)
     return out
@@ -379,7 +417,7 @@ def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4) -> Gra
     work = {name: np.array(arr, dtype=np.float64) for name, arr in params.items()}
 
     def evaluate() -> float:
-        tape = Tape()
+        tape = NoGradTape()
         leaves = {name: tape.leaf(arr) for name, arr in work.items()}
         out = loss_fn(tape, leaves)
         if out.data.shape != ():

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig, parse_config_file
-from .data import BatchTriple, Vocab, build_vocab, load_corpus, pad_batch, save_corpus
+from .data import RATING_SCHEMES, BatchTriple, Vocab, build_vocab, load_corpus, pad_batch, save_corpus
 from .errors import ConfigError, DataError, NumericalError, TextdaError
 from .evaluation import evaluate_corpus, filter_analysis, render_filter_report
 from .losses import (
@@ -57,7 +57,7 @@ def build_parser() -> _Parser:
     p.add_argument("--source-unlabeled", help="optional extra unlabeled source corpus")
     p.add_argument("--test", help="optional labeled target test corpus")
     p.add_argument("--embeddings", help="optional pretrained embedding text file")
-    p.add_argument("--scheme", choices=("amazon5", "imdb10"), help="rating scheme for rating-labeled corpora")
+    p.add_argument("--scheme", choices=RATING_SCHEMES, help="rating scheme for rating-labeled corpora")
     p.add_argument("--runs", type=int, default=1, help="number of seeds (seed, seed+1, ...)")
     p.add_argument("--dump-ensemble", action="store_true", help="dump the ensemble matrix each epoch")
     p.set_defaults(func=cmd_train)
@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--scheme", choices=("amazon5", "imdb10"))
+    p.add_argument("--scheme", choices=RATING_SCHEMES)
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("analyze-filters", help="top activating trigrams per class filter")
@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", action="append", required=True, metavar="[TAG=]PATH",
                    help="corpus to scan; repeatable, tag defaults to the file stem")
-    p.add_argument("--scheme", choices=("amazon5", "imdb10"))
+    p.add_argument("--scheme", choices=RATING_SCHEMES)
     p.add_argument("--k-filters", type=int, default=10)
     p.add_argument("--k-trigrams", type=int, default=5)
     p.set_defaults(func=cmd_analyze_filters)

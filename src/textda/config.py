@@ -9,6 +9,7 @@ run reports so a run can be reproduced from its report alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,10 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}")
         if self.distance_loss not in DISTANCE_LOSSES:

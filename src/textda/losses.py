@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, batch_mean, l1_normalize, scale
+from .autodiff import Tensor, accumulate, add, batch_mean, l1_normalize, scale
 from .errors import ConfigError, NumericalError, ShapeError
 
 __all__ = [
@@ -132,7 +132,7 @@ def _cross_entropy(name: str, y_const: np.ndarray, y_pred: Tensor) -> Tensor:
 
         def back():
             dx = (p - y) * (out.grad / B)
-            logits.grad += dx if logits.data.ndim == 2 else dx[0]
+            accumulate(logits, dx if logits.data.ndim == 2 else dx[0])
 
     else:
         pc = np.clip(p, CLAMP_MIN, CLAMP_MAX)
@@ -141,7 +141,7 @@ def _cross_entropy(name: str, y_const: np.ndarray, y_pred: Tensor) -> Tensor:
 
         def back():
             dp = np.where(inside, -y / pc, 0.0) * (out.grad / B)
-            y_pred.grad += dp if y_pred.data.ndim == 2 else dp[0]
+            accumulate(y_pred, dp if y_pred.data.ndim == 2 else dp[0])
 
     tape.record(back)
     return out
@@ -175,7 +175,7 @@ def entropy_min_loss(y_pred: Tensor) -> Tensor:
 
         def back():
             dx = -p * (s + row_h[:, None]) * (out.grad / B)
-            logits.grad += dx if logits.data.ndim == 2 else dx[0]
+            accumulate(logits, dx if logits.data.ndim == 2 else dx[0])
 
     else:
         if p.min() < 0.0 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-6:
@@ -187,7 +187,7 @@ def entropy_min_loss(y_pred: Tensor) -> Tensor:
 
         def back():
             dp = -(logp + np.where(inside, 1.0, 0.0)) * (out.grad / B)
-            y_pred.grad += dp if y_pred.data.ndim == 2 else dp[0]
+            accumulate(y_pred, dp if y_pred.data.ndim == 2 else dp[0])
 
     tape.record(back)
     return out
@@ -207,8 +207,8 @@ def symmetric_kl(p: Tensor, q: Tensor) -> Tensor:
 
     def back():
         g = out.grad
-        p.grad += g * (ratio + 1.0 - q.data / p.data)
-        q.grad += g * (-ratio + 1.0 - p.data / q.data)
+        accumulate(p, g * (ratio + 1.0 - q.data / p.data))
+        accumulate(q, g * (-ratio + 1.0 - p.data / q.data))
 
     tape.record(back)
     return out
@@ -263,11 +263,11 @@ def mmd_rbf(xs: Tensor, xt: Tensor, sigma: float) -> Tensor:
     def back():
         g = float(out.grad)
         # d mean K_ss / dX_i = (2c/m^2) * sum_j k_ij (x_j - x_i)
-        xs.grad += g * (2.0 * c / (m * m)) * (K_ss @ X - K_ss.sum(axis=1)[:, None] * X)
-        xt.grad += g * (2.0 * c / (n * n)) * (K_tt @ Y - K_tt.sum(axis=1)[:, None] * Y)
+        accumulate(xs, g * (2.0 * c / (m * m)) * (K_ss @ X - K_ss.sum(axis=1)[:, None] * X))
+        accumulate(xt, g * (2.0 * c / (n * n)) * (K_tt @ Y - K_tt.sum(axis=1)[:, None] * Y))
         # -2 mean K_st couples both sides
-        xs.grad += g * (-2.0 * c / (m * n)) * (K_st @ Y - K_st.sum(axis=1)[:, None] * X)
-        xt.grad += g * (-2.0 * c / (m * n)) * (K_st.T @ X - K_st.sum(axis=0)[:, None] * Y)
+        accumulate(xs, g * (-2.0 * c / (m * n)) * (K_st @ Y - K_st.sum(axis=1)[:, None] * X))
+        accumulate(xt, g * (-2.0 * c / (m * n)) * (K_st.T @ X - K_st.sum(axis=0)[:, None] * Y))
 
     tape.record(back)
     return out

@@ -155,8 +155,9 @@ def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.T
 
 def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
     """Deterministic eval-mode forward pass (dropout off); returns the class
-    probabilities as a plain array plus the encoding details."""
-    tape = ad.Tape()
+    probabilities as a plain array plus the encoding details. Its tape
+    records nothing: the pass cannot be differentiated."""
+    tape = ad.NoGradTape()
     leaves = params.leaves(tape)
     enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
     probs = classify(tape, leaves, enc.xi)

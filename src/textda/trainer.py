@@ -10,7 +10,9 @@ with RMSProp. Components whose effective weight is zero are never computed
 lambdas zero bitwise identical to the NaiveNN variant under the same seed.
 After each epoch the model is scored on the dev set (eval mode), then the
 self-ensemble is refreshed; the returned parameters are those of the
-minimum-dev-error epoch (earliest on ties).
+minimum-dev-error epoch (earliest on ties). A loss component beyond
+DIVERGENCE_LIMIT, or a non-finite parameter after an optimizer step, stops
+the run with a NumericalError naming the epoch and iteration.
 """
 
 from __future__ import annotations
@@ -238,6 +240,12 @@ def train(
             grads = {name: leaf.grad for name, leaf in leaves.items()}
             grads["E"][PAD_INDEX] = 0.0  # padding embedding stays frozen
             optimizer.step(params.arrays(), grads)
+            for name, arr in params.arrays().items():
+                if not np.isfinite(arr).all():
+                    raise NumericalError(
+                        f"training diverged at epoch {t}, iteration {iters + 1}: "
+                        f"parameter {name} is not finite after the optimizer step"
+                    )
             apply_max_norm(params.F_w, config.max_norm)
             sums += (step.L, step.J, step.Gamma, step.Omega)
             iters += 1

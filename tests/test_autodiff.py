@@ -215,3 +215,79 @@ def test_grad_check_detects_corruption():
     report = ad.grad_check(bad_loss, {"x": np.array([1.0, 2.0])}, h=1e-5, tol=1e-4)
     assert not report.passed
     assert report.worst_param == "x"
+
+
+def test_embed_windows_backward_matches_add_at_reference():
+    # three gathers onto one E, with ids repeated within and across windows
+    rng = np.random.default_rng(0)
+    V, d, l = 7, 4, 3
+    tape = ad.Tape()
+    E = tape.leaf(rng.normal(size=(V, d)))
+    idxs = [rng.integers(0, V, size=(n, p, l)) for n, p in ((3, 5), (2, 4), (4, 6))]
+    idxs[0][0, 0, :] = 2
+    idxs[1][:, :, 1] = 5
+    terms, ref = [], np.zeros((V, d))
+    for idx in idxs:
+        out = ad.embed_windows(E, idx)
+        w = rng.normal(size=out.shape)
+        terms.append(ad.vsum(ad.mul(out, leaf(tape, w))))
+        np.add.at(ref, idx, w.reshape(*idx.shape, d))
+    tape.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+    assert np.abs(E.grad - ref).max() <= 1e-12
+
+
+def test_max_over_time_batch_backward_equals_add_at_reference():
+    rng = np.random.default_rng(1)
+    n_docs, positions, h = 3, 5, 4
+    tape = ad.Tape()
+    data = rng.normal(size=(n_docs * positions, h))
+    data[0:2, 0] = 9.0  # a tie inside document 0
+    H = leaf(tape, data)
+    out, arg = ad.max_over_time_batch(H, n_docs, positions, np.array([5, 2, 1]))
+    g = rng.normal(size=out.shape)
+    tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
+    ref = np.zeros((n_docs, positions, h))
+    np.add.at(ref, (np.arange(n_docs)[:, None], arg, np.arange(h)[None, :]), g)
+    assert np.array_equal(H.grad, ref.reshape(n_docs * positions, h))
+
+
+def test_add_of_a_tensor_with_itself_and_unshared_buffers():
+    tape = ad.Tape()
+    x = leaf(tape, [1.0, -2.0])
+    tape.backward(ad.vsum(ad.add(x, x)))
+    assert np.array_equal(x.grad, [2.0, 2.0])
+    tape = ad.Tape()
+    a, b = leaf(tape, [1.0, 2.0]), leaf(tape, [3.0, 4.0])
+    s = ad.add(a, b)
+    tape.backward(ad.vsum(s))
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, s.grad) and not np.shares_memory(b.grad, s.grad)
+    assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
+
+
+def test_consumed_tape_is_freed_by_reference_counting():
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = leaf(tape, [[0.5, -1.0], [2.0, 0.3]])
+        W = leaf(tape, [[1.0, 2.0], [-1.0, 0.5]])
+        b = leaf(tape, [0.1, -0.1])
+        hidden = ad.relu(ad.affine(x, W, b))
+        probe = weakref.ref(hidden)
+        tape.backward(ad.vsum(ad.softmax(hidden)))
+        del tape, x, W, b, hidden
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_no_grad_tape_cannot_run_backward():
+    tape = ad.NoGradTape()
+    x = leaf(tape, [1.0, 2.0])
+    y = ad.vsum(ad.scale(x, 3.0))
+    assert y.data == 9.0
+    with pytest.raises(NumericalError):
+        tape.backward(y)

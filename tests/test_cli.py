@@ -299,3 +299,48 @@ def test_missing_subcommand_or_flags_exit_1(capsys):
     assert main(["train"]) == 1  # missing required flags
     assert main(["--bogus"]) == 1
     capsys.readouterr()
+
+
+def test_scheme_choices_come_from_the_data_module():
+    import argparse
+
+    from textda.cli import build_parser
+    from textda.data import RATING_SCHEMES
+
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = {name: tuple(action.choices)
+               for name, sub in subs.choices.items()
+               for action in sub._actions if "--scheme" in action.option_strings}
+    assert choices == {name: tuple(RATING_SCHEMES) for name in ("train", "evaluate", "analyze-filters")}
+
+
+def test_train_non_finite_config_value_exits_1(tmp_path, synth_dir, capsys):
+    conf = tmp_path / "nan.conf"
+    conf.write_text(TINY_CONF + "max_norm = nan\n", encoding="utf-8")
+    code = main([
+        "train", "--config", str(conf), "--out", str(tmp_path / "o"),
+        "--source", str(synth_dir / "source_labeled.jsonl"),
+        "--target", str(synth_dir / "target_unlabeled.jsonl"),
+    ])
+    assert code == 1
+    assert "max_norm must be finite" in capsys.readouterr().err
+
+
+def test_train_non_finite_parameter_exits_3(tmp_path, synth_dir, capsys, monkeypatch):
+    real_step = trainer.RMSProp.step
+
+    def nan_step(self, arrays, grads):
+        grads["b"][0] = np.nan
+        return real_step(self, arrays, grads)
+
+    monkeypatch.setattr(trainer.RMSProp, "step", nan_step)
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    code = main([
+        "train", "--config", str(conf), "--out", str(tmp_path / "o"), "--seed", "0",
+        "--source", str(synth_dir / "source_labeled.jsonl"),
+        "--target", str(synth_dir / "target_unlabeled.jsonl"),
+    ])
+    assert code == 3
+    assert "epoch 1, iteration 1: parameter b is not finite" in capsys.readouterr().err

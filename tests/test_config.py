@@ -1,5 +1,7 @@
 """Config parsing, validation, and round-trips."""
 
+import dataclasses
+
 import pytest
 
 from textda.config import DISTANCE_LOSSES, TrainConfig, parse_config_file
@@ -114,3 +116,18 @@ def test_parse_config_file_errors(tmp_path):
     dup.write_text("epochs = 3\nepochs = 4\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_file(dup)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type in ("float", "float | None")]
+
+
+def test_float_fields_cover_the_loss_and_optimizer_settings():
+    assert {"lambda1", "lambda2", "lambda3", "learning_rate", "max_norm", "rmsprop_eps",
+            "l1_eps", "mmd_sigma"} <= set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_values_are_rejected_naming_the_key(name, raw):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        TrainConfig.from_strings({name: raw})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import textda.autodiff as ad
-from textda.errors import ConfigError, DataError
+from textda.errors import ConfigError, DataError, NumericalError
 from textda.model import (
     ModelParams,
     apply_max_norm,
@@ -249,3 +249,23 @@ def test_checkpoint_rejects_even_window_as_data_error(tmp_path):
     bad = _rewrite_checkpoint(path, tmp_path / "bad.ckpt", {"window": 2}, body)
     with pytest.raises(DataError, match="window must be odd"):
         load_checkpoint(bad)
+
+
+def test_forward_eval_records_nothing_and_frees_its_encoding():
+    import gc
+    import weakref
+
+    params = _toy_params()
+    mat = np.array([[2, 3, 4], [4, 2, 0]])
+    lengths = np.array([3, 2])
+    gc.disable()
+    try:
+        probs, enc = forward_eval(params, mat, lengths)
+        with pytest.raises(NumericalError):
+            enc.xi.tape.backward(ad.vsum(enc.xi))
+        probes = [weakref.ref(enc.xi), weakref.ref(enc.H)]
+        del enc
+        assert all(probe() is None for probe in probes)
+    finally:
+        gc.enable()
+    assert np.allclose(probs.sum(axis=1), 1.0)

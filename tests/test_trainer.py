@@ -252,3 +252,19 @@ def test_run_multi_seed_assigns_distinct_seeds():
         assert 1 <= r.best_epoch <= config.epochs
     with pytest.raises(ConfigError):
         run_multi_seed(config, source, target, test, n_runs=0)
+
+
+def test_non_finite_parameter_after_step_names_epoch_iteration_and_parameter(monkeypatch):
+    real_step = RMSProp.step
+    calls = []
+
+    def nan_on_second_step(self, arrays, grads):
+        calls.append(1)
+        if len(calls) == 2:
+            grads["W"][0, 0] = np.nan
+        return real_step(self, arrays, grads)
+
+    monkeypatch.setattr(RMSProp, "step", nan_on_second_step)
+    config = TrainConfig(variant="DAS", **{**TINY, "epochs": 1})
+    with pytest.raises(NumericalError, match="epoch 1, iteration 2: parameter W is not finite"):
+        _run(config)
