@@ -223,32 +223,42 @@ def max_over_time(H: Tensor) -> tuple[Tensor, np.ndarray]:
 def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Per-document column-wise max over valid positions.
 
-    H is [n_docs * positions, h] (document-major). Positions at or beyond a
-    document's length are excluded from its max. Returns ([n_docs, h] maxima,
-    [n_docs, h] winning positions).
+    H holds each document's positions as consecutive rows, document-major,
+    either packed ([sum(lengths), h], the first lengths[k] positions of
+    document k only) or padded ([n_docs * positions, h]); the padded layout
+    is reduced to the packed one by taking its valid rows. Each document's
+    segment is max-pooled with one reduceat; ties resolve to the lowest
+    position. Returns ([n_docs, h] maxima, [n_docs, h] winning positions).
     """
-    if H.data.ndim != 2 or H.data.shape[0] != n_docs * positions:
-        raise ShapeError(
-            f"max_over_time_batch: H {H.data.shape} does not factor as {n_docs}x{positions} rows"
-        )
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (n_docs,) or lengths.min() < 1 or lengths.max() > positions:
         raise ShapeError(f"max_over_time_batch: bad lengths (shape {lengths.shape})")
-    h = H.data.shape[1]
-    data3 = H.data.reshape(n_docs, positions, h)
-    valid = np.arange(positions)[None, :] < lengths[:, None]
-    masked = np.where(valid[:, :, None], data3, -np.inf)
-    arg = masked.argmax(axis=1)  # first maximizer along positions
-    out = H.tape.wrap(np.take_along_axis(data3, arg[:, None, :], axis=1)[:, 0, :])
+    n_valid = int(lengths.sum())
+    if H.data.ndim != 2 or H.data.shape[0] not in (n_valid, n_docs * positions):
+        raise ShapeError(
+            f"max_over_time_batch: H {H.data.shape} has neither {n_valid} packed nor "
+            f"{n_docs}x{positions} padded rows"
+        )
+    data, rows = H.data, None
+    if data.shape[0] != n_valid:
+        rows = np.flatnonzero(np.arange(positions) < lengths[:, None])
+        data = data[rows]
+    starts = np.cumsum(lengths) - lengths
+    maxima = np.maximum.reduceat(data, starts, axis=0)
+    # the first row of each segment that attains its maximum
+    hits = np.where(data == np.repeat(maxima, lengths, axis=0), np.arange(n_valid)[:, None], n_valid)
+    first = np.minimum.reduceat(hits, starts, axis=0)
+    winners = first if rows is None else rows[first]
+    out = H.tape.wrap(maxima)
 
     def back():
-        # each (doc, position, filter) wins at most once, so a plain
-        # fancy-index += is exact
-        rows = np.arange(n_docs)[:, None] * positions + arg
-        H.grad[rows, np.arange(h)[None, :]] += out.grad
+        # each (row, filter) wins at most once, so a plain indexed write is exact
+        g = np.zeros_like(H.data)
+        g[winners, np.arange(H.data.shape[1])] = out.grad
+        accumulate(H, g)
 
     H.tape.record(back)
-    return out, arg
+    return out, first - starts[:, None]
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
@@ -309,24 +319,23 @@ def batch_mean(X: Tensor) -> Tensor:
 def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
     """Gather and concatenate embedding rows for every window.
 
-    idx_win is an integer array [n_docs, positions, l]; the result is
-    [n_docs * positions, l * d] with each row the concatenation of the l
-    embedding vectors of one window. Backward sums the rows' gradients per
-    (token, column) with one bincount, so repeated tokens accumulate
-    correctly.
+    idx_win is an integer array [..., l] of windows (the encoder passes its
+    packed [n_valid, l] windows); the result is [n_windows, l * d] with each
+    row the concatenation of the l embedding vectors of one window, in the
+    row-major order of idx_win's leading axes. Backward sums the rows'
+    gradients per (token, column) with one bincount, so repeated tokens
+    accumulate correctly.
     """
     idx_win = np.asarray(idx_win)
-    if idx_win.ndim != 3:
-        raise ShapeError(f"embed_windows: window index array must be 3-D, got shape {idx_win.shape}")
+    if idx_win.ndim < 2:
+        raise ShapeError(f"embed_windows: window index array must be [..., l], got shape {idx_win.shape}")
     V, d = E.data.shape
     if idx_win.size and (idx_win.min() < 0 or idx_win.max() >= V):
         raise NumericalError(
             f"embed_windows: token index out of range [0, {V}) "
             f"(min {idx_win.min()}, max {idx_win.max()})"
         )
-    n_docs, positions, l = idx_win.shape
-    gathered = E.data[idx_win]  # [n_docs, positions, l, d]
-    out = E.tape.wrap(gathered.reshape(n_docs * positions, l * d))
+    out = E.tape.wrap(E.data[idx_win].reshape(-1, idx_win.shape[-1] * d))
 
     def back():
         flat = (idx_win.reshape(-1, 1) * d + np.arange(d)).ravel()

@@ -384,10 +384,9 @@ class BatchStream:
 def pad_batch(encoded_docs, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stack variable-length id arrays into a padded [B, n_max] matrix plus a
     length vector."""
-    idx = np.asarray(idx, dtype=np.int64)
-    lengths = np.asarray([len(encoded_docs[i]) for i in idx], dtype=np.int64)
+    docs = [encoded_docs[i] for i in np.asarray(idx, dtype=np.int64)]
+    lengths = np.asarray([len(doc) for doc in docs], dtype=np.int64)
     n_max = int(lengths.max())
-    mat = np.full((len(idx), n_max), PAD_INDEX, dtype=np.int64)
-    for row, i in enumerate(idx):
-        mat[row, : lengths[row]] = encoded_docs[i]
+    mat = np.full((len(docs), n_max), PAD_INDEX, dtype=np.int64)
+    mat[np.arange(n_max) < lengths[:, None]] = np.concatenate(docs)
     return mat, lengths

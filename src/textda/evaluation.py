@@ -274,15 +274,9 @@ def filter_analysis(
             idx = np.arange(start, min(start + eval_batch, len(enc)))
             mat, lengths = pad_batch(enc, idx)
             _, details = forward_eval(params, mat, lengths)
-            B, P = mat.shape
-            H3 = details.H.data.reshape(B, P, params.hidden)
-            valid = np.arange(P)[None, :] < lengths[:, None]
-            rows, cols = np.nonzero(valid)
-            windows = details.idx_win[rows, cols]  # [n_valid, l]
             for j in wanted:
-                acts = H3[rows, cols, j]
                 table = best[j]
-                for win, act in zip(windows, acts):
+                for win, act in zip(details.idx_win, details.H.data[:, j]):
                     triple = tuple(_token_name(vocab, int(w)) for w in win)
                     got = table.get(triple)
                     if got is None:

@@ -5,6 +5,13 @@ encode: embedding lookup, window concatenation (window l, "same" padding of
 pooling to a feature vector xi, dropout on xi. classify: softmax affine head
 on xi. The pooling argmax per filter is kept as window metadata so filters
 can be traced back to the trigrams that fired them.
+
+The encoder works on packed rows: of the padded [B, P] id matrix it keeps
+only the windows of each document's own positions, [n_valid, l] in
+document-major order, so the gather, the convolution GEMM and the ReLU never
+touch a padding position, and max-over-time pools each document's
+contiguous segment of rows. Padding ids still fill the window slots past a
+document's edges ("same" padding).
 """
 
 from __future__ import annotations
@@ -124,9 +131,9 @@ def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
 class EncodedBatch:
     xi: ad.Tensor            # [B, h] pooled features (post-dropout in training)
     argmax: np.ndarray       # [B, h] winning position per filter
-    H: ad.Tensor             # [B*P, h] post-ReLU activations at every position
-    idx_win: np.ndarray      # [B, P, l] window token indices
-    lengths: np.ndarray      # [B]
+    H: ad.Tensor             # [n_valid, h] post-ReLU activations, valid positions only
+    idx_win: np.ndarray      # [n_valid, l] token indices of those positions' windows
+    lengths: np.ndarray      # [B]; document k owns rows sum(lengths[:k]) onward
 
 
 def encode_batch(
@@ -140,9 +147,11 @@ def encode_batch(
 ) -> EncodedBatch:
     B, P = mat.shape
     window = leaves["W"].data.shape[1] // leaves["E"].data.shape[1]
-    idx_win = build_windows(mat, window)
-    xhat = ad.embed_windows(leaves["E"], idx_win)          # [B*P, l*d]
-    H = ad.relu(ad.affine(xhat, leaves["W"], leaves["b"]))  # [B*P, h]
+    valid = np.arange(P) < lengths[:, None]
+    # ids past a document's length read as padding, so its windows see only its own tokens
+    idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
+    xhat = ad.embed_windows(leaves["E"], idx_win)                            # [n_valid, l*d]
+    H = ad.relu(ad.affine(xhat, leaves["W"], leaves["b"]))                   # [n_valid, h]
     xi, argmax = ad.max_over_time_batch(H, B, P, lengths)
     xi = ad.dropout(xi, dropout_rate, training, rng)
     return EncodedBatch(xi=xi, argmax=argmax, H=H, idx_win=idx_win, lengths=lengths)

@@ -332,3 +332,15 @@ def test_pad_batch_shapes_and_padding():
     assert np.array_equal(lengths, [3, 1, 2])
     assert np.array_equal(mat[1], [8, PAD_INDEX, PAD_INDEX])
     assert np.array_equal(mat[2], [9, 10, PAD_INDEX])
+
+
+def test_pad_batch_matches_row_by_row_padding():
+    rng = np.random.default_rng(0)
+    docs = [rng.integers(2, 50, size=n) for n in (4, 1, 9, 9, 2, 6)]
+    idx = np.array([5, 0, 2, 1, 0, 3])
+    mat, lengths = pad_batch(docs, idx)
+    ref = np.full((len(idx), 9), PAD_INDEX, dtype=np.int64)
+    for row, i in enumerate(idx):
+        ref[row, : len(docs[i])] = docs[i]
+    assert mat.dtype == np.int64 and np.array_equal(mat, ref)
+    assert np.array_equal(lengths, [6, 4, 9, 1, 4, 9])

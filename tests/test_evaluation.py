@@ -200,3 +200,61 @@ def test_render_filter_report_sections():
     assert "class: positive" in text
     assert "filter 0" in text
     assert "good-great-movie" in text
+
+
+def _brute_force_filter_tops(params, vocab, corpora, filters, k_trigrams, max_doc_len):
+    """Per document and position: the window's token names (padding as *)
+    and relu(W_j . window + b_j), deduplicated by triple keeping the maximum."""
+    names = {0: "*", 1: "<unk>"}
+    half = params.window // 2
+    best = {j: {} for j in filters}
+    for corpus in corpora:
+        for doc in corpus:
+            ids = [0] * half + list(vocab.encode(doc.tokens, max_doc_len)) + [0] * half
+            for i in range(len(ids) - 2 * half):
+                window = ids[i : i + params.window]
+                triple = tuple(names.get(w, vocab.itos[w]) for w in window)
+                x = params.E[window].ravel()
+                for j in filters:
+                    act = max(float(x @ params.W[j] + params.b[j]), 0.0)
+                    got = best[j].get(triple, (act, set()))
+                    best[j][triple] = (max(got[0], act), got[1] | {corpus.domain})
+    return {
+        j: sorted(table.items(), key=lambda kv: (-kv[1][0], kv[0]))[:k_trigrams]
+        for j, table in best.items()
+    }
+
+
+def test_filter_analysis_matches_brute_force_on_ragged_corpus():
+    words = ["good", "bad", "great", "movie", "plot", "dull", "fine"]
+    vocab = Vocab(itos=["<pad>", "<unk>"] + words)
+    rng = np.random.default_rng(5)
+    E = rng.uniform(-0.5, 0.5, size=(len(vocab), 2))
+    E[0] = 0.0
+    E[vocab.stoi["great"]] *= 6.0  # "great" opens or fills short documents
+    params = ModelParams(E=E, W=rng.normal(size=(4, 6)), b=rng.normal(0.0, 0.1, size=4),
+                         F_w=rng.normal(size=(3, 4)), F_b=np.zeros(3), window=3)
+
+    def corpus(domain, token_lists):
+        return Corpus([Document(tuple(t), "neutral", None, domain) for t in token_lists], domain)
+
+    corpora = [
+        corpus("src", [["great"], ["good", "movie", "plot", "dull", "fine", "bad", "movie"],
+                       ["bad", "unseen", "plot"], ["great", "good"], ["fine", "dull", "movie", "good"]]),
+        corpus("tgt", [["movie", "great", "plot", "plot", "bad"], ["dull"],
+                       ["good", "movie", "plot", "dull", "fine", "bad", "movie", "great", "good"]]),
+    ]
+    report = filter_analysis(params, vocab, corpora, k_filters=4, k_trigrams=4,
+                             max_doc_len=8, eval_batch=2)
+    expected = _brute_force_filter_tops(params, vocab, corpora, range(4), 4, max_doc_len=8)
+    rendered = []
+    for summaries in report.classes.values():
+        assert sorted(fs.index for fs in summaries) == [0, 1, 2, 3]
+        for fs in summaries:
+            want = expected[fs.index]
+            assert [hit.tokens for hit in fs.trigrams] == [triple for triple, _ in want]
+            for hit, (_, (act, domains)) in zip(fs.trigrams, want):
+                assert abs(hit.activation - act) <= 1e-12
+                assert hit.domains == "+".join(sorted(domains))
+            rendered += [hit.rendered() for hit in fs.trigrams]
+    assert any(r.startswith("*-") for r in rendered) and any(r.endswith("-*") for r in rendered)
