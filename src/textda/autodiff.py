@@ -88,12 +88,12 @@ class Tape:
         self._finished = False
 
     def leaf(self, data) -> Tensor:
-        """Wrap a parameter array (no copy) with a fresh zero gradient."""
+        """Wrap an array (no copy) as a tensor of this tape with a zero
+        gradient. Parameters enter as leaves; ops wrap their outputs the
+        same way."""
         return Tensor(data, self)
 
-    # used by op implementations
-    def wrap(self, data) -> Tensor:
-        return Tensor(data, self)
+    wrap = leaf
 
     def record(self, backward) -> None:
         self._steps.append(backward)
@@ -136,35 +136,23 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """y = x W^T + b for a batch [M, n], or y = W x + b for a vector [n]."""
+    """y = x W^T + b for a batch [M, n] or a vector [n] (its own one-row batch)."""
     tape = _same_tape(x, W, b)
     if W.data.ndim != 2 or b.data.ndim != 1 or W.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"affine: W {W.data.shape} and b {b.data.shape} are inconsistent")
     m, n = W.data.shape
-    if x.data.ndim == 1:
-        if x.data.shape[0] != n:
-            raise ShapeError(f"affine: W {W.data.shape} cannot multiply x {x.data.shape}")
-        out = tape.wrap(W.data @ x.data + b.data)
-
-        def back():
-            g = out.grad
-            accumulate(x, W.data.T @ g)
-            accumulate(W, np.outer(g, x.data))
-            accumulate(b, g.copy())
-
-    elif x.data.ndim == 2:
-        if x.data.shape[1] != n:
-            raise ShapeError(f"affine: W {W.data.shape} cannot multiply batch {x.data.shape}")
-        out = tape.wrap(x.data @ W.data.T + b.data)
-
-        def back():
-            g = out.grad
-            accumulate(x, g @ W.data)
-            accumulate(W, g.T @ x.data)
-            accumulate(b, g.sum(axis=0))
-
-    else:
+    if x.data.ndim not in (1, 2):
         raise ShapeError(f"affine: x must be 1-D or 2-D, got shape {x.data.shape}")
+    if x.data.shape[-1] != n:
+        raise ShapeError(f"affine: W {W.data.shape} cannot multiply x {x.data.shape}")
+    out = tape.wrap(x.data @ W.data.T + b.data)
+
+    def back():
+        g = out.grad.reshape(-1, m)
+        accumulate(x, out.grad @ W.data)
+        accumulate(W, g.T @ x.data.reshape(-1, n))
+        accumulate(b, g.sum(axis=0))
+
     tape.record(back)
     return out
 
@@ -181,21 +169,17 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Row-wise stable softmax of logits ([C] or [B, C])."""
+    """Stable softmax of logits along the last axis ([C] or [B, C])."""
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"softmax: logits must be 1-D or 2-D, got shape {x.data.shape}")
-    z = x.data if x.data.ndim == 2 else x.data[None, :]
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = x.tape.wrap(p if x.data.ndim == 2 else p[0])
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = x.tape.wrap(p)
     out.softmax_logits = x
 
     def back():
-        g = out.grad if out.grad.ndim == 2 else out.grad[None, :]
-        dot = (g * p).sum(axis=1, keepdims=True)
-        dx = p * (g - dot)
-        accumulate(x, dx if x.data.ndim == 2 else dx[0])
+        g = out.grad
+        accumulate(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
     x.tape.record(back)
     return out
@@ -225,10 +209,12 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndar
 
     H holds each document's positions as consecutive rows, document-major,
     either packed ([sum(lengths), h], the first lengths[k] positions of
-    document k only) or padded ([n_docs * positions, h]); the padded layout
-    is reduced to the packed one by taking its valid rows. Each document's
-    segment is max-pooled with one reduceat; ties resolve to the lowest
-    position. Returns ([n_docs, h] maxima, [n_docs, h] winning positions).
+    document k only) or padded ([n_docs * positions, h]). Document k's
+    valid rows are the lengths[k] rows from its first row (the sum of the
+    earlier lengths when packed, k * positions when padded); one argmax over
+    them gives each filter's winning row, the lowest on ties, and the maxima
+    are gathered there. Returns ([n_docs, h] maxima, [n_docs, h] winning
+    positions).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (n_docs,) or lengths.min() < 1 or lengths.max() > positions:
@@ -239,26 +225,20 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndar
             f"max_over_time_batch: H {H.data.shape} has neither {n_valid} packed nor "
             f"{n_docs}x{positions} padded rows"
         )
-    data, rows = H.data, None
-    if data.shape[0] != n_valid:
-        rows = np.flatnonzero(np.arange(positions) < lengths[:, None])
-        data = data[rows]
-    starts = np.cumsum(lengths) - lengths
-    maxima = np.maximum.reduceat(data, starts, axis=0)
-    # the first row of each segment that attains its maximum
-    hits = np.where(data == np.repeat(maxima, lengths, axis=0), np.arange(n_valid)[:, None], n_valid)
-    first = np.minimum.reduceat(hits, starts, axis=0)
-    winners = first if rows is None else rows[first]
-    out = H.tape.wrap(maxima)
+    starts = np.cumsum(lengths) - lengths if H.data.shape[0] == n_valid else np.arange(n_docs) * positions
+    # np.argmax returns the first (lowest) maximizer
+    winners = np.stack([H.data[s : s + n].argmax(axis=0) + s for s, n in zip(starts.tolist(), lengths.tolist())])
+    cols = np.arange(H.data.shape[1])
+    out = H.tape.wrap(H.data[winners, cols])
 
     def back():
         # each (row, filter) wins at most once, so a plain indexed write is exact
         g = np.zeros_like(H.data)
-        g[winners, np.arange(H.data.shape[1])] = out.grad
+        g[winners, cols] = out.grad
         accumulate(H, g)
 
     H.tape.record(back)
-    return out, first - starts[:, None]
+    return out, winners - starts[:, None]
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:

@@ -263,6 +263,8 @@ def filter_analysis(
     token triple keeping the maximum activation, and ranked by (activation
     descending, triple ascending).
     """
+    if k_trigrams < 1:
+        raise ConfigError(f"k_trigrams must be at least 1, got {k_trigrams}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
     # token-triple -> (max activation, set of domains) per filter
@@ -274,15 +276,15 @@ def filter_analysis(
             idx = np.arange(start, min(start + eval_batch, len(enc)))
             mat, lengths = pad_batch(enc, idx)
             _, details = forward_eval(params, mat, lengths)
+            triples = [tuple(_token_name(vocab, w) for w in win) for win in details.idx_win.tolist()]
             for j in wanted:
                 table = best[j]
-                for win, act in zip(details.idx_win, details.H.data[:, j]):
-                    triple = tuple(_token_name(vocab, int(w)) for w in win)
+                for triple, act in zip(triples, details.H.data[:, j].tolist()):
                     got = table.get(triple)
                     if got is None:
-                        table[triple] = (float(act), {corpus.domain})
+                        table[triple] = (act, {corpus.domain})
                     else:
-                        table[triple] = (max(got[0], float(act)), got[1] | {corpus.domain})
+                        table[triple] = (max(got[0], act), got[1] | {corpus.domain})
 
     report = FilterReport(k_filters=k_filters, k_trigrams=k_trigrams)
     for c, label in enumerate(LABELS):

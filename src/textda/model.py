@@ -3,8 +3,9 @@
 encode: embedding lookup, window concatenation (window l, "same" padding of
 (l-1)/2 positions per side), affine + ReLU per position, max-over-time
 pooling to a feature vector xi, dropout on xi. classify: softmax affine head
-on xi. The pooling argmax per filter is kept as window metadata so filters
-can be traced back to the trigrams that fired them.
+on xi. The encoding also keeps every position's activations H and window
+ids idx_win, from which filter analysis traces filters back to the trigrams
+that fire them, and each filter's winning position per document.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in

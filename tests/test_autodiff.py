@@ -251,6 +251,67 @@ def test_max_over_time_batch_backward_equals_add_at_reference():
     assert np.array_equal(H.grad, ref.reshape(n_docs * positions, h))
 
 
+def _pool_brute_force(rows, lengths):
+    """Each document's column maxima and lowest winning positions, one
+    filter at a time."""
+    maxima, winners, start = [], [], 0
+    for n in lengths:
+        seg = rows[start : start + n]
+        maxima.append(seg.max(axis=0))
+        winners.append([np.flatnonzero(seg[:, j] == seg[:, j].max())[0] for j in range(seg.shape[1])])
+        start += n
+    return np.array(maxima), np.array(winners)
+
+
+def test_max_over_time_batch_packed_and_padded_layouts_agree_with_brute_force():
+    rng = np.random.default_rng(3)
+    positions, h = 6, 4
+    lengths = np.array([3, 1, 6, 2])  # a length-1 and a full-length document
+    starts = np.cumsum(lengths) - lengths
+    packed = np.maximum(rng.normal(size=(int(lengths.sum()), h)), 0.0)
+    packed[0:3, 0] = 0.0  # ReLU zeros tie at every position of document 0
+    packed[10:12, 2] = 0.0  # and of document 3
+    packed[[5, 8], 1] = 7.0  # a positive tie at positions 1 and 4 of document 2
+    padded = np.full((len(lengths) * positions, h), 99.0)  # padding rows must never win
+    valid = np.flatnonzero(np.arange(positions) < lengths[:, None])
+    padded[valid] = packed
+    want_max, want_pos = _pool_brute_force(packed, lengths)
+    assert want_pos[0, 0] == 0 and want_pos[3, 2] == 0 and want_pos[2, 1] == 1
+
+    g = rng.normal(size=(len(lengths), h))
+    want_grad = np.zeros_like(packed)
+    want_grad[starts[:, None] + want_pos, np.arange(h)] = g
+    grads = []
+    for rows in (packed, padded):
+        tape = ad.Tape()
+        H = leaf(tape, rows)
+        out, pos = ad.max_over_time_batch(H, len(lengths), positions, lengths)
+        assert np.array_equal(out.data, want_max)
+        assert np.array_equal(pos, want_pos)
+        tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
+        grads.append(H.grad)
+    assert np.array_equal(grads[0], want_grad)
+    assert np.array_equal(grads[1][valid], want_grad)
+    assert not np.delete(grads[1], valid, axis=0).any()
+
+
+def test_affine_and_softmax_treat_a_vector_as_a_one_row_batch():
+    rng = np.random.default_rng(4)
+    x, W, b, g = rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=2), rng.normal(size=2)
+    results = []
+    for shape in ((3,), (1, 3)):
+        tape = ad.Tape()
+        xt, Wt, bt = leaf(tape, x.reshape(shape)), leaf(tape, W), leaf(tape, b)
+        y = ad.affine(xt, Wt, bt)
+        p = ad.softmax(y)
+        assert y.shape == p.shape == shape[:-1] + (2,)
+        tape.backward(ad.vsum(ad.mul(p, leaf(tape, g.reshape(p.shape)))))
+        assert xt.grad.shape == shape
+        results.append([y.data, p.data, y.grad, xt.grad, Wt.grad, bt.grad])
+    for vec, row in zip(*results):
+        np.testing.assert_allclose(vec.reshape(-1), row.reshape(-1), rtol=1e-12, atol=1e-15)
+
+
 def test_add_of_a_tensor_with_itself_and_unshared_buffers():
     tape = ad.Tape()
     x = leaf(tape, [1.0, -2.0])

@@ -254,6 +254,18 @@ def test_analyze_filters_default_tag_is_file_stem(trained_dir, synth_dir, capsys
     assert "source_labeled" in capsys.readouterr().out
 
 
+def test_analyze_filters_rejects_k_trigrams_below_one(trained_dir, synth_dir, capsys):
+    code = main([
+        "analyze-filters", "--checkpoint", str(trained_dir / "model.ckpt"),
+        "--vocab", str(trained_dir / "vocab.txt"),
+        "--corpus", str(synth_dir / "source_labeled.jsonl"),
+        "--k-filters", "1", "--k-trigrams", "0",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "k_trigrams" in captured.err and captured.out == ""
+
+
 # ------------------------------------------------------------------- gradcheck
 
 

@@ -192,6 +192,14 @@ def test_filter_analysis_is_document_order_invariant():
     assert a.to_json() == b.to_json()
 
 
+def test_filter_analysis_rejects_k_trigrams_below_one():
+    vocab, params = _toy_setup()
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match="k_trigrams"):
+            filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=k)
+
+
 def test_render_filter_report_sections():
     vocab, params = _toy_setup()
     corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
