@@ -93,8 +93,6 @@ class Tape:
         same way."""
         return Tensor(data, self)
 
-    wrap = leaf
-
     def record(self, backward) -> None:
         self._steps.append(backward)
 
@@ -145,7 +143,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine: x must be 1-D or 2-D, got shape {x.data.shape}")
     if x.data.shape[-1] != n:
         raise ShapeError(f"affine: W {W.data.shape} cannot multiply x {x.data.shape}")
-    out = tape.wrap(x.data @ W.data.T + b.data)
+    out = tape.leaf(x.data @ W.data.T + b.data)
 
     def back():
         g = out.grad.reshape(-1, m)
@@ -158,7 +156,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = x.tape.wrap(np.maximum(x.data, 0.0))
+    out = x.tape.leaf(np.maximum(x.data, 0.0))
     mask = x.data > 0.0  # subgradient at 0 is 0
 
     def back():
@@ -174,7 +172,7 @@ def softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax: logits must be 1-D or 2-D, got shape {x.data.shape}")
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = x.tape.wrap(p)
+    out = x.tape.leaf(p)
     out.softmax_logits = x
 
     def back():
@@ -195,7 +193,7 @@ def max_over_time(H: Tensor) -> tuple[Tensor, np.ndarray]:
         raise ShapeError(f"max_over_time: need a nonempty [n, h] matrix, got shape {H.data.shape}")
     arg = H.data.argmax(axis=0)  # np.argmax returns the first (lowest) maximizer
     cols = np.arange(H.data.shape[1])
-    out = H.tape.wrap(H.data[arg, cols])
+    out = H.tape.leaf(H.data[arg, cols])
 
     def back():
         np.add.at(H.grad, (arg, cols), out.grad)
@@ -229,7 +227,7 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndar
     # np.argmax returns the first (lowest) maximizer
     winners = np.stack([H.data[s : s + n].argmax(axis=0) + s for s, n in zip(starts.tolist(), lengths.tolist())])
     cols = np.arange(H.data.shape[1])
-    out = H.tape.wrap(H.data[winners, cols])
+    out = H.tape.leaf(H.data[winners, cols])
 
     def back():
         # each (row, filter) wins at most once, so a plain indexed write is exact
@@ -252,7 +250,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     if rng is None:
         raise NumericalError("dropout: training mode needs an rng")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = x.tape.wrap(x.data * keep)
+    out = x.tape.leaf(x.data * keep)
 
     def back():
         accumulate(x, out.grad * keep)
@@ -272,7 +270,7 @@ def l1_normalize(v: Tensor, eps: float = 1e-6) -> Tensor:
     if s <= 0.0:
         raise NumericalError("l1_normalize: zero mass; use eps > 0 or a nonzero vector")
     y = u / s
-    out = v.tape.wrap(y)
+    out = v.tape.leaf(y)
 
     def back():
         g = out.grad
@@ -287,7 +285,7 @@ def batch_mean(X: Tensor) -> Tensor:
     if X.data.ndim != 2:
         raise ShapeError(f"batch_mean: need [B, h], got shape {X.data.shape}")
     n = X.data.shape[0]
-    out = X.tape.wrap(X.data.mean(axis=0))
+    out = X.tape.leaf(X.data.mean(axis=0))
 
     def back():
         accumulate(X, np.repeat(out.grad[None, :] / n, n, axis=0))
@@ -315,7 +313,7 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
             f"embed_windows: token index out of range [0, {V}) "
             f"(min {idx_win.min()}, max {idx_win.max()})"
         )
-    out = E.tape.wrap(E.data[idx_win].reshape(-1, idx_win.shape[-1] * d))
+    out = E.tape.leaf(E.data[idx_win].reshape(-1, idx_win.shape[-1] * d))
 
     def back():
         flat = (idx_win.reshape(-1, 1) * d + np.arange(d)).ravel()
@@ -329,7 +327,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = tape.wrap(a.data + b.data)
+    out = tape.leaf(a.data + b.data)
 
     def back():
         accumulate(a, out.grad.copy())
@@ -344,7 +342,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out = tape.wrap(a.data * b.data)
+    out = tape.leaf(a.data * b.data)
 
     def back():
         accumulate(a, out.grad * b.data)
@@ -356,7 +354,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def vsum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar."""
-    out = x.tape.wrap(float(x.data.sum()))
+    out = x.tape.leaf(float(x.data.sum()))
 
     def back():
         accumulate(x, np.full(x.data.shape, out.grad))
@@ -367,7 +365,7 @@ def vsum(x: Tensor) -> Tensor:
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = x.tape.wrap(c * x.data)
+    out = x.tape.leaf(c * x.data)
 
     def back():
         accumulate(x, c * out.grad)

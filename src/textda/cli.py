@@ -17,18 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig, parse_config_file
-from .data import RATING_SCHEMES, BatchTriple, Vocab, build_vocab, load_corpus, pad_batch, save_corpus
+from .data import RATING_SCHEMES, BatchTriple, Vocab, build_vocab, load_corpus, save_corpus
 from .errors import ConfigError, DataError, NumericalError, TextdaError
 from .evaluation import evaluate_corpus, filter_analysis, render_filter_report
-from .losses import (
-    bootstrap_loss,
-    entropy_min_loss,
-    feature_adaptation_loss,
-    mmd_rbf,
-    rampup_weight,
-    source_cross_entropy,
-)
-from .model import ModelParams, classify, encode_batch, load_checkpoint, save_checkpoint
+from .losses import LossWeights, rampup_weight
+from .model import ModelParams, load_checkpoint, save_checkpoint
 from .rng import named_rng
 from .synth import SyntheticSpec, generate_synthetic
 from .trainer import objective, run_seed, union_pools, write_history_csv
@@ -248,11 +241,14 @@ def cmd_analyze_filters(args) -> int:
 
 
 def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
-    """Toy problem (V=20, d=4, h=6, C=3, 4-document batches) plus builders for
-    each loss component on it. "total" is the trainer's own objective with
-    dropout off and, unless configured, MMD sigma pinned to 1.0: the median
-    heuristic depends on the features, which finite differences would see
-    but the tape treats as a constant."""
+    """Toy problem (V=20, d=4, h=6, C=3, 4-document batches) plus a builder
+    for each loss component on it, all through the trainer's own objective
+    with dropout off. "total" is the objective under the given config, with
+    MMD sigma pinned to 1.0 unless configured: the median heuristic depends
+    on the features, which finite differences would see but the tape treats
+    as a constant. Each other component is one term of the objective with
+    every term on (DAS, all weights and w_t 1); "MMD" is J under mmd-rbf with
+    sigma 1.0."""
     V, d, h, C, window = 20, 4, 6, 3, 3
     rng = named_rng(cfg.seed, "gradcheck")
     E = rng.uniform(-0.5, 0.5, (V, d))
@@ -276,10 +272,9 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
     w_t = rampup_weight(cfg.epochs, cfg.epochs, weights.lambda3)
     total_cfg = dataclasses.replace(
         cfg, dropout_rate=0.0, mmd_sigma=1.0 if cfg.mmd_sigma is None else cfg.mmd_sigma)
-
-    def encode(tape, leaves, which):
-        mat, lengths = pad_batch(pools[which], np.arange(4))
-        return encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
+    terms_cfg = dataclasses.replace(cfg, variant="DAS", distance_loss="symmetric-kl-means", dropout_rate=0.0)
+    mmd_cfg = dataclasses.replace(terms_cfg, distance_loss="mmd-rbf", mmd_sigma=1.0)
+    all_on = LossWeights(1.0, 1.0, 1.0)
 
     def build(component):
         def fn(tape, leaves):
@@ -287,16 +282,9 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
                 tape.record(lambda: leaves["W"].grad.__iadd__(1e-3))
             if component == "total":
                 return objective(tape, leaves, pools, batch, y, z_tilde, weights, w_t, total_cfg, None)[0]
-            enc_bs = encode(tape, leaves, 0)
-            if component == "L":
-                return source_cross_entropy(y, classify(tape, leaves, enc_bs.xi))
-            if component == "J":
-                return feature_adaptation_loss(enc_bs.xi, encode(tape, leaves, 1).xi, cfg.l1_eps)
-            if component == "MMD":
-                return mmd_rbf(enc_bs.xi, encode(tape, leaves, 1).xi, sigma=1.0)
-            if component == "Gamma":
-                return entropy_min_loss(classify(tape, leaves, encode(tape, leaves, 1).xi))
-            return bootstrap_loss(z_tilde, classify(tape, leaves, encode(tape, leaves, 2).xi))
+            config = mmd_cfg if component == "MMD" else terms_cfg
+            terms = objective(tape, leaves, pools, batch, y, z_tilde, all_on, 1.0, config, None)[2]
+            return terms["J" if component == "MMD" else component]
 
         return fn
 

@@ -14,6 +14,7 @@ trigrams with the highest post-ReLU activation. Padding positions render as
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -290,10 +291,11 @@ def filter_analysis(
     for c, label in enumerate(LABELS):
         summaries = []
         for j in per_class[c]:
-            ranked = sorted(best[j].items(), key=lambda kv: (-kv[1][0], kv[0]))
+            # equal to sorted(...)[:k_trigrams]; keys are unique, as triples are dict keys
+            ranked = heapq.nsmallest(k_trigrams, best[j].items(), key=lambda kv: (-kv[1][0], kv[0]))
             hits = [
                 TrigramHit(tokens=triple, activation=act, domains="+".join(sorted(domains)))
-                for triple, (act, domains) in ranked[:k_trigrams]
+                for triple, (act, domains) in ranked
             ]
             summaries.append(FilterSummary(index=j, class_weight=float(params.F_w[c, j]), trigrams=hits))
         report.classes[label] = summaries

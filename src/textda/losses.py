@@ -10,9 +10,11 @@ MMD for the baseline), Gamma is the entropy of target predictions, and Omega
 is cross-entropy against the self-ensemble's one-hot targets with no gradient
 into the targets. w_t follows a Gaussian ramp from near 0 to lambda3.
 
-Cross-entropy and entropy differentiate through the fused log-sum-exp path
-whenever the prediction tensor came from softmax(); hand-built distributions
-fall back to clamped logs (clamp [1e-12, 1] inside the log only).
+Predictions are [B, C] rows of class probabilities; any other shape raises
+ShapeError. Cross-entropy and entropy differentiate through the fused
+log-sum-exp path whenever the prediction tensor came from softmax();
+hand-built distributions fall back to clamped logs (clamp [1e-12, 1] inside
+the log only).
 """
 
 from __future__ import annotations
@@ -94,14 +96,6 @@ class LossBreakdown:
     total: float
 
 
-def _check_rows_onehot(name: str, y: np.ndarray, cols: int) -> None:
-    if y.ndim != 2 or y.shape[1] != cols:
-        raise ShapeError(f"{name}: expected [B, {cols}] one-hot rows, got shape {y.shape}")
-    is01 = np.all((y == 0.0) | (y == 1.0))
-    if not is01 or not np.all(y.sum(axis=1) == 1.0):
-        raise NumericalError(f"{name}: rows must be exactly one-hot")
-
-
 def _as_const(y) -> np.ndarray:
     # accept a Tensor for convenience; it is treated as constant (stop-gradient)
     data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
@@ -113,35 +107,36 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _cross_entropy(name: str, y_const: np.ndarray, y_pred: Tensor) -> Tensor:
+def _cross_entropy(name: str, y: np.ndarray, y_pred: Tensor) -> Tensor:
     """-(1/B) sum_i sum_c y[i,c] log y_pred[i,c], one-hot y."""
-    p = y_pred.data if y_pred.data.ndim == 2 else y_pred.data[None, :]
-    y = y_const if y_const.ndim == 2 else y_const[None, :]
+    p = y_pred.data
+    if p.ndim != 2:
+        raise ShapeError(f"{name}: expected [B, C] predictions, got shape {p.shape}")
     if y.shape != p.shape:
         raise ShapeError(f"{name}: labels {y.shape} and predictions {p.shape} differ")
-    _check_rows_onehot(name, y, p.shape[1])
+    is01 = np.all((y == 0.0) | (y == 1.0))
+    if not is01 or not np.all(y.sum(axis=1) == 1.0):
+        raise NumericalError(f"{name}: rows must be exactly one-hot")
     B = p.shape[0]
     logits = y_pred.softmax_logits
     tape = y_pred.tape
     if logits is not None:
-        x = logits.data if logits.data.ndim == 2 else logits.data[None, :]
+        x = logits.data
         lse = x.max(axis=1, keepdims=True) + np.log(
             np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)
         )
-        out = tape.wrap(float((y * (lse - x)).sum() / B))
+        out = tape.leaf(float((y * (lse - x)).sum() / B))
 
         def back():
-            dx = (p - y) * (out.grad / B)
-            accumulate(logits, dx if logits.data.ndim == 2 else dx[0])
+            accumulate(logits, (p - y) * (out.grad / B))
 
     else:
         pc = np.clip(p, CLAMP_MIN, CLAMP_MAX)
-        out = tape.wrap(float(-(y * np.log(pc)).sum() / B))
+        out = tape.leaf(float(-(y * np.log(pc)).sum() / B))
         inside = (p >= CLAMP_MIN) & (p <= CLAMP_MAX)
 
         def back():
-            dp = np.where(inside, -y / pc, 0.0) * (out.grad / B)
-            accumulate(y_pred, dp if y_pred.data.ndim == 2 else dp[0])
+            accumulate(y_pred, np.where(inside, -y / pc, 0.0) * (out.grad / B))
 
     tape.record(back)
     return out
@@ -161,33 +156,30 @@ def bootstrap_loss(z_tilde, y_pred: Tensor) -> Tensor:
 
 def entropy_min_loss(y_pred: Tensor) -> Tensor:
     """Mean Shannon entropy of prediction rows (natural log)."""
-    p = y_pred.data if y_pred.data.ndim == 2 else y_pred.data[None, :]
+    p = y_pred.data
     if p.ndim != 2:
-        raise ShapeError(f"entropy_min_loss: expected [B, C], got shape {y_pred.data.shape}")
+        raise ShapeError(f"entropy_min_loss: expected [B, C] predictions, got shape {p.shape}")
     B = p.shape[0]
     logits = y_pred.softmax_logits
     tape = y_pred.tape
     if logits is not None:
-        x = logits.data if logits.data.ndim == 2 else logits.data[None, :]
-        s = _log_softmax(x)
+        s = _log_softmax(logits.data)
         row_h = -(p * s).sum(axis=1)
-        out = tape.wrap(float(row_h.mean()))
+        out = tape.leaf(float(row_h.mean()))
 
         def back():
-            dx = -p * (s + row_h[:, None]) * (out.grad / B)
-            accumulate(logits, dx if logits.data.ndim == 2 else dx[0])
+            accumulate(logits, -p * (s + row_h[:, None]) * (out.grad / B))
 
     else:
         if p.min() < 0.0 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-6:
             raise NumericalError("entropy_min_loss: rows must be probability distributions")
         pc = np.clip(p, CLAMP_MIN, CLAMP_MAX)
         logp = np.log(pc)
-        out = tape.wrap(float(-(p * logp).sum() / B))
+        out = tape.leaf(float(-(p * logp).sum() / B))
         inside = (p >= CLAMP_MIN) & (p <= CLAMP_MAX)
 
         def back():
-            dp = -(logp + np.where(inside, 1.0, 0.0)) * (out.grad / B)
-            accumulate(y_pred, dp if y_pred.data.ndim == 2 else dp[0])
+            accumulate(y_pred, -(logp + np.where(inside, 1.0, 0.0)) * (out.grad / B))
 
     tape.record(back)
     return out
@@ -203,7 +195,7 @@ def symmetric_kl(p: Tensor, q: Tensor) -> Tensor:
         raise NumericalError("symmetric_kl: inputs must sum to 1 (L1-normalize first)")
     tape = p.tape
     ratio = np.log(p.data / q.data)
-    out = tape.wrap(float((p.data * ratio).sum() + (q.data * -ratio).sum()))
+    out = tape.leaf(float((p.data * ratio).sum() + (q.data * -ratio).sum()))
 
     def back():
         g = out.grad
@@ -258,7 +250,7 @@ def mmd_rbf(xs: Tensor, xt: Tensor, sigma: float) -> Tensor:
     K_tt = kernel(Y, Y)
     K_st = kernel(X, Y)
     tape = xs.tape
-    out = tape.wrap(float(K_ss.mean() + K_tt.mean() - 2.0 * K_st.mean()))
+    out = tape.leaf(float(K_ss.mean() + K_tt.mean() - 2.0 * K_st.mean()))
 
     def back():
         g = float(out.grad)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import PAD_INDEX
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 
 __all__ = [
     "ModelParams",
@@ -166,12 +166,19 @@ def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.T
 def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
     """Deterministic eval-mode forward pass (dropout off); returns the class
     probabilities as a plain array plus the encoding details. Its tape
-    records nothing: the pass cannot be differentiated."""
+    records nothing: the pass cannot be differentiated. Raises
+    NumericalError naming the first row whose probabilities are not finite
+    (finite but huge parameters overflow), since argmax reads a NaN row as
+    class 0."""
     tape = ad.NoGradTape()
     leaves = params.leaves(tape)
     enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
-    probs = classify(tape, leaves, enc.xi)
-    return probs.data, enc
+    probs = classify(tape, leaves, enc.xi).data
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"forward_eval: class probabilities of batch row {bad[0]} are not finite "
+                             f"({bad.size} of {len(probs)} rows)")
+    return probs, enc
 
 
 def apply_max_norm(rows: np.ndarray, max_norm: float) -> None:

@@ -137,12 +137,15 @@ def union_pools(source: Corpus, target: Corpus, source_unlabeled: Corpus | None 
 
 def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray]], batch: BatchTriple,
               labels: np.ndarray, targets: np.ndarray | None, weights: LossWeights, w_t: float,
-              config: TrainConfig, rng: np.random.Generator | None) -> tuple[Tensor, LossBreakdown]:
-    """One step's L + lambda1 J + lambda2 Gamma + w_t Omega on the tape, and its
-    logged breakdown. `batch` indexes the encoded source, target and union
-    `pools`, the one-hot source `labels` and the ensemble's one-hot `targets`.
-    Zero-weight terms, and Omega without targets, are skipped and log 0.0.
-    Encoding runs source, target, union: the order of the dropout draws."""
+              config: TrainConfig, rng: np.random.Generator | None
+              ) -> tuple[Tensor, LossBreakdown, dict[str, Tensor | None]]:
+    """One step's L + lambda1 J + lambda2 Gamma + w_t Omega on the tape, its
+    logged breakdown, and the term tensors by name ("L", "J", "Gamma",
+    "Omega"). `batch` indexes the encoded source, target and union `pools`,
+    the one-hot source `labels` and the ensemble's one-hot `targets`.
+    Zero-weight terms, and Omega without targets, are skipped: their tensor
+    is None and they log 0.0. Encoding runs source, target, union: the order
+    of the dropout draws."""
     enc_s, enc_t, enc_u = pools
 
     def encode(docs, idx):
@@ -167,9 +170,10 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray
     if weights.lambda3 > 0.0 and targets is not None:
         xi_u = encode(enc_u, batch.union_idx)
         Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
+    terms = {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
     total = compose_total(L, J, Gamma, Omega, weights, w_t)
-    terms = (0.0 if x is None else float(x.data) for x in (L, J, Gamma, Omega))
-    return total, total_loss(*terms, weights, w_t)
+    values = (0.0 if x is None else float(x.data) for x in terms.values())
+    return total, total_loss(*values, weights, w_t), terms
 
 
 def train(
@@ -226,7 +230,7 @@ def train(
         for triple in stream.epoch():
             tape = Tape()
             leaves = params.leaves(tape)
-            total_t, step = objective(tape, leaves, pools, triple, onehot_s, z_tilde,
+            total_t, step, _ = objective(tape, leaves, pools, triple, onehot_s, z_tilde,
                                       weights, w_t, config, rng_drop)
             for name, value in (("L", step.L), ("J", step.J), ("Gamma", step.Gamma),
                                 ("Omega", step.Omega), ("total", step.total)):

@@ -10,6 +10,7 @@ from textda.cli import main
 from textda.config import TrainConfig
 from textda.data import Vocab, load_corpus
 from textda.errors import NumericalError
+from textda.model import load_checkpoint, save_checkpoint
 from textda.trainer import parse_history_csv
 
 TINY_CONF = """\
@@ -214,6 +215,26 @@ def test_evaluate_rejects_mismatched_vocab(trained_dir, synth_dir, tmp_path, cap
     assert "size mismatch" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_overflowing_checkpoint_with_exit_3(trained_dir, synth_dir, tmp_path, capsys):
+    # finite but huge parameters pass load_checkpoint, then the convolution
+    # overflows to inf and softmax to NaN, which argmax would score as class 0
+    params, header = load_checkpoint(trained_dir / "model.ckpt")
+    params.E[:] = 1e308
+    params.W[:] = 1.0
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(params, header["vocab_hash"], huge)
+    with np.errstate(all="ignore"):
+        code = main([
+            "evaluate", "--checkpoint", str(huge),
+            "--vocab", str(trained_dir / "vocab.txt"),
+            "--test", str(synth_dir / "target_test.jsonl"),
+        ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "batch row 0 are not finite" in captured.err
+    assert "accuracy" not in captured.out
+
+
 # ------------------------------------------------------------- analyze-filters
 
 
@@ -289,6 +310,16 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
 def test_gradcheck_passes_under_other_variants(tmp_path, capsys, conf):
     path = tmp_path / "variant.conf"
     path.write_text(conf, encoding="utf-8")
+    assert main(["gradcheck", "--config", str(path)]) == 0
+    text = capsys.readouterr().out
+    for component in ("L", "J", "Gamma", "Omega", "MMD", "total"):
+        assert f"{component:6s} PASS" in text
+
+
+@pytest.mark.parametrize("variant", ["FANN", "DAS-EM", "DAS-SE"])
+def test_gradcheck_passes_under_the_ablation_variants(tmp_path, capsys, variant):
+    path = tmp_path / "variant.conf"
+    path.write_text(f"variant = {variant}\n", encoding="utf-8")
     assert main(["gradcheck", "--config", str(path)]) == 0
     text = capsys.readouterr().out
     for component in ("L", "J", "Gamma", "Omega", "MMD", "total"):

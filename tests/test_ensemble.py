@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from textda.ensemble import EnsembleState, predict_all
-from textda.errors import ConfigError, ShapeError
+from textda.errors import ConfigError, NumericalError, ShapeError
 from textda.model import forward_eval, init_params
 from textda.rng import named_rng
 
@@ -90,3 +90,14 @@ def test_predict_all_chunking_matches_single_pass():
         assert np.max(np.abs(chunked[i] - single[0])) < 1e-12
     with pytest.raises(ConfigError):
         predict_all(params, docs, eval_batch=0)
+
+
+def test_predict_all_rejects_non_finite_probabilities():
+    # finite but huge parameters: the convolution overflows to inf and
+    # softmax turns the rows to NaN
+    params = init_params(np.full((15, 4), 1e308), window=3, hidden=6, n_classes=3,
+                         rng=named_rng(7, "init"))
+    params.W[:] = 1.0
+    docs = [np.array([2, 3, 4]), np.array([5, 6])]
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="batch row 0 are not finite"):
+        predict_all(params, docs, eval_batch=2)

@@ -191,6 +191,20 @@ def test_entropy_fallback_rejects_non_distribution():
         entropy_min_loss(tape.leaf(np.array([[0.9, 0.3, 0.1]])))
 
 
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "fallback"])
+def test_prediction_losses_reject_a_vector(fused):
+    # predictions are [B, C] rows; a single distribution is not silently promoted
+    tape = ad.Tape()
+    p = ad.softmax(tape.leaf(np.array([0.2, -0.1, 0.4]))) if fused else tape.leaf(np.array([0.2, 0.3, 0.5]))
+    y = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ShapeError, match=r"\[B, C\]"):
+        source_cross_entropy(y, p)
+    with pytest.raises(ShapeError, match=r"\[B, C\]"):
+        bootstrap_loss(y, p)
+    with pytest.raises(ShapeError, match=r"\[B, C\]"):
+        entropy_min_loss(p)
+
+
 # ------------------------------------------------------------------------ MMD
 
 
