@@ -36,7 +36,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser, out_required: bool) -> None:
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--out", required=out_required, help="output directory")
-    sub.add_argument("--seed", type=int, help="override the config seed")
 
 
 def build_parser() -> _Parser:
@@ -45,6 +44,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("train", parents=[], help="train a model on a source/target domain pair")
     _add_common(p, out_required=True)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--source", required=True, help="labeled source corpus (JSONL)")
     p.add_argument("--target", required=True, help="unlabeled target corpus (JSONL)")
     p.add_argument("--source-unlabeled", help="optional extra unlabeled source corpus")
@@ -76,11 +76,13 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("gradcheck", help="finite-difference check of every loss component")
     _add_common(p, out_required=False)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("synth", help="generate a synthetic domain-pair task")
-    _add_common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--shift", type=float, default=0.7)
     p.add_argument("--train-docs", type=int, default=2000)
     p.add_argument("--test-docs", type=int, default=1000)
@@ -96,7 +98,7 @@ def build_parser() -> _Parser:
 def _load_train_config(args) -> TrainConfig:
     mapping = parse_config_file(args.config) if args.config else {}
     cfg = TrainConfig.from_strings(mapping)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # evaluate and analyze-filters have no --seed
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
@@ -247,8 +249,8 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
     MMD sigma pinned to 1.0 unless configured: the median heuristic depends
     on the features, which finite differences would see but the tape treats
     as a constant. Each other component is one term of the objective with
-    every term on (DAS, all weights and w_t 1); "MMD" is J under mmd-rbf with
-    sigma 1.0."""
+    every term on (DAS, all weights and w_t 1); "MMD" is J under MMD-baseline
+    with sigma 1.0."""
     V, d, h, C, window = 20, 4, 6, 3, 3
     rng = named_rng(cfg.seed, "gradcheck")
     E = rng.uniform(-0.5, 0.5, (V, d))
@@ -272,8 +274,8 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
     w_t = rampup_weight(cfg.epochs, cfg.epochs, weights.lambda3)
     total_cfg = dataclasses.replace(
         cfg, dropout_rate=0.0, mmd_sigma=1.0 if cfg.mmd_sigma is None else cfg.mmd_sigma)
-    terms_cfg = dataclasses.replace(cfg, variant="DAS", distance_loss="symmetric-kl-means", dropout_rate=0.0)
-    mmd_cfg = dataclasses.replace(terms_cfg, distance_loss="mmd-rbf", mmd_sigma=1.0)
+    terms_cfg = dataclasses.replace(cfg, variant="DAS", dropout_rate=0.0)
+    mmd_cfg = dataclasses.replace(terms_cfg, variant="MMD-baseline", mmd_sigma=1.0)
     all_on = LossWeights(1.0, 1.0, 1.0)
 
     def build(component):
@@ -322,7 +324,7 @@ def cmd_synth(args) -> int:
         sentiment_rate=args.sentiment_rate,
         len_min=args.len_min,
         len_max=args.len_max,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     corpora = generate_synthetic(spec)
     out = Path(args.out)

@@ -16,15 +16,12 @@ from pathlib import Path
 from .errors import ConfigError
 from .losses import VARIANTS, LossWeights
 
-__all__ = ["TrainConfig", "DISTANCE_LOSSES", "parse_config_file"]
-
-DISTANCE_LOSSES = ("symmetric-kl-means", "mmd-rbf")
+__all__ = ["TrainConfig", "parse_config_file"]
 
 
 @dataclass
 class TrainConfig:
     variant: str = "DAS"
-    distance_loss: str = "symmetric-kl-means"
     lambda1: float = 200.0
     lambda2: float = 1.0
     lambda3: float = 3.0
@@ -42,12 +39,8 @@ class TrainConfig:
     n_dev: int = 1000
     max_doc_len: int = 400
     balance_source: bool = True
-    rmsprop_rho: float = 0.9
-    rmsprop_eps: float = 1e-8
-    l1_eps: float = 1e-6
     eval_batch: int = 256
     mmd_sigma: float | None = None  # None -> median heuristic per batch
-    bootstrap_from_epoch1: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -59,10 +52,6 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}")
-        if self.distance_loss not in DISTANCE_LOSSES:
-            raise ConfigError(f"unknown distance_loss {self.distance_loss!r}; expected one of {DISTANCE_LOSSES}")
-        if self.variant == "MMD-baseline" and self.distance_loss != "mmd-rbf":
-            raise ConfigError("variant MMD-baseline requires distance_loss = mmd-rbf")
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -80,10 +69,6 @@ class TrainConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_norm <= 0:
             raise ConfigError("max_norm must be positive")
-        if not (0.0 <= self.rmsprop_rho < 1.0):
-            raise ConfigError("rmsprop_rho must be in [0, 1)")
-        if self.rmsprop_eps <= 0 or self.l1_eps < 0:
-            raise ConfigError("rmsprop_eps must be > 0 and l1_eps >= 0")
         if self.mmd_sigma is not None and self.mmd_sigma <= 0:
             raise ConfigError("mmd_sigma must be positive (or unset for the median heuristic)")
 

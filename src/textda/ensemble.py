@@ -5,7 +5,7 @@ predicts all N documents in eval mode (Z'), then Z <- alpha Z + (1 - alpha) Z'
 and the bootstrap targets are the one-hot argmax of Z's rows (ties toward the
 lowest class index). Before the first update every row of Z is zero, so the
 derived targets are degenerate; the trainer accounts for that by skipping the
-bootstrap loss during epoch 1 unless explicitly told otherwise.
+bootstrap loss during epoch 1.
 """
 
 from __future__ import annotations

@@ -266,6 +266,8 @@ def filter_analysis(
     """
     if k_trigrams < 1:
         raise ConfigError(f"k_trigrams must be at least 1, got {k_trigrams}")
+    if not 1 <= k_filters <= params.F_w.shape[1]:
+        raise ConfigError(f"k_filters must be in [1, {params.F_w.shape[1]}], got {k_filters}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
     # token-triple -> (max activation, set of domains) per filter

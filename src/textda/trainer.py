@@ -158,13 +158,13 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray
     if weights.lambda1 > 0.0 or weights.lambda2 > 0.0:
         xi_t = encode(enc_t, batch.target_idx)
         if weights.lambda1 > 0.0:
-            if config.distance_loss == "mmd-rbf":
+            if config.variant == "MMD-baseline":
                 sigma = config.mmd_sigma
                 if sigma is None:
                     sigma = median_heuristic_sigma(xi_s.data, xi_t.data)
                 J = mmd_rbf(xi_s, xi_t, sigma)
             else:
-                J = feature_adaptation_loss(xi_s, xi_t, config.l1_eps)
+                J = feature_adaptation_loss(xi_s, xi_t)
         if weights.lambda2 > 0.0:
             Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
     if weights.lambda3 > 0.0 and targets is not None:
@@ -204,7 +204,7 @@ def train(
 
     params = init_params(embeddings, config.window, config.hidden, N_CLASSES,
                          named_rng(config.seed, "init"))
-    optimizer = RMSProp(params.arrays(), config.learning_rate, config.rmsprop_rho, config.rmsprop_eps)
+    optimizer = RMSProp(params.arrays(), config.learning_rate)
     stream = BatchStream(
         labels_s, n_target=len(enc_t), n_union=len(enc_union),
         batch_size=config.batch_size, balance=config.balance_source,
@@ -215,8 +215,6 @@ def train(
     need_ensemble = weights.lambda3 > 0.0
     ensemble = EnsembleState.zeros(len(enc_union), N_CLASSES, config.alpha) if need_ensemble else None
     z_tilde: np.ndarray | None = None
-    if need_ensemble and config.bootstrap_from_epoch1:
-        z_tilde = ensemble.to_targets()  # degenerate on purpose (ablation switch)
 
     history = History()
     best_error = np.inf

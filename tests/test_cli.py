@@ -287,6 +287,18 @@ def test_analyze_filters_rejects_k_trigrams_below_one(trained_dir, synth_dir, ca
     assert "k_trigrams" in captured.err and captured.out == ""
 
 
+def test_analyze_filters_rejects_k_filters_beyond_the_model(trained_dir, synth_dir, capsys):
+    code = main([
+        "analyze-filters", "--checkpoint", str(trained_dir / "model.ckpt"),
+        "--vocab", str(trained_dir / "vocab.txt"),
+        "--corpus", str(synth_dir / "source_labeled.jsonl"),
+        "--k-filters", "99", "--k-trigrams", "1",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "k_filters must be in [1, 8], got 99" in captured.err and captured.out == ""
+
+
 # ------------------------------------------------------------------- gradcheck
 
 
@@ -303,8 +315,8 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("conf", [
-    "variant = MMD-baseline\ndistance_loss = mmd-rbf\n",
-    "variant = MMD-baseline\ndistance_loss = mmd-rbf\nmmd_sigma = 2.0\n",
+    "variant = MMD-baseline\n",
+    "variant = MMD-baseline\nmmd_sigma = 2.0\n",
     "variant = NaiveNN\n",
 ])
 def test_gradcheck_passes_under_other_variants(tmp_path, capsys, conf):
@@ -368,6 +380,38 @@ def test_train_non_finite_config_value_exits_1(tmp_path, synth_dir, capsys):
     ])
     assert code == 1
     assert "max_norm must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["distance_loss = mmd-rbf", "bootstrap_from_epoch1 = true",
+                                  "rmsprop_rho = 0.9", "rmsprop_eps = 1e-8", "l1_eps = 1e-6"])
+def test_train_rejects_removed_config_keys(tmp_path, synth_dir, capsys, line):
+    conf = tmp_path / "old.conf"
+    conf.write_text(TINY_CONF + line + "\n", encoding="utf-8")
+    code = main([
+        "train", "--config", str(conf), "--out", str(tmp_path / "o"),
+        "--source", str(synth_dir / "source_labeled.jsonl"),
+        "--target", str(synth_dir / "target_unlabeled.jsonl"),
+    ])
+    assert code == 1
+    key = line.partition(" ")[0]
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--config"), ("evaluate", "--seed"), ("analyze-filters", "--seed")])
+def test_subcommands_refuse_flags_they_never_read(tmp_path, trained_dir, synth_dir, capsys,
+                                                  command, flag):
+    model = ["--checkpoint", str(trained_dir / "model.ckpt"), "--vocab", str(trained_dir / "vocab.txt")]
+    argv = {
+        "synth": ["--out", str(tmp_path / "task"), "--config", str(tmp_path / "missing.conf")],
+        "evaluate": [*model, "--test", str(synth_dir / "target_test.jsonl"), "--seed", "123"],
+        "analyze-filters": [*model, "--corpus", str(synth_dir / "source_labeled.jsonl"), "--seed", "5"],
+    }[command]
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
+    assert not (tmp_path / "task").exists()
 
 
 def test_train_non_finite_parameter_exits_3(tmp_path, synth_dir, capsys, monkeypatch):

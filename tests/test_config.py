@@ -1,10 +1,11 @@
 """Config parsing, validation, and round-trips."""
 
 import dataclasses
+import re
 
 import pytest
 
-from textda.config import DISTANCE_LOSSES, TrainConfig, parse_config_file
+from textda.config import TrainConfig, parse_config_file
 from textda.errors import ConfigError
 
 
@@ -21,11 +22,6 @@ def test_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         TrainConfig(variant="Oops")
     with pytest.raises(ConfigError):
-        TrainConfig(distance_loss="cosine")
-    with pytest.raises(ConfigError):
-        TrainConfig(variant="MMD-baseline")  # needs distance_loss=mmd-rbf
-    TrainConfig(variant="MMD-baseline", distance_loss="mmd-rbf")
-    with pytest.raises(ConfigError):
         TrainConfig(lambda1=-1.0)
     with pytest.raises(ConfigError):
         TrainConfig(alpha=1.0)
@@ -37,7 +33,6 @@ def test_validation_rejects_bad_values():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(mmd_sigma=0.0)
-    assert "symmetric-kl-means" in DISTANCE_LOSSES
 
 
 def test_dict_round_trip_and_unknown_keys():
@@ -55,14 +50,12 @@ def test_from_strings_coercion():
         "epochs": "7",
         "balance_source": "false",
         "mmd_sigma": "none",
-        "bootstrap_from_epoch1": "yes",
     })
     assert config.variant == "FANN"
     assert config.lambda1 == 12.5
     assert config.epochs == 7
     assert config.balance_source is False
     assert config.mmd_sigma is None
-    assert config.bootstrap_from_epoch1 is True
     assert TrainConfig.from_strings({"mmd_sigma": "2.5"}).mmd_sigma == 2.5
     with pytest.raises(ConfigError, match="epochs"):
         TrainConfig.from_strings({"epochs": "seven"})
@@ -75,17 +68,24 @@ def test_from_strings_coercion():
 @pytest.mark.parametrize("mmd_sigma", [None, 0.75])
 def test_from_strings_round_trips_every_field(mmd_sigma):
     config = TrainConfig(
-        variant="MMD-baseline", distance_loss="mmd-rbf", lambda1=1.5, lambda2=0.25,
+        variant="MMD-baseline", lambda1=1.5, lambda2=0.25,
         lambda3=2.5, alpha=0.3, learning_rate=1e-3, epochs=7, batch_size=11, seed=13,
         window=5, hidden=17, embedding_dim=19, dropout_rate=0.1, max_norm=2.5,
-        vocab_size=123, n_dev=9, max_doc_len=77, balance_source=False, rmsprop_rho=0.8,
-        rmsprop_eps=1e-7, l1_eps=1e-5, eval_batch=31, mmd_sigma=mmd_sigma,
-        bootstrap_from_epoch1=True,
+        vocab_size=123, n_dev=9, max_doc_len=77, balance_source=False, eval_batch=31,
+        mmd_sigma=mmd_sigma,
     )
     back = TrainConfig.from_strings({k: str(v) for k, v in config.to_dict().items()})
     assert back == config
     changed = {k for k, v in config.to_dict().items() if v != getattr(TrainConfig(), k)}
     assert changed | {"mmd_sigma"} == set(config.to_dict())
+
+
+@pytest.mark.parametrize("key", ["distance_loss", "bootstrap_from_epoch1", "rmsprop_rho", "rmsprop_eps",
+                                 "l1_eps"])
+def test_removed_settings_are_unknown_keys(key):
+    # J's distance follows the variant; the optimizer and L1 epsilons are the functions' own defaults
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: [{key!r}]")):
+        TrainConfig.from_strings({key: "1"})
 
 
 def test_parse_config_file(tmp_path):
@@ -122,8 +122,8 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type in ("f
 
 
 def test_float_fields_cover_the_loss_and_optimizer_settings():
-    assert {"lambda1", "lambda2", "lambda3", "learning_rate", "max_norm", "rmsprop_eps",
-            "l1_eps", "mmd_sigma"} <= set(FLOAT_FIELDS)
+    assert {"lambda1", "lambda2", "lambda3", "learning_rate", "max_norm",
+            "mmd_sigma"} <= set(FLOAT_FIELDS)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])

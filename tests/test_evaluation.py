@@ -200,6 +200,14 @@ def test_filter_analysis_rejects_k_trigrams_below_one():
             filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=k)
 
 
+def test_filter_analysis_rejects_k_filters_out_of_range():
+    vocab, params = _toy_setup()  # one filter
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    for k in (0, 2):
+        with pytest.raises(ConfigError, match=rf"k_filters must be in \[1, 1\], got {k}"):
+            filter_analysis(params, vocab, [corpus], k_filters=k, k_trigrams=1)
+
+
 def test_render_filter_report_sections():
     vocab, params = _toy_setup()
     corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
