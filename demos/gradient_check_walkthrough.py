@@ -5,8 +5,10 @@ Checking every loss gradient against finite differences
 Each loss term used in training is differentiated by the tape in
 textda.autodiff. This script rebuilds each term on a small fixed problem
 and compares the tape gradients against central finite differences,
-parameter by parameter.
+parameter by parameter. It exits with status 1 if any check fails.
 """
+
+import sys
 
 import numpy as np
 
@@ -78,6 +80,7 @@ def ensemble_loss(tape, leaves):
 
 # run the check: perturb every coordinate of every parameter by +-h and
 # compare the symmetric difference quotient with the tape gradient
+failed = []
 for name, fn in [
     ("classification", classification_loss),
     ("feature alignment", alignment_loss),
@@ -87,3 +90,7 @@ for name, fn in [
 ]:
     report = ad.grad_check(fn, params, h=1e-5, tol=1e-4)
     print(f"{name:20s} {report.summary()}")
+    if not report.passed:
+        failed.append(name)
+if failed:
+    sys.exit(f"gradient check failed for: {', '.join(failed)}")

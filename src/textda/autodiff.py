@@ -52,15 +52,12 @@ class Tensor:
     buffer is allocated lazily; reading .grad before any accumulation gives
     zeros."""
 
-    __slots__ = ("data", "_grad", "tape", "softmax_logits", "__weakref__")
+    __slots__ = ("data", "_grad", "tape", "__weakref__")
 
     def __init__(self, data, tape: "Tape"):
         self.data = np.asarray(data, dtype=np.float64)
         self._grad = None
         self.tape = tape
-        # set by softmax() so cross-entropy style losses can differentiate
-        # through the fused log-sum-exp path
-        self.softmax_logits: "Tensor | None" = None
 
     @property
     def grad(self) -> np.ndarray:
@@ -173,7 +170,6 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     out = x.tape.leaf(p)
-    out.softmax_logits = x
 
     def back():
         g = out.grad

@@ -234,9 +234,11 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     """Embedding matrix [len(vocab), dim].
 
     Every row starts uniform in [-0.25, 0.25] (the out-of-vocabulary rule),
-    the padding row is zeroed, then rows found in the text file (whitespace
-    separated: token then dim floats) are overwritten. path=None keeps the
-    random initialization. Returns (matrix, number of vocab tokens found).
+    the padding row is zeroed, then rows found in the text file (a token
+    then dim floats, separated by single spaces) are overwritten. Blank lines
+    are skipped; any other line of another shape is a DataError naming the
+    file and line. path=None keeps the random initialization. Returns
+    (matrix, number of vocab tokens found).
     """
     if dim < 1:
         raise ConfigError(f"embedding dim must be >= 1, got {dim}")
@@ -251,11 +253,12 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     seen: set[int] = set()
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
+            if not line.strip():
                 continue
+            parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
-                raise DataError(f"{p}: line {lineno}: expected {dim} values, got {len(parts) - 1}")
+                raise DataError(f"{p}: line {lineno}: expected {dim} values after the token, got "
+                                f"{len(parts) - 1} (fields are separated by single spaces)")
             idx = vocab.stoi.get(parts[0])
             if idx is None or idx == PAD_INDEX:
                 continue

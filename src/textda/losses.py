@@ -10,11 +10,9 @@ MMD for the baseline), Gamma is the entropy of target predictions, and Omega
 is cross-entropy against the self-ensemble's one-hot targets with no gradient
 into the targets. w_t follows a Gaussian ramp from near 0 to lambda3.
 
-Predictions are [B, C] rows of class probabilities; any other shape raises
-ShapeError. Cross-entropy and entropy differentiate through the fused
-log-sum-exp path whenever the prediction tensor came from softmax();
-hand-built distributions fall back to clamped logs (clamp [1e-12, 1] inside
-the log only).
+L, Gamma and Omega take the classifier's [B, C] logits (any other shape
+raises ShapeError) and differentiate through log-sum-exp straight into them;
+no loss sees a probability tensor.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ from .autodiff import Tensor, accumulate, add, batch_mean, l1_normalize, scale
 from .errors import ConfigError, NumericalError, ShapeError
 
 __all__ = [
-    "CLAMP_MIN",
-    "CLAMP_MAX",
     "VARIANTS",
     "LossWeights",
     "LossBreakdown",
@@ -44,9 +40,6 @@ __all__ = [
     "total_loss",
     "compose_total",
 ]
-
-CLAMP_MIN = 1e-12
-CLAMP_MAX = 1.0
 
 # variant name -> which of (lambda1, lambda2, lambda3) are forced to zero
 VARIANTS = {
@@ -102,84 +95,62 @@ def _as_const(y) -> np.ndarray:
     return data
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _softmax_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-sum-exp [B, 1], log-softmax [B, C] and softmax [B, C] of logit rows."""
+    m = x.max(axis=1, keepdims=True)
+    z = x - m
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    log_total = np.log(total)
+    return m + log_total, z - log_total, e / total
 
 
-def _cross_entropy(name: str, y: np.ndarray, y_pred: Tensor) -> Tensor:
-    """-(1/B) sum_i sum_c y[i,c] log y_pred[i,c], one-hot y."""
-    p = y_pred.data
-    if p.ndim != 2:
-        raise ShapeError(f"{name}: expected [B, C] predictions, got shape {p.shape}")
-    if y.shape != p.shape:
-        raise ShapeError(f"{name}: labels {y.shape} and predictions {p.shape} differ")
+def _cross_entropy(name: str, y: np.ndarray, logits: Tensor) -> Tensor:
+    """-(1/B) sum_i sum_c y[i,c] log softmax(logits)[i,c], one-hot y."""
+    x = logits.data
+    if x.ndim != 2:
+        raise ShapeError(f"{name}: expected [B, C] logits, got shape {x.shape}")
+    if y.shape != x.shape:
+        raise ShapeError(f"{name}: labels {y.shape} and logits {x.shape} differ")
     is01 = np.all((y == 0.0) | (y == 1.0))
     if not is01 or not np.all(y.sum(axis=1) == 1.0):
         raise NumericalError(f"{name}: rows must be exactly one-hot")
-    B = p.shape[0]
-    logits = y_pred.softmax_logits
-    tape = y_pred.tape
-    if logits is not None:
-        x = logits.data
-        lse = x.max(axis=1, keepdims=True) + np.log(
-            np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)
-        )
-        out = tape.leaf(float((y * (lse - x)).sum() / B))
+    B = x.shape[0]
+    lse, _, p = _softmax_parts(x)
+    tape = logits.tape
+    out = tape.leaf(float((y * (lse - x)).sum() / B))
 
-        def back():
-            accumulate(logits, (p - y) * (out.grad / B))
-
-    else:
-        pc = np.clip(p, CLAMP_MIN, CLAMP_MAX)
-        out = tape.leaf(float(-(y * np.log(pc)).sum() / B))
-        inside = (p >= CLAMP_MIN) & (p <= CLAMP_MAX)
-
-        def back():
-            accumulate(y_pred, np.where(inside, -y / pc, 0.0) * (out.grad / B))
+    def back():
+        accumulate(logits, (p - y) * (out.grad / B))
 
     tape.record(back)
     return out
 
 
-def source_cross_entropy(y_true, y_pred: Tensor) -> Tensor:
+def source_cross_entropy(y_true, logits: Tensor) -> Tensor:
     """Mean cross-entropy of labeled source predictions. y_true is constant
-    (one-hot rows); gradient flows only into y_pred."""
-    return _cross_entropy("source_cross_entropy", _as_const(y_true), y_pred)
+    (one-hot rows); gradient flows only into the logits."""
+    return _cross_entropy("source_cross_entropy", _as_const(y_true), logits)
 
 
-def bootstrap_loss(z_tilde, y_pred: Tensor) -> Tensor:
+def bootstrap_loss(z_tilde, logits: Tensor) -> Tensor:
     """Cross-entropy against the ensemble's one-hot targets. z_tilde is
     stop-gradient by construction: it enters as data, never as a tape op."""
-    return _cross_entropy("bootstrap_loss", _as_const(z_tilde), y_pred)
+    return _cross_entropy("bootstrap_loss", _as_const(z_tilde), logits)
 
 
-def entropy_min_loss(y_pred: Tensor) -> Tensor:
-    """Mean Shannon entropy of prediction rows (natural log)."""
-    p = y_pred.data
-    if p.ndim != 2:
-        raise ShapeError(f"entropy_min_loss: expected [B, C] predictions, got shape {p.shape}")
-    B = p.shape[0]
-    logits = y_pred.softmax_logits
-    tape = y_pred.tape
-    if logits is not None:
-        s = _log_softmax(logits.data)
-        row_h = -(p * s).sum(axis=1)
-        out = tape.leaf(float(row_h.mean()))
+def entropy_min_loss(logits: Tensor) -> Tensor:
+    """Mean Shannon entropy (natural log) of the softmax of logit rows."""
+    if logits.data.ndim != 2:
+        raise ShapeError(f"entropy_min_loss: expected [B, C] logits, got shape {logits.data.shape}")
+    B = logits.data.shape[0]
+    _, s, p = _softmax_parts(logits.data)
+    row_h = -(p * s).sum(axis=1)
+    tape = logits.tape
+    out = tape.leaf(float(row_h.mean()))
 
-        def back():
-            accumulate(logits, -p * (s + row_h[:, None]) * (out.grad / B))
-
-    else:
-        if p.min() < 0.0 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-6:
-            raise NumericalError("entropy_min_loss: rows must be probability distributions")
-        pc = np.clip(p, CLAMP_MIN, CLAMP_MAX)
-        logp = np.log(pc)
-        out = tape.leaf(float(-(p * logp).sum() / B))
-        inside = (p >= CLAMP_MIN) & (p <= CLAMP_MAX)
-
-        def back():
-            accumulate(y_pred, -(logp + np.where(inside, 1.0, 0.0)) * (out.grad / B))
+    def back():
+        accumulate(logits, -p * (s + row_h[:, None]) * (out.grad / B))
 
     tape.record(back)
     return out

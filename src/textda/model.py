@@ -2,10 +2,12 @@
 
 encode: embedding lookup, window concatenation (window l, "same" padding of
 (l-1)/2 positions per side), affine + ReLU per position, max-over-time
-pooling to a feature vector xi, dropout on xi. classify: softmax affine head
-on xi. The encoding also keeps every position's activations H and window
-ids idx_win, from which filter analysis traces filters back to the trigrams
-that fire them, and each filter's winning position per document.
+pooling to a feature vector xi, dropout on xi. classify: the logit head
+F_w xi + F_b, which the losses take directly; only forward_eval applies the
+softmax, to report class probabilities. The encoding also keeps every
+position's activations H and window ids idx_win, from which filter analysis
+traces filters back to the trigrams that fire them, and each filter's
+winning position per document.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
@@ -159,8 +161,8 @@ def encode_batch(
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
-    """Class distribution rows: softmax(F_w xi + F_b)."""
-    return ad.softmax(ad.affine(xi, leaves["F_w"], leaves["F_b"]))
+    """Class logit rows: F_w xi + F_b."""
+    return ad.affine(xi, leaves["F_w"], leaves["F_b"])
 
 
 def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
@@ -173,7 +175,7 @@ def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> t
     tape = ad.NoGradTape()
     leaves = params.leaves(tape)
     enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
-    probs = classify(tape, leaves, enc.xi).data
+    probs = ad.softmax(classify(tape, leaves, enc.xi)).data
     bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
     if bad.size:
         raise NumericalError(f"forward_eval: class probabilities of batch row {bad[0]} are not finite "

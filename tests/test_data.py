@@ -245,6 +245,21 @@ def test_embeddings_reject_bad_rows(tmp_path):
         load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
 
 
+def test_embeddings_reject_lines_that_do_not_split_on_spaces(tmp_path):
+    vocab = build_vocab([_corpus_of(["alpha beta"])], size=10)
+    path = tmp_path / "vecs.txt"
+    path.write_text("\nbeta 1.0 2.0\n\n", encoding="utf-8")
+    _, found = load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
+    assert found == 1  # blank lines are still skipped
+    # a tab-separated file used to load with found = 0 and no error
+    path.write_text("alpha\t1.0\t2.0\nbeta\t3.0\t4.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"vecs\.txt: line 1: expected 2 values after the token, got 0"):
+        load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
+    path.write_text("beta 1.0 2.0\nalpha\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"vecs\.txt: line 2: expected 2 values"):
+        load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
 def test_embeddings_reject_non_finite_values(tmp_path, value):
     vocab = build_vocab([_corpus_of(["a b"])], size=10)

@@ -86,8 +86,9 @@ def test_classify_rows_are_distributions():
     tape = ad.Tape()
     leaves = params.leaves(tape)
     enc = encode_batch(tape, leaves, np.array([[2, 3, 4, 3]]), np.array([4]))
-    probs = classify(tape, leaves, enc.xi)
-    assert probs.data.shape == (1, 3)
+    logits = classify(tape, leaves, enc.xi)
+    assert logits.data.shape == (1, 3)
+    probs = ad.softmax(logits)
     assert abs(probs.data.sum() - 1.0) < 1e-12
     assert np.all(probs.data > 0.0)
 
