@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NumericalError, ShapeError
 
@@ -38,6 +39,7 @@ __all__ = [
     "l1_normalize",
     "batch_mean",
     "embed_windows",
+    "conv_windows",
     "add",
     "mul",
     "vsum",
@@ -154,10 +156,10 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = x.tape.leaf(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0  # subgradient at 0 is 0
 
     def back():
-        accumulate(x, out.grad * mask)
+        # out > 0 exactly where x > 0 (NaN included); subgradient at 0 is 0
+        accumulate(x, out.grad * (out.data > 0.0))
 
     x.tape.record(back)
     return out
@@ -316,6 +318,67 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
         accumulate(E, np.bincount(flat, weights=out.grad.ravel(), minlength=V * d).reshape(V, d))
 
     E.tape.record(back)
+    return out
+
+
+def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor:
+    """affine(embed_windows(E, idx_win), W, b), computed through the distinct
+    tokens of idx_win.
+
+    A window row is its l embedding rows side by side, so x W^T is
+    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
+    the U distinct tokens is projected once per slot, Q[u*l + j] =
+    E[u] W_j^T, and an incidence matrix A ([n, U*l], a single 1 per window
+    slot) adds up each window's l projections: y = A Q + b. In the encoder's
+    windows every id is some position's own token or padding, so U <= n + 1
+    and the projection GEMM has at most one row more than the window GEMM
+    ([n, l*d] by [l*d, h]) it replaces. Backward reverses the
+    factorisation: A^T gathers the output gradient per (token, slot), then
+    one GEMM gives dW and one the touched rows of dE. Results agree with the
+    window GEMM to rounding, not bit for bit, as the summation order differs.
+    """
+    tape = _same_tape(E, W, b)
+    idx_win = np.asarray(idx_win)
+    if idx_win.ndim < 2 or idx_win.shape[-1] < 1:
+        raise ShapeError(f"conv_windows: window index array must be [..., l], got shape {idx_win.shape}")
+    V, d = E.data.shape
+    l = idx_win.shape[-1]
+    if W.data.ndim != 2 or b.data.ndim != 1 or W.data.shape != (b.data.shape[0], l * d):
+        raise ShapeError(f"conv_windows: W {W.data.shape} and b {b.data.shape} do not fit "
+                         f"windows of {l} rows of E {E.data.shape}")
+    h = W.data.shape[0]
+    flat = idx_win.reshape(-1)
+    if flat.size and (flat.min() < 0 or flat.max() >= V):
+        raise NumericalError(
+            f"conv_windows: token index out of range [0, {V}) (min {flat.min()}, max {flat.max()})"
+        )
+    n = flat.size // l
+    mark = np.zeros(V, dtype=bool)
+    mark[flat] = True
+    uniq = np.flatnonzero(mark)
+    rank = np.empty(V, dtype=np.int64)
+    rank[uniq] = np.arange(uniq.size)
+    A = scipy.sparse.csr_array(
+        (np.ones(flat.size), (rank[flat].reshape(n, l) * l + np.arange(l)).ravel(),
+         np.arange(0, flat.size + 1, l)),
+        shape=(n, uniq.size * l),
+    )
+    EU = E.data[uniq]
+    M = W.data.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
+    y = A @ (EU @ M).reshape(-1, h)
+    y += b.data
+    out = tape.leaf(y)
+
+    def back():
+        g = out.grad
+        G = (A.T @ g).reshape(-1, l * h)
+        accumulate(W, (EU.T @ G).reshape(d, l, h).transpose(2, 1, 0).reshape(h, l * d))
+        accumulate(b, g.sum(axis=0))
+        dE = np.zeros_like(E.data)
+        dE[uniq] = G @ M.T
+        accumulate(E, dE)
+
+    tape.record(back)
     return out
 
 

@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import t as _student_t
 
 from .data import LABELS, PAD_INDEX, UNK_INDEX, Corpus, Vocab, pad_batch
 from .ensemble import predict_all
@@ -173,7 +172,11 @@ def ttest_one_tailed(a, b) -> TTestResult:
         (sa * sa / (a.size - 1) if va > 0 else 0.0)
         + (sb * sb / (b.size - 1) if vb > 0 else 0.0)
     )
-    p = float(_student_t.sf(t_stat, dof))
+    # imported here, not with the module: scipy.stats takes about a second to
+    # load, and nothing else in textda uses it
+    from scipy.stats import t as student_t
+
+    p = float(student_t.sf(t_stat, dof))
     return TTestResult(t_stat=float(t_stat), dof=float(dof), p_value=p)
 
 

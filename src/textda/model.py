@@ -11,10 +11,13 @@ winning position per document.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
-document-major order, so the gather, the convolution GEMM and the ReLU never
-touch a padding position, and max-over-time pools each document's
-contiguous segment of rows. Padding ids still fill the window slots past a
-document's edges ("same" padding).
+document-major order, so the convolution and the ReLU never touch a padding
+position, and max-over-time pools each document's contiguous segment of
+rows. Padding ids still fill the window slots past a document's edges
+("same" padding). The convolution runs through the batch's distinct tokens
+(autodiff.conv_windows): each token is projected once per window slot by
+one GEMM, and each window's output is the sum of its l slot projections, so
+the GEMM grows with the distinct tokens of a batch, not with its windows.
 """
 
 from __future__ import annotations
@@ -153,8 +156,7 @@ def encode_batch(
     valid = np.arange(P) < lengths[:, None]
     # ids past a document's length read as padding, so its windows see only its own tokens
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
-    xhat = ad.embed_windows(leaves["E"], idx_win)                            # [n_valid, l*d]
-    H = ad.relu(ad.affine(xhat, leaves["W"], leaves["b"]))                   # [n_valid, h]
+    H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))  # [n_valid, h]
     xi, argmax = ad.max_over_time_batch(H, B, P, lengths)
     xi = ad.dropout(xi, dropout_rate, training, rng)
     return EncodedBatch(xi=xi, argmax=argmax, H=H, idx_win=idx_win, lengths=lengths)

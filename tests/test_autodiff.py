@@ -352,3 +352,73 @@ def test_no_grad_tape_cannot_run_backward():
     assert y.data == 9.0
     with pytest.raises(NumericalError):
         tape.backward(y)
+
+
+CONV_CASES = {
+    # token 1 three times in one window and in three of the four windows
+    "repeated-tokens": (5, np.array([[1, 1, 1], [1, 2, 1], [2, 1, 1], [3, 3, 2]])),
+    # document [4, 2, 3] with "same" padding: PAD (0) past both edges
+    "pad-at-both-edges": (5, np.array([[0, 4, 2], [4, 2, 3], [2, 3, 0]])),
+    "single-row": (5, np.array([[2, 0, 3]])),
+    "width-1": (5, np.array([[1], [3], [1], [0]])),
+    "width-5": (5, np.array([[0, 0, 3, 1, 3], [0, 3, 1, 3, 2], [3, 1, 3, 2, 0], [1, 3, 2, 0, 0]])),
+    "batch-axes": (6, np.array([[[0, 5, 1], [5, 1, 0]], [[0, 2, 2], [2, 2, 0]]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv_windows_matches_affine_of_embed_windows(case):
+    V, idx = CONV_CASES[case]
+    d, h, l = 4, 3, idx.shape[-1]
+    rng = np.random.default_rng(5)
+    params = [rng.normal(size=(V, d)), rng.normal(size=(h, l * d)), rng.normal(size=h)]
+    w = rng.normal(size=(idx.size // l, h))
+    results = []
+    for conv in (lambda E, W, b: ad.affine(ad.embed_windows(E, idx), W, b),
+                 lambda E, W, b: ad.conv_windows(E, W, b, idx)):
+        tape = ad.Tape()
+        E, W, b = (tape.leaf(p.copy()) for p in params)
+        out = conv(E, W, b)
+        tape.backward(ad.vsum(ad.mul(out, leaf(tape, w))))
+        results.append((out.data, E.grad, W.grad, b.grad))
+    for ref, got in zip(*results):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_conv_windows_passes_grad_check():
+    idx = np.array([[0, 3, 1], [3, 1, 3], [1, 3, 2], [3, 2, 0]])
+    rng = np.random.default_rng(6)
+
+    def loss(tape, leaves):
+        H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx))
+        return ad.vsum(ad.mul(H, H))
+
+    params = {"E": rng.normal(size=(5, 2)), "W": rng.normal(size=(3, 6)), "b": rng.normal(size=3)}
+    report = ad.grad_check(loss, params, h=1e-5, tol=1e-4)
+    assert report.passed, report.summary()
+
+
+def test_conv_windows_rejects_bad_ids_and_shapes():
+    tape = ad.Tape()
+    E, W, b = leaf(tape, np.ones((4, 2))), leaf(tape, np.ones((3, 6))), leaf(tape, np.zeros(3))
+    for bad in ([[0, 1, 4]], [[-1, 1, 2]]):
+        with pytest.raises(NumericalError):
+            ad.conv_windows(E, W, b, np.array(bad))
+    with pytest.raises(ShapeError):
+        ad.conv_windows(E, W, b, np.array([[0, 1]]))  # W fits windows of 3, not 2
+    with pytest.raises(ShapeError):
+        ad.conv_windows(E, leaf(tape, np.ones((3, 5))), b, np.array([[0, 1, 2]]))
+    with pytest.raises(ShapeError):
+        ad.conv_windows(E, W, leaf(tape, np.zeros(2)), np.array([[0, 1, 2]]))
+    with pytest.raises(ShapeError):
+        ad.conv_windows(E, W, b, np.array([0, 1, 2]))
+
+
+def test_conv_windows_on_a_no_grad_tape_records_nothing():
+    idx = np.array([[0, 1, 2], [1, 2, 0]])
+    tape = ad.NoGradTape()
+    E, W, b = leaf(tape, np.eye(3)), leaf(tape, np.ones((2, 9))), leaf(tape, [0.5, -0.5])
+    out = ad.conv_windows(E, W, b, idx)
+    assert tape._steps == []
+    assert np.array_equal(out.data, [[3.5, 2.5], [3.5, 2.5]])  # three ones per window, plus b
