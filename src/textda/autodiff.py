@@ -35,6 +35,7 @@ __all__ = [
     "softmax",
     "max_over_time",
     "max_over_time_batch",
+    "segment_argmax",
     "dropout",
     "l1_normalize",
     "batch_mean",
@@ -200,21 +201,34 @@ def max_over_time(H: Tensor) -> tuple[Tensor, np.ndarray]:
     return out, arg
 
 
-def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def segment_argmax(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each document's winning position per column, [n_docs, h]: document k
+    owns rows[starts[k] : starts[k] + lengths[k]], and np.argmax over them
+    gives the lowest position on ties."""
+    return np.stack([rows[s : s + n].argmax(axis=0) for s, n in zip(starts.tolist(), lengths.tolist())])
+
+
+def max_over_time_batch(H: Tensor, n_docs: int, positions: int,
+                        lengths: np.ndarray) -> tuple[Tensor, np.ndarray | None]:
     """Per-document column-wise max over valid positions.
 
     H holds each document's positions as consecutive rows, document-major,
     either packed ([sum(lengths), h], the first lengths[k] positions of
     document k only) or padded ([n_docs * positions, h]). Document k's
     valid rows are the lengths[k] rows from its first row (the sum of the
-    earlier lengths when packed, k * positions when padded); one argmax over
-    them gives each filter's winning row, the lowest on ties, and the maxima
-    are gathered there. Returns ([n_docs, h] maxima, [n_docs, h] winning
-    positions).
+    earlier lengths when packed, k * positions when padded).
+
+    On a recording tape one argmax over those rows (segment_argmax) gives
+    each filter's winning row, the lowest on ties, the maxima are gathered
+    there and the backward writes to the winning rows; returns ([n_docs, h]
+    maxima, [n_docs, h] winning positions). A NoGradTape has no backward to
+    route, so only the maxima are taken, by an in-place max over the same
+    rows, and the positions come back as None: max selects a value without
+    rounding it, so the maxima are bit-equal to the gathered ones.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (n_docs,) or lengths.min() < 1 or lengths.max() > positions:
-        raise ShapeError(f"max_over_time_batch: bad lengths (shape {lengths.shape})")
+    if n_docs < 1 or lengths.shape != (n_docs,) or lengths.min() < 1 or lengths.max() > positions:
+        raise ShapeError(f"max_over_time_batch: bad lengths (shape {lengths.shape}, {n_docs} documents)")
     n_valid = int(lengths.sum())
     if H.data.ndim != 2 or H.data.shape[0] not in (n_valid, n_docs * positions):
         raise ShapeError(
@@ -222,8 +236,11 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndar
             f"{n_docs}x{positions} padded rows"
         )
     starts = np.cumsum(lengths) - lengths if H.data.shape[0] == n_valid else np.arange(n_docs) * positions
-    # np.argmax returns the first (lowest) maximizer
-    winners = np.stack([H.data[s : s + n].argmax(axis=0) + s for s, n in zip(starts.tolist(), lengths.tolist())])
+    if isinstance(H.tape, NoGradTape):
+        return H.tape.leaf(np.stack([H.data[s : s + n].max(axis=0)
+                                     for s, n in zip(starts.tolist(), lengths.tolist())])), None
+    arg = segment_argmax(H.data, starts, lengths)
+    winners = arg + starts[:, None]
     cols = np.arange(H.data.shape[1])
     out = H.tape.leaf(H.data[winners, cols])
 
@@ -234,7 +251,7 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int, lengths: np.ndar
         accumulate(H, g)
 
     H.tape.record(back)
-    return out, winners - starts[:, None]
+    return out, arg
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:

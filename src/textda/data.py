@@ -234,10 +234,16 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     """Embedding matrix [len(vocab), dim].
 
     Every row starts uniform in [-0.25, 0.25] (the out-of-vocabulary rule),
-    the padding row is zeroed, then rows found in the text file (a token
-    then dim floats, separated by single spaces) are overwritten. Blank lines
-    are skipped; any other line of another shape is a DataError naming the
-    file and line. path=None keeps the random initialization. Returns
+    the padding row is zeroed, then rows found in the text file are
+    overwritten. Each line is a token and dim floats separated by single
+    spaces, parsed from the right: the last dim fields are the vector and
+    the rest, joined by spaces, is the token (GloVe's layout; a token may
+    contain spaces). Trailing whitespace is ignored, as after each vector of
+    a fastText .vec file, and so is a first line of exactly two integers
+    whose second is dim (the "count dim" header of word2vec and fastText
+    files). Blank lines are skipped; any other line that does not parse is a
+    DataError naming the file and line, and so is a file that matches no
+    vocabulary token. path=None keeps the random initialization. Returns
     (matrix, number of vocab tokens found).
     """
     if dim < 1:
@@ -255,15 +261,18 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
+            parts = line.rstrip().split(" ")
+            if lineno == 1 and len(parts) == 2 and all(f.isascii() and f.isdigit() for f in parts) \
+                    and int(parts[1]) == dim:
+                continue
+            if len(parts) < dim + 1:
                 raise DataError(f"{p}: line {lineno}: expected {dim} values after the token, got "
                                 f"{len(parts) - 1} (fields are separated by single spaces)")
-            idx = vocab.stoi.get(parts[0])
+            idx = vocab.stoi.get(" ".join(parts[:-dim]))
             if idx is None or idx == PAD_INDEX:
                 continue
             try:
-                E[idx] = [float(v) for v in parts[1:]]
+                E[idx] = [float(v) for v in parts[-dim:]]
             except ValueError as e:
                 raise DataError(f"{p}: line {lineno}: non-numeric embedding value") from e
             if not np.isfinite(E[idx]).all():
@@ -271,6 +280,8 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
             if idx not in seen:
                 seen.add(idx)
                 found += 1
+    if not found:
+        raise DataError(f"{p}: no line matches a vocabulary token (are its vectors {dim}-d?)")
     return E, found
 
 

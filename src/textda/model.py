@@ -7,13 +7,15 @@ F_w xi + F_b, which the losses take directly; only forward_eval applies the
 softmax, to report class probabilities. The encoding also keeps every
 position's activations H and window ids idx_win, from which filter analysis
 traces filters back to the trigrams that fire them, and each filter's
-winning position per document.
+winning position per document, found from H when first read.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
 document-major order, so the convolution and the ReLU never touch a padding
 position, and max-over-time pools each document's contiguous segment of
-rows. Padding ids still fill the window slots past a document's edges
+rows; a forward-only pass (NoGradTape) takes only each segment's maxima,
+and a training pass also the winning rows its backward writes to. Padding
+ids still fill the window slots past a document's edges
 ("same" padding). The convolution runs through the batch's distinct tokens
 (autodiff.conv_windows): each token is projected once per window slot by
 one GEMM, and each window's output is the sum of its l slot projections, so
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +139,15 @@ def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
 @dataclass
 class EncodedBatch:
     xi: ad.Tensor            # [B, h] pooled features (post-dropout in training)
-    argmax: np.ndarray       # [B, h] winning position per filter
     H: ad.Tensor             # [n_valid, h] post-ReLU activations, valid positions only
     idx_win: np.ndarray      # [n_valid, l] token indices of those positions' windows
     lengths: np.ndarray      # [B]; document k owns rows sum(lengths[:k]) onward
+
+    @cached_property
+    def argmax(self) -> np.ndarray:
+        """[B, h] winning position per filter, the lowest on ties, found
+        from H on first read: pooling on a NoGradTape takes only the maxima."""
+        return ad.segment_argmax(self.H.data, np.cumsum(self.lengths) - self.lengths, self.lengths)
 
 
 def encode_batch(
@@ -157,9 +165,9 @@ def encode_batch(
     # ids past a document's length read as padding, so its windows see only its own tokens
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
     H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))  # [n_valid, h]
-    xi, argmax = ad.max_over_time_batch(H, B, P, lengths)
+    xi, _ = ad.max_over_time_batch(H, B, P, lengths)
     xi = ad.dropout(xi, dropout_rate, training, rng)
-    return EncodedBatch(xi=xi, argmax=argmax, H=H, idx_win=idx_win, lengths=lengths)
+    return EncodedBatch(xi=xi, H=H, idx_win=idx_win, lengths=lengths)
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
@@ -219,12 +227,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
-    blob = p.read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0:
+    with p.open("rb") as fh:
+        line = fh.readline()
+    if not line.endswith(b"\n"):
         raise DataError(f"checkpoint {p}: missing header line")
     try:
-        header = json.loads(blob[:nl].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint {p}: bad header ({e})") from e
     if not isinstance(header, dict):
@@ -239,22 +247,23 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if l % 2 == 0:
         raise DataError(f"checkpoint {p}: window must be odd, got {l}")
     shapes = {"E": (V, d), "W": (h, l * d), "b": (h,), "F_w": (C, h), "F_b": (C,)}
-    body = blob[nl + 1 :]
+    found = p.stat().st_size - len(line)
     need = sum(int(np.prod(s)) for s in shapes.values()) * 8
-    if len(body) != need:
-        raise DataError(f"checkpoint {p}: expected {need} bytes of parameters, found {len(body)}")
+    if found != need:
+        raise DataError(f"checkpoint {p}: expected {need} bytes of parameters, found {found}")
+    # Each array is read straight into its own buffer: a whole-file read and
+    # its body slice would hold a paper-width E (24 MB) three times, and in
+    # a process that loads many checkpoints such transients fragment the
+    # malloc heap, so peak memory drifts from run to run.
     arrays = {}
-    offset = 0
-    for name in PARAM_ORDER:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        arrays[name] = (
-            np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        if not np.isfinite(arrays[name]).all():
-            raise DataError(f"checkpoint {p}: parameter {name} has non-finite values")
-        offset += count * 8
+    with p.open("rb") as fh:
+        fh.seek(len(line))
+        for name in PARAM_ORDER:
+            arr = np.empty(shapes[name], dtype="<f8")
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise DataError(f"checkpoint {p}: parameter {name} is cut short")
+            if not np.isfinite(arr).all():
+                raise DataError(f"checkpoint {p}: parameter {name} has non-finite values")
+            arrays[name] = arr.astype(np.float64, copy=False)
     params = ModelParams(window=l, **arrays)
     return params, header

@@ -295,6 +295,32 @@ def test_max_over_time_batch_packed_and_padded_layouts_agree_with_brute_force():
     assert not np.delete(grads[1], valid, axis=0).any()
 
 
+def test_max_over_time_batch_on_a_no_grad_tape_returns_the_recording_maxima_only():
+    rng = np.random.default_rng(5)
+    positions, h = 6, 4
+    lengths = np.array([3, 1, 6, 2])
+    packed = np.maximum(rng.normal(size=(int(lengths.sum()), h)), 0.0)
+    packed[0:3, 0] = 0.0  # ReLU zeros tie at every position of document 0
+    packed[[5, 8], 1] = 7.0  # a positive tie inside document 2
+    padded = np.full((len(lengths) * positions, h), 99.0)  # padding rows must never win
+    padded[np.flatnonzero(np.arange(positions) < lengths[:, None])] = packed
+    for rows in (packed, padded):
+        want, _ = ad.max_over_time_batch(leaf(ad.Tape(), rows), len(lengths), positions, lengths)
+        tape = ad.NoGradTape()
+        out, pos = ad.max_over_time_batch(leaf(tape, rows), len(lengths), positions, lengths)
+        assert pos is None
+        assert np.array_equal(out.data, want.data)
+        assert out.data.max() < 99.0
+        assert out.tape is tape and tape._steps == []
+
+
+@pytest.mark.parametrize("tape_cls", [ad.Tape, ad.NoGradTape])
+def test_max_over_time_batch_rejects_an_empty_batch(tape_cls):
+    H = leaf(tape_cls(), np.zeros((0, 3)))
+    with pytest.raises(ShapeError, match="bad lengths"):
+        ad.max_over_time_batch(H, 0, 2, np.zeros(0, dtype=np.int64))
+
+
 def test_affine_and_softmax_treat_a_vector_as_a_one_row_batch():
     rng = np.random.default_rng(4)
     x, W, b, g = rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=2), rng.normal(size=2)

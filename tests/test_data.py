@@ -269,6 +269,38 @@ def test_embeddings_reject_non_finite_values(tmp_path, value):
         load_pretrained_embeddings(path, vocab, dim=2, rng=named_rng(0, "embeddings"))
 
 
+def _load_vecs(path, text, dim=2):
+    path.write_text(text, encoding="utf-8")
+    vocab = build_vocab([_corpus_of(["alpha beta"])], size=10)
+    E, found = load_pretrained_embeddings(path, vocab, dim=dim, rng=named_rng(0, "embeddings"))
+    return E[vocab.stoi["alpha"]], E[vocab.stoi["beta"]], found
+
+
+def test_embeddings_accept_a_word2vec_count_dim_header(tmp_path):
+    alpha, beta, found = _load_vecs(tmp_path / "vecs.vec", "2 2\nalpha 1.0 2.0\nbeta 3.0 4.0\n")
+    assert found == 2 and np.array_equal(alpha, [1.0, 2.0]) and np.array_equal(beta, [3.0, 4.0])
+    with pytest.raises(DataError, match=r"vecs\.vec: line 1: expected 3 values"):
+        _load_vecs(tmp_path / "vecs.vec", "2 2\nalpha 1.0 2.0 3.0\n", dim=3)
+
+
+def test_embeddings_ignore_trailing_whitespace_as_in_fasttext_vec_files(tmp_path):
+    alpha, beta, found = _load_vecs(tmp_path / "vecs.vec", "2 2\nalpha 1.0 2.0 \nbeta 3.0 4.0  \r\n")
+    assert found == 2 and np.array_equal(alpha, [1.0, 2.0]) and np.array_equal(beta, [3.0, 4.0])
+
+
+def test_embeddings_parse_from_the_right_so_tokens_may_hold_spaces(tmp_path):
+    alpha, _, found = _load_vecs(tmp_path / "vecs.txt", "new york 9.0 9.0\nalpha 1.0 2.0\n")
+    assert found == 1 and np.array_equal(alpha, [1.0, 2.0])
+
+
+def test_embeddings_reject_a_file_that_matches_no_vocabulary_token(tmp_path):
+    with pytest.raises(DataError, match=r"vecs\.txt: no line matches a vocabulary token"):
+        _load_vecs(tmp_path / "vecs.txt", "zzz 1.0 2.0\n")
+    # 3-d vectors read with dim 2 give tokens like "alpha 1.0", which match nothing
+    with pytest.raises(DataError, match=r"vecs\.txt: no line matches"):
+        _load_vecs(tmp_path / "vecs.txt", "alpha 1.0 2.0 3.0\n")
+
+
 # ----------------------------------------------------------------- dev splits
 
 

@@ -1,9 +1,11 @@
 """Packed encoder: only each document's own positions are convolved and pooled."""
 
 import numpy as np
+import pytest
 
 import textda.autodiff as ad
 from textda.data import PAD_INDEX
+from textda.errors import NumericalError
 from textda.losses import source_cross_entropy
 from textda.model import ModelParams, classify, encode_batch, forward_eval, init_params
 from textda.rng import named_rng
@@ -114,3 +116,29 @@ def test_grad_check_through_packed_encoder_and_classifier():
 
     report = ad.grad_check(loss, params.arrays(), h=1e-5, tol=1e-4)
     assert report.passed, report.summary()
+
+
+def test_forward_only_pooling_matches_the_recording_tape_bit_for_bit():
+    params = _tie_params()
+    params.b[1] = -10.0  # filter 1 is ReLU-zero at every position: ties everywhere
+    mat, lengths = _ragged_batch()
+    probs, enc = forward_eval(params, mat, lengths)
+    tape = ad.Tape()
+    leaves = params.leaves(tape)
+    ref_enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
+    assert np.array_equal(enc.xi.data, ref_enc.xi.data)
+    assert np.array_equal(probs, ad.softmax(classify(tape, leaves, ref_enc.xi)).data)
+    _, ref_pos = ad.max_over_time_batch(ad.Tape().leaf(ref_enc.H.data), len(lengths), mat.shape[1], lengths)
+    assert np.array_equal(enc.argmax, ref_pos)
+    assert np.array_equal(ref_enc.argmax, ref_pos)
+    assert not enc.xi.data[:, 1].any() and not enc.argmax[:, 1].any()
+    assert enc.xi.data[1, 0] > 1.0 and enc.argmax[1, 0] == 2  # the positive tie
+    assert enc.argmax[0].max() == 0  # the length-1 document
+
+
+def test_forward_eval_still_rejects_a_nan_embedding():
+    params = _params()
+    params.E[5] = np.nan
+    mat, lengths = _ragged_batch()
+    with pytest.raises(NumericalError, match="batch row 1 are not finite"):
+        forward_eval(params, mat, lengths)
