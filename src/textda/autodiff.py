@@ -222,9 +222,14 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int,
     each filter's winning row, the lowest on ties, the maxima are gathered
     there and the backward writes to the winning rows; returns ([n_docs, h]
     maxima, [n_docs, h] winning positions). A NoGradTape has no backward to
-    route, so only the maxima are taken, by an in-place max over the same
-    rows, and the positions come back as None: max selects a value without
-    rounding it, so the maxima are bit-equal to the gathered ones.
+    route, so only the maxima are taken and the positions come back as None.
+    Each run of consecutive documents of one length L is pooled at once:
+    its rows are k documents at a fixed stride (L packed, positions padded),
+    so one [k, stride, h] view, cut to its first L positions, is reduced by
+    max over its middle axis. Max selects a value without rounding it, so
+    the maxima are bit-equal to the gathered ones, and a NaN row still gives
+    its document a NaN maximum. Callers that sort a batch by length make
+    these runs longest.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if n_docs < 1 or lengths.shape != (n_docs,) or lengths.min() < 1 or lengths.max() > positions:
@@ -235,10 +240,17 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int,
             f"max_over_time_batch: H {H.data.shape} has neither {n_valid} packed nor "
             f"{n_docs}x{positions} padded rows"
         )
-    starts = np.cumsum(lengths) - lengths if H.data.shape[0] == n_valid else np.arange(n_docs) * positions
+    packed = H.data.shape[0] == n_valid
+    starts = np.cumsum(lengths) - lengths if packed else np.arange(n_docs) * positions
     if isinstance(H.tape, NoGradTape):
-        return H.tape.leaf(np.stack([H.data[s : s + n].max(axis=0)
-                                     for s, n in zip(starts.tolist(), lengths.tolist())])), None
+        h = H.data.shape[1]
+        maxima = np.empty((n_docs, h))
+        bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n_docs]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            n, s = int(lengths[lo]), int(starts[lo])
+            stride = n if packed else positions
+            maxima[lo:hi] = H.data[s : s + (hi - lo) * stride].reshape(hi - lo, stride, h)[:, :n].max(axis=1)
+        return H.tape.leaf(maxima), None
     arg = segment_argmax(H.data, starts, lengths)
     winners = arg + starts[:, None]
     cols = np.arange(H.data.shape[1])

@@ -15,22 +15,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import pad_batch
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .model import ModelParams, forward_eval
 
 __all__ = ["EnsembleState", "predict_all"]
 
 
 def predict_all(params: ModelParams, encoded_docs, eval_batch: int = 256) -> np.ndarray:
-    """Eval-mode class distributions for every document, in corpus order."""
+    """Eval-mode class distributions for every document, in corpus order.
+
+    Documents are scored in contiguous batches of eval_batch; each batch
+    reaches forward_eval stably sorted by length, so its pooling meets long
+    runs of equal lengths, and each row is written back to its document's
+    place. Sorting within a batch, not across the corpus, keeps each batch's
+    members, so its distinct tokens and every probability's bits are those
+    of the unsorted batch. A batch with a non-finite row is scored again
+    unsorted, so forward_eval's NumericalError names batch row k for
+    document start + k."""
     if eval_batch < 1:
         raise ConfigError(f"eval_batch must be >= 1, got {eval_batch}")
     n = len(encoded_docs)
+    doc_lengths = np.fromiter((len(doc) for doc in encoded_docs), dtype=np.int64, count=n)
     out = np.empty((n, params.n_classes), dtype=np.float64)
     for start in range(0, n, eval_batch):
-        idx = np.arange(start, min(start + eval_batch, n))
+        stop = min(start + eval_batch, n)
+        idx = start + np.argsort(doc_lengths[start:stop], kind="stable")
         mat, lengths = pad_batch(encoded_docs, idx)
-        probs, _ = forward_eval(params, mat, lengths)
+        try:
+            probs, _ = forward_eval(params, mat, lengths)
+        except NumericalError:
+            forward_eval(params, *pad_batch(encoded_docs, np.arange(start, stop)))
+            raise
         out[idx] = probs
     return out
 

@@ -1,25 +1,29 @@
 """One-layer CNN text classifier.
 
 encode: embedding lookup, window concatenation (window l, "same" padding of
-(l-1)/2 positions per side), affine + ReLU per position, max-over-time
-pooling to a feature vector xi, dropout on xi. classify: the logit head
-F_w xi + F_b, which the losses take directly; only forward_eval applies the
-softmax, to report class probabilities. The encoding also keeps every
-position's activations H and window ids idx_win, from which filter analysis
-traces filters back to the trigrams that fire them, and each filter's
-winning position per document, found from H when first read.
+(l-1)/2 positions per side), affine per position, max-over-time pooling,
+ReLU, dropout on the pooled features xi. The ReLU runs after the pooling:
+it is monotone and selects without rounding, so relu(max z) == max relu(z)
+bit for bit, and the ReLU and its backward touch [B, h] instead of
+[n_valid, h]. classify: the logit head F_w xi + F_b, which the losses take
+directly; only forward_eval applies the softmax, to report class
+probabilities. The encoding also keeps every position's pre-activations Z
+and window ids idx_win; the post-ReLU activations H, from which filter
+analysis traces filters back to the trigrams that fire them, and each
+filter's winning position per document are found from Z when first read.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
-document-major order, so the convolution and the ReLU never touch a padding
-position, and max-over-time pools each document's contiguous segment of
-rows; a forward-only pass (NoGradTape) takes only each segment's maxima,
-and a training pass also the winning rows its backward writes to. Padding
-ids still fill the window slots past a document's edges
-("same" padding). The convolution runs through the batch's distinct tokens
-(autodiff.conv_windows): each token is projected once per window slot by
-one GEMM, and each window's output is the sum of its l slot projections, so
-the GEMM grows with the distinct tokens of a batch, not with its windows.
+document-major order, so the convolution never touches a padding position,
+and max-over-time pools each document's contiguous segment of rows; a
+forward-only pass (NoGradTape) takes only the maxima, one reduction per run
+of consecutive equal-length documents, and a training pass also the winning
+rows its backward writes to. Padding ids still fill the window slots past a
+document's edges ("same" padding). The convolution runs through the batch's
+distinct tokens (autodiff.conv_windows): each token is projected once per
+window slot by one GEMM, and each window's output is the sum of its l slot
+projections, so the GEMM grows with the distinct tokens of a batch, not with
+its windows.
 """
 
 from __future__ import annotations
@@ -138,15 +142,23 @@ def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
 
 @dataclass
 class EncodedBatch:
-    xi: ad.Tensor            # [B, h] pooled features (post-dropout in training)
-    H: ad.Tensor             # [n_valid, h] post-ReLU activations, valid positions only
+    xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout in training)
+    Z: ad.Tensor             # [n_valid, h] pre-activations, valid positions only
     idx_win: np.ndarray      # [n_valid, l] token indices of those positions' windows
     lengths: np.ndarray      # [B]; document k owns rows sum(lengths[:k]) onward
 
     @cached_property
+    def H(self) -> ad.Tensor:
+        """[n_valid, h] post-ReLU activations, computed from Z on first read;
+        a leaf of Z's tape, so no gradient flows through it."""
+        return self.Z.tape.leaf(np.maximum(self.Z.data, 0.0))
+
+    @cached_property
     def argmax(self) -> np.ndarray:
-        """[B, h] winning position per filter, the lowest on ties, found
-        from H on first read: pooling on a NoGradTape takes only the maxima."""
+        """[B, h] winning position per filter in H, the lowest on ties (a
+        filter that is ReLU-zero throughout a document wins at its first
+        position), found on first read: pooling on a NoGradTape takes only
+        the maxima."""
         return ad.segment_argmax(self.H.data, np.cumsum(self.lengths) - self.lengths, self.lengths)
 
 
@@ -164,10 +176,10 @@ def encode_batch(
     valid = np.arange(P) < lengths[:, None]
     # ids past a document's length read as padding, so its windows see only its own tokens
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
-    H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))  # [n_valid, h]
-    xi, _ = ad.max_over_time_batch(H, B, P, lengths)
-    xi = ad.dropout(xi, dropout_rate, training, rng)
-    return EncodedBatch(xi=xi, H=H, idx_win=idx_win, lengths=lengths)
+    Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)  # [n_valid, h]
+    xi, _ = ad.max_over_time_batch(Z, B, P, lengths)
+    xi = ad.dropout(ad.relu(xi), dropout_rate, training, rng)
+    return EncodedBatch(xi=xi, Z=Z, idx_win=idx_win, lengths=lengths)
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
@@ -178,7 +190,10 @@ def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.T
 def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
     """Deterministic eval-mode forward pass (dropout off); returns the class
     probabilities as a plain array plus the encoding details. Its tape
-    records nothing: the pass cannot be differentiated. Raises
+    records nothing: the pass cannot be differentiated, pooling takes only
+    the maxima, and H and argmax are computed only if read. A row depends
+    on its batch mates only through the batch's set of distinct tokens, so
+    reordering a batch's documents leaves every row's bits as they were. Raises
     NumericalError naming the first row whose probabilities are not finite
     (finite but huge parameters overflow), since argmax reads a NaN row as
     class 0."""

@@ -314,6 +314,31 @@ def test_max_over_time_batch_on_a_no_grad_tape_returns_the_recording_maxima_only
         assert out.tape is tape and tape._steps == []
 
 
+@pytest.mark.parametrize("lengths", [
+    [3, 1, 6, 2, 6, 6, 2],  # shuffled, with runs of equal lengths
+    [1, 2, 2, 3, 3, 3, 6],  # sorted
+    [4, 4, 4, 4],           # all equal
+    [5],                    # a single document
+], ids=["shuffled", "sorted", "all-equal", "single"])
+@pytest.mark.parametrize("layout", ["packed", "padded"])
+def test_forward_only_pooling_by_runs_equals_a_per_document_max(lengths, layout):
+    positions, h = 6, 5
+    lengths = np.array(lengths)
+    starts = np.cumsum(lengths) - lengths
+    packed = np.random.default_rng(len(lengths)).normal(size=(int(lengths.sum()), h))
+    packed[-1, 3] = np.nan  # the last document's last row
+    want = np.stack([packed[s : s + n].max(axis=0) for s, n in zip(starts, lengths)])
+    rows = packed
+    if layout == "padded":
+        rows = np.full((len(lengths) * positions, h), 99.0)  # padding rows must never win
+        rows[np.flatnonzero(np.arange(positions) < lengths[:, None])] = packed
+    out, pos = ad.max_over_time_batch(leaf(ad.NoGradTape(), rows), len(lengths), positions, lengths)
+    assert pos is None
+    assert np.array_equal(out.data, want, equal_nan=True)
+    assert np.isnan(out.data[-1, 3]) and not np.isnan(np.delete(out.data, -1, axis=0)).any()
+    assert out.data[~np.isnan(out.data)].max() < 99.0
+
+
 @pytest.mark.parametrize("tape_cls", [ad.Tape, ad.NoGradTape])
 def test_max_over_time_batch_rejects_an_empty_batch(tape_cls):
     H = leaf(tape_cls(), np.zeros((0, 3)))

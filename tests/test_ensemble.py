@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import textda.ensemble
+from textda.data import pad_batch
 from textda.ensemble import EnsembleState, predict_all
 from textda.errors import ConfigError, NumericalError, ShapeError
 from textda.model import forward_eval, init_params
@@ -92,6 +94,36 @@ def test_predict_all_chunking_matches_single_pass():
         predict_all(params, docs, eval_batch=0)
 
 
+def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkeypatch):
+    rng = named_rng(11, "docs")
+    params = init_params(rng.uniform(-0.25, 0.25, size=(15, 4)),
+                         window=3, hidden=6, n_classes=3, rng=named_rng(11, "init"))
+    # batches of 20 with many ties: numpy's default sort is not stable at that size
+    lengths = rng.integers(1, 6, size=45).tolist()
+    docs = [rng.integers(1, 15, size=n) for n in lengths]
+    eval_batch = 20
+    calls = []
+
+    def spy(*args, **kwargs):
+        assert len(args) == 3 and not kwargs  # forward_eval(params, mat, lengths)
+        calls.append(args[1:])
+        return forward_eval(*args)
+
+    monkeypatch.setattr(textda.ensemble, "forward_eval", spy)
+    probs = predict_all(params, docs, eval_batch)
+    assert len(calls) == 3
+    for start, (mat, batch_lengths) in zip(range(0, len(docs), eval_batch), calls):
+        idx = np.arange(start, min(start + eval_batch, len(docs)))
+        # the same members as the contiguous slice, by non-decreasing length, stable on ties
+        order = idx[sorted(range(len(idx)), key=lambda k: lengths[idx[k]])]
+        want_mat, want_lengths = pad_batch(docs, order)
+        assert np.array_equal(mat, want_mat) and np.array_equal(batch_lengths, want_lengths)
+        assert np.all(np.diff(batch_lengths) >= 0)
+        # each row back at its corpus position, bit-equal to the unsorted slice
+        unsorted, _ = forward_eval(params, *pad_batch(docs, idx))
+        assert np.array_equal(probs[idx], unsorted)
+
+
 def test_predict_all_rejects_non_finite_probabilities():
     # finite but huge parameters: the convolution overflows to inf and
     # softmax turns the rows to NaN
@@ -101,3 +133,16 @@ def test_predict_all_rejects_non_finite_probabilities():
     docs = [np.array([2, 3, 4]), np.array([5, 6])]
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="batch row 0 are not finite"):
         predict_all(params, docs, eval_batch=2)
+
+
+def test_predict_all_names_a_non_finite_document_by_its_unsorted_batch_row():
+    # token 9's huge embedding overflows only the windows that hold it
+    E = named_rng(7, "docs").uniform(-0.25, 0.25, size=(15, 4))
+    E[9] = 1e308
+    params = init_params(E, window=3, hidden=6, n_classes=3, rng=named_rng(7, "init"))
+    params.W[:] = 1.0
+    docs = [np.array([1, 2]), np.array([3]), np.array([4, 5, 6]),
+            np.array([9, 2, 3, 4, 5]), np.array([1, 2]), np.array([3])]
+    # document 3 is row 0 of the second batch, and row 2 once sorted by length
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"batch row 0 are not finite \(1 of 3"):
+        predict_all(params, docs, eval_batch=3)

@@ -1,5 +1,8 @@
 """Packed encoder: only each document's own positions are convolved and pooled."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ import textda.autodiff as ad
 from textda.data import PAD_INDEX
 from textda.errors import NumericalError
 from textda.losses import source_cross_entropy
-from textda.model import ModelParams, classify, encode_batch, forward_eval, init_params
+from textda.model import ModelParams, build_windows, classify, encode_batch, forward_eval, init_params
 from textda.rng import named_rng
 
 V, D, HIDDEN, WINDOW = 12, 3, 5, 3
@@ -142,3 +145,66 @@ def test_forward_eval_still_rejects_a_nan_embedding():
     mat, lengths = _ragged_batch()
     with pytest.raises(NumericalError, match="batch row 1 are not finite"):
         forward_eval(params, mat, lengths)
+
+
+def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
+    """The encoder with the ReLU before the pooling: conv_windows, relu on
+    every valid position, max_over_time_batch, dropout."""
+    B, P = mat.shape
+    valid = np.arange(P) < lengths[:, None]
+    idx_win = build_windows(np.where(valid, mat, PAD_INDEX), WINDOW)[valid]
+    H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))
+    xi, arg = ad.max_over_time_batch(H, B, P, lengths)
+    return ad.dropout(xi, rate, True, rng), H, arg
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+@pytest.mark.parametrize("tape_cls", [ad.Tape, ad.NoGradTape])
+def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, rate):
+    params = _tie_params()
+    params.b[1] = -10.0  # filter 1 is ReLU-dead at every position
+    mat, lengths = _ragged_batch()
+    labels = np.eye(3)[[0, 2, 1, 2]]
+    starts = np.cumsum(lengths) - lengths
+    runs = {}
+    for order in ("pool_then_relu", "relu_then_pool"):
+        tape = tape_cls()
+        leaves = params.leaves(tape)
+        rng = named_rng(9, "dropout")
+        if order == "pool_then_relu":
+            enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=rate, training=True, rng=rng)
+            xi = enc.xi
+        else:
+            xi, H, arg = _relu_then_pool(tape, leaves, mat, lengths, rate, rng)
+        loss = source_cross_entropy(labels, classify(tape, leaves, xi))
+        if tape_cls is ad.Tape:
+            tape.backward(loss)
+        runs[order] = (xi.data, loss.data, {name: leaf.grad for name, leaf in leaves.items()})
+    (xi_new, loss_new, grads_new), (xi_old, loss_old, grads_old) = runs.values()
+    assert np.array_equal(xi_new, xi_old)
+    assert np.array_equal(loss_new, loss_old)
+    for name in grads_old:
+        assert np.array_equal(grads_new[name], grads_old[name]), name
+    if tape_cls is ad.Tape:
+        assert grads_new["W"][0].any() and not grads_new["W"][1].any() and grads_new["b"][1] == 0.0
+    assert np.array_equal(enc.H.data, np.maximum(enc.Z.data, 0.0))
+    assert np.array_equal(enc.H.data, H.data)
+    assert np.array_equal(enc.argmax, ad.segment_argmax(H.data, starts, lengths))
+    if arg is not None:
+        assert np.array_equal(enc.argmax, arg)
+    assert not enc.argmax[:, 1].any()  # the dead filter wins at each document's first position
+    assert enc.argmax[1, 0] == 2 and enc.argmax[0].max() == 0  # the positive tie; the length-1 document
+    assert not xi_new[:, 1].any()
+
+
+def test_forward_eval_frees_the_pre_activations_with_its_encoding():
+    mat, lengths = _ragged_batch()
+    gc.disable()
+    try:
+        _, enc = forward_eval(_params(), mat, lengths)
+        assert enc.Z.data.shape == (lengths.sum(), HIDDEN)
+        probes = [weakref.ref(enc.Z), weakref.ref(enc.H), weakref.ref(enc.xi)]
+        del enc
+        assert all(probe() is None for probe in probes)
+    finally:
+        gc.enable()
