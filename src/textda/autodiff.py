@@ -33,9 +33,7 @@ __all__ = [
     "affine",
     "relu",
     "softmax",
-    "max_over_time",
     "max_over_time_batch",
-    "segment_argmax",
     "dropout",
     "l1_normalize",
     "batch_mean",
@@ -134,21 +132,18 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """y = x W^T + b for a batch [M, n] or a vector [n] (its own one-row batch)."""
+    """y = x W^T + b for a batch x [M, n]."""
     tape = _same_tape(x, W, b)
     if W.data.ndim != 2 or b.data.ndim != 1 or W.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"affine: W {W.data.shape} and b {b.data.shape} are inconsistent")
-    m, n = W.data.shape
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"affine: x must be 1-D or 2-D, got shape {x.data.shape}")
-    if x.data.shape[-1] != n:
+    if x.data.ndim != 2 or x.data.shape[1] != W.data.shape[1]:
         raise ShapeError(f"affine: W {W.data.shape} cannot multiply x {x.data.shape}")
     out = tape.leaf(x.data @ W.data.T + b.data)
 
     def back():
-        g = out.grad.reshape(-1, m)
-        accumulate(x, out.grad @ W.data)
-        accumulate(W, g.T @ x.data.reshape(-1, n))
+        g = out.grad
+        accumulate(x, g @ W.data)
+        accumulate(W, g.T @ x.data)
         accumulate(b, g.sum(axis=0))
 
     tape.record(back)
@@ -167,9 +162,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Stable softmax of logits along the last axis ([C] or [B, C])."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax: logits must be 1-D or 2-D, got shape {x.data.shape}")
+    """Stable softmax of each row of a logit batch [B, C]."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax: logits must be [B, C], got shape {x.data.shape}")
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     out = x.tape.leaf(p)
@@ -182,78 +177,40 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
-def max_over_time(H: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Column-wise max of [n, h] -> ([h], argmax row per column).
+def max_over_time_batch(H: Tensor, lengths: np.ndarray) -> Tensor:
+    """Per-document column-wise max of packed rows: [sum(lengths), h] ->
+    [n_docs, h].
 
-    Ties resolve to the lowest row index. Gradient routes only to the winning
-    rows, so total gradient mass is conserved.
-    """
-    if H.data.ndim != 2 or H.data.shape[0] < 1:
-        raise ShapeError(f"max_over_time: need a nonempty [n, h] matrix, got shape {H.data.shape}")
-    arg = H.data.argmax(axis=0)  # np.argmax returns the first (lowest) maximizer
-    cols = np.arange(H.data.shape[1])
-    out = H.tape.leaf(H.data[arg, cols])
-
-    def back():
-        np.add.at(H.grad, (arg, cols), out.grad)
-
-    H.tape.record(back)
-    return out, arg
-
-
-def segment_argmax(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each document's winning position per column, [n_docs, h]: document k
-    owns rows[starts[k] : starts[k] + lengths[k]], and np.argmax over them
-    gives the lowest position on ties."""
-    return np.stack([rows[s : s + n].argmax(axis=0) for s, n in zip(starts.tolist(), lengths.tolist())])
-
-
-def max_over_time_batch(H: Tensor, n_docs: int, positions: int,
-                        lengths: np.ndarray) -> tuple[Tensor, np.ndarray | None]:
-    """Per-document column-wise max over valid positions.
-
-    H holds each document's positions as consecutive rows, document-major,
-    either packed ([sum(lengths), h], the first lengths[k] positions of
-    document k only) or padded ([n_docs * positions, h]). Document k's
-    valid rows are the lengths[k] rows from its first row (the sum of the
-    earlier lengths when packed, k * positions when padded).
-
-    On a recording tape one argmax over those rows (segment_argmax) gives
-    each filter's winning row, the lowest on ties, the maxima are gathered
-    there and the backward writes to the winning rows; returns ([n_docs, h]
-    maxima, [n_docs, h] winning positions). A NoGradTape has no backward to
-    route, so only the maxima are taken and the positions come back as None.
-    Each run of consecutive documents of one length L is pooled at once:
-    its rows are k documents at a fixed stride (L packed, positions padded),
-    so one [k, stride, h] view, cut to its first L positions, is reduced by
-    max over its middle axis. Max selects a value without rounding it, so
-    the maxima are bit-equal to the gathered ones, and a NaN row still gives
-    its document a NaN maximum. Callers that sort a batch by length make
-    these runs longest.
+    H holds each document's positions as consecutive rows, document-major:
+    document k owns the lengths[k] rows from the sum of the earlier lengths.
+    On a recording tape one argmax over each document's rows gives each
+    filter's winning row, the lowest on ties, the maxima are gathered there
+    and the backward writes to the winning rows. A NoGradTape has no backward
+    to route, so only the maxima are taken: each run of consecutive
+    documents of one length L is one [k, L, h] view, reduced by max over its
+    middle axis. Max selects a value without rounding it, so the maxima are
+    bit-equal to the gathered ones, and a NaN row still gives its document a
+    NaN maximum. Callers that sort a batch by length make these runs longest.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    if n_docs < 1 or lengths.shape != (n_docs,) or lengths.min() < 1 or lengths.max() > positions:
-        raise ShapeError(f"max_over_time_batch: bad lengths (shape {lengths.shape}, {n_docs} documents)")
+    if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1:
+        raise ShapeError(f"max_over_time_batch: bad lengths (shape {lengths.shape})")
     n_valid = int(lengths.sum())
-    if H.data.ndim != 2 or H.data.shape[0] not in (n_valid, n_docs * positions):
-        raise ShapeError(
-            f"max_over_time_batch: H {H.data.shape} has neither {n_valid} packed nor "
-            f"{n_docs}x{positions} padded rows"
-        )
-    packed = H.data.shape[0] == n_valid
-    starts = np.cumsum(lengths) - lengths if packed else np.arange(n_docs) * positions
+    if H.data.ndim != 2 or H.data.shape[0] != n_valid:
+        raise ShapeError(f"max_over_time_batch: H {H.data.shape} does not hold {n_valid} packed rows")
+    n_docs, h = lengths.size, H.data.shape[1]
+    starts = np.cumsum(lengths) - lengths
     if isinstance(H.tape, NoGradTape):
-        h = H.data.shape[1]
         maxima = np.empty((n_docs, h))
         bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n_docs]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             n, s = int(lengths[lo]), int(starts[lo])
-            stride = n if packed else positions
-            maxima[lo:hi] = H.data[s : s + (hi - lo) * stride].reshape(hi - lo, stride, h)[:, :n].max(axis=1)
-        return H.tape.leaf(maxima), None
-    arg = segment_argmax(H.data, starts, lengths)
-    winners = arg + starts[:, None]
-    cols = np.arange(H.data.shape[1])
+            maxima[lo:hi] = H.data[s : s + (hi - lo) * n].reshape(hi - lo, n, h).max(axis=1)
+        return H.tape.leaf(maxima)
+    # np.argmax returns the first (lowest) maximizer
+    winners = np.stack([H.data[s : s + n].argmax(axis=0) for s, n in zip(starts.tolist(), lengths.tolist())])
+    winners += starts[:, None]
+    cols = np.arange(h)
     out = H.tape.leaf(H.data[winners, cols])
 
     def back():
@@ -263,7 +220,7 @@ def max_over_time_batch(H: Tensor, n_docs: int, positions: int,
         accumulate(H, g)
 
     H.tape.record(back)
-    return out, arg
+    return out
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:

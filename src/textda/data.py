@@ -182,7 +182,11 @@ class Vocab:
             raise DataError(f"vocab must start with {PAD_TOKEN!r}, {UNK_TOKEN!r}")
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
         if len(self.stoi) != len(self.itos):
-            raise DataError("vocab contains duplicate tokens")
+            seen = set()
+            for line, tok in enumerate(self.itos, start=1):
+                if tok in seen:
+                    raise DataError(f"vocab line {line}: duplicate token {tok!r}")
+                seen.add(tok)
 
     def __len__(self) -> int:
         return len(self.itos)
@@ -205,8 +209,10 @@ class Vocab:
         p = Path(path)
         if not p.is_file():
             raise DataError(f"vocab file not found: {p}")
-        itos = p.read_text(encoding="utf-8").splitlines()
-        return cls(itos=itos)
+        try:
+            return cls(itos=p.read_text(encoding="utf-8").splitlines())
+        except DataError as e:
+            raise DataError(f"{p}: {e}") from e
 
 
 def build_vocab(corpora, size: int) -> Vocab:

@@ -9,8 +9,8 @@ bit for bit, and the ReLU and its backward touch [B, h] instead of
 directly; only forward_eval applies the softmax, to report class
 probabilities. The encoding also keeps every position's pre-activations Z
 and window ids idx_win; the post-ReLU activations H, from which filter
-analysis traces filters back to the trigrams that fire them, and each
-filter's winning position per document are found from Z when first read.
+analysis traces filters back to the trigrams that fire them, are found from
+Z when first read.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
@@ -145,21 +145,12 @@ class EncodedBatch:
     xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout in training)
     Z: ad.Tensor             # [n_valid, h] pre-activations, valid positions only
     idx_win: np.ndarray      # [n_valid, l] token indices of those positions' windows
-    lengths: np.ndarray      # [B]; document k owns rows sum(lengths[:k]) onward
 
     @cached_property
     def H(self) -> ad.Tensor:
         """[n_valid, h] post-ReLU activations, computed from Z on first read;
         a leaf of Z's tape, so no gradient flows through it."""
         return self.Z.tape.leaf(np.maximum(self.Z.data, 0.0))
-
-    @cached_property
-    def argmax(self) -> np.ndarray:
-        """[B, h] winning position per filter in H, the lowest on ties (a
-        filter that is ReLU-zero throughout a document wins at its first
-        position), found on first read: pooling on a NoGradTape takes only
-        the maxima."""
-        return ad.segment_argmax(self.H.data, np.cumsum(self.lengths) - self.lengths, self.lengths)
 
 
 def encode_batch(
@@ -171,15 +162,14 @@ def encode_batch(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
-    B, P = mat.shape
+    P = mat.shape[1]
     window = leaves["W"].data.shape[1] // leaves["E"].data.shape[1]
     valid = np.arange(P) < lengths[:, None]
     # ids past a document's length read as padding, so its windows see only its own tokens
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
     Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)  # [n_valid, h]
-    xi, _ = ad.max_over_time_batch(Z, B, P, lengths)
-    xi = ad.dropout(ad.relu(xi), dropout_rate, training, rng)
-    return EncodedBatch(xi=xi, Z=Z, idx_win=idx_win, lengths=lengths)
+    xi = ad.dropout(ad.relu(ad.max_over_time_batch(Z, lengths)), dropout_rate, training, rng)
+    return EncodedBatch(xi=xi, Z=Z, idx_win=idx_win)
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
@@ -191,7 +181,7 @@ def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> t
     """Deterministic eval-mode forward pass (dropout off); returns the class
     probabilities as a plain array plus the encoding details. Its tape
     records nothing: the pass cannot be differentiated, pooling takes only
-    the maxima, and H and argmax are computed only if read. A row depends
+    the maxima, and H is computed only if read. A row depends
     on its batch mates only through the batch's set of distinct tokens, so
     reordering a batch's documents leaves every row's bits as they were. Raises
     NumericalError naming the first row whose probabilities are not finite
@@ -258,6 +248,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for key in dims:
         if type(header.get(key)) is not int or header[key] < 1:
             raise DataError(f"checkpoint {p}: header field {key!r} must be a positive int, got {header.get(key)!r}")
+    if not isinstance(header.get("vocab_hash"), str):
+        raise DataError(f"checkpoint {p}: header field 'vocab_hash' must be a string, "
+                        f"got {header.get('vocab_hash')!r}")
     V, d, l, h, C = (header[key] for key in dims)
     if l % 2 == 0:
         raise DataError(f"checkpoint {p}: window must be odd, got {l}")

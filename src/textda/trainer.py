@@ -292,9 +292,13 @@ def parse_history_csv(path) -> History:
         if len(parts) != len(CSV_COLUMNS):
             raise DataError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
         try:
-            history.epochs.append(EpochMetrics(int(parts[0]), *(float(v) for v in parts[1:])))
+            values = [float(v) for v in parts[1:]]
+            history.epochs.append(EpochMetrics(int(parts[0]), *values))
         except ValueError as e:
             raise DataError(f"{path}: line {lineno}: non-numeric field ({e})") from e
+        for name, v in zip(CSV_COLUMNS[1:], values):
+            if not np.isfinite(v):
+                raise DataError(f"{path}: line {lineno}: non-finite {name} ({v})")
     if history.epochs:
         history.best_epoch = select_model(history)
     return history

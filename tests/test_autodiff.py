@@ -13,8 +13,8 @@ def leaf(tape, x):
 
 def test_affine_identity():
     tape = ad.Tape()
-    out = ad.affine(leaf(tape, [1.0, 2.0]), leaf(tape, np.eye(2)), leaf(tape, [0.0, 0.0]))
-    assert np.array_equal(out.data, [1.0, 2.0])
+    out = ad.affine(leaf(tape, [[1.0, 2.0]]), leaf(tape, np.eye(2)), leaf(tape, [0.0, 0.0]))
+    assert np.array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_affine_batch_hand_value():
@@ -33,8 +33,10 @@ def test_affine_batch_hand_value():
 def test_affine_shape_error_names_shapes():
     tape = ad.Tape()
     with pytest.raises(ShapeError) as err:
-        ad.affine(leaf(tape, [1.0, 2.0, 3.0]), leaf(tape, np.eye(2)), leaf(tape, [0.0, 0.0]))
-    assert "(2, 2)" in str(err.value) and "(3,)" in str(err.value)
+        ad.affine(leaf(tape, [[1.0, 2.0, 3.0]]), leaf(tape, np.eye(2)), leaf(tape, [0.0, 0.0]))
+    assert "(2, 2)" in str(err.value) and "(1, 3)" in str(err.value)
+    with pytest.raises(ShapeError, match=r"\(2,\)"):  # a vector is not a one-row batch
+        ad.affine(leaf(tape, [1.0, 2.0]), leaf(tape, np.eye(2)), leaf(tape, [0.0, 0.0]))
 
 
 def test_relu_forward_and_subgradient_at_zero():
@@ -48,9 +50,9 @@ def test_relu_forward_and_subgradient_at_zero():
 
 def test_softmax_hand_value_and_shift_invariance():
     tape = ad.Tape()
-    p = ad.softmax(leaf(tape, [1.0, 2.0]))
-    assert np.allclose(p.data, [0.26894142, 0.73105858], atol=1e-8)
-    q = ad.softmax(leaf(tape, [1001.0, 1002.0]))
+    p = ad.softmax(leaf(tape, [[1.0, 2.0]]))
+    assert np.allclose(p.data, [[0.26894142, 0.73105858]], atol=1e-8)
+    q = ad.softmax(leaf(tape, [[1001.0, 1002.0]]))
     assert np.allclose(p.data, q.data, atol=0)  # shift invariance, no overflow
     rows = ad.softmax(leaf(tape, [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]]))
     assert np.allclose(rows.data, 1.0 / 3.0)
@@ -58,31 +60,25 @@ def test_softmax_hand_value_and_shift_invariance():
 
 def test_max_over_time_lowest_index_on_ties_and_mass_conservation():
     tape = ad.Tape()
-    H = leaf(tape, [[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]])
-    xi, arg = ad.max_over_time(H)
-    assert np.array_equal(xi.data, [3.0, 5.0])
-    assert np.array_equal(arg, [1, 0])  # ties -> lowest row index
-    weights = leaf(tape, [2.0, 7.0])
+    H = leaf(tape, [[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]])  # one document of 3 positions
+    xi = ad.max_over_time_batch(H, np.array([3]))
+    assert np.array_equal(xi.data, [[3.0, 5.0]])
+    weights = leaf(tape, [[2.0, 7.0]])
     loss = ad.vsum(ad.mul(xi, weights))
     tape.backward(loss)
     assert H.grad.sum() == weights.data.sum()  # gradient mass conserved
-    assert H.grad[1, 0] == 2.0 and H.grad[0, 1] == 7.0
-
-
-def test_max_over_time_batch_masks_padding():
-    # doc 1 has length 1: positions beyond it must not win even if larger
-    tape = ad.Tape()
-    H = leaf(tape, [[1.0], [9.0], [2.0], [9.0]])  # 2 docs x 2 positions x 1 filter
-    xi, arg = ad.max_over_time_batch(H, 2, 2, np.array([1, 2]))
-    assert np.array_equal(xi.data, [[1.0], [9.0]])
-    assert np.array_equal(arg, [[0], [1]])
+    assert H.grad[1, 0] == 2.0 and H.grad[0, 1] == 7.0  # ties -> lowest row index
 
 
 def test_max_over_time_batch_bad_lengths():
     tape = ad.Tape()
     H = leaf(tape, np.zeros((4, 3)))
-    with pytest.raises(ShapeError):
-        ad.max_over_time_batch(H, 2, 2, np.array([1, 3]))
+    for bad in ([0, 4], [[1, 3]]):
+        with pytest.raises(ShapeError, match="bad lengths"):
+            ad.max_over_time_batch(H, np.array(bad))
+    # 2 documents padded to 2 positions: 4 rows, but lengths 1 and 2 own 3
+    with pytest.raises(ShapeError, match="does not hold 3 packed rows"):
+        ad.max_over_time_batch(H, np.array([1, 2]))
 
 
 def test_dropout_eval_is_identity_and_train_scales():
@@ -238,17 +234,19 @@ def test_embed_windows_backward_matches_add_at_reference():
 
 def test_max_over_time_batch_backward_equals_add_at_reference():
     rng = np.random.default_rng(1)
-    n_docs, positions, h = 3, 5, 4
+    lengths, h = np.array([5, 2, 1]), 4
+    starts = np.cumsum(lengths) - lengths
     tape = ad.Tape()
-    data = rng.normal(size=(n_docs * positions, h))
+    data = rng.normal(size=(int(lengths.sum()), h))
     data[0:2, 0] = 9.0  # a tie inside document 0
     H = leaf(tape, data)
-    out, arg = ad.max_over_time_batch(H, n_docs, positions, np.array([5, 2, 1]))
+    out = ad.max_over_time_batch(H, lengths)
     g = rng.normal(size=out.shape)
     tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
-    ref = np.zeros((n_docs, positions, h))
-    np.add.at(ref, (np.arange(n_docs)[:, None], arg, np.arange(h)[None, :]), g)
-    assert np.array_equal(H.grad, ref.reshape(n_docs * positions, h))
+    arg = np.stack([data[s : s + n].argmax(axis=0) for s, n in zip(starts, lengths)])
+    ref = np.zeros_like(data)
+    np.add.at(ref, (starts[:, None] + arg, np.arange(h)[None, :]), g)
+    assert np.array_equal(H.grad, ref)
 
 
 def _pool_brute_force(rows, lengths):
@@ -263,55 +261,41 @@ def _pool_brute_force(rows, lengths):
     return np.array(maxima), np.array(winners)
 
 
-def test_max_over_time_batch_packed_and_padded_layouts_agree_with_brute_force():
+def test_max_over_time_batch_agrees_with_brute_force():
     rng = np.random.default_rng(3)
-    positions, h = 6, 4
+    h = 4
     lengths = np.array([3, 1, 6, 2])  # a length-1 and a full-length document
     starts = np.cumsum(lengths) - lengths
-    packed = np.maximum(rng.normal(size=(int(lengths.sum()), h)), 0.0)
-    packed[0:3, 0] = 0.0  # ReLU zeros tie at every position of document 0
-    packed[10:12, 2] = 0.0  # and of document 3
-    packed[[5, 8], 1] = 7.0  # a positive tie at positions 1 and 4 of document 2
-    padded = np.full((len(lengths) * positions, h), 99.0)  # padding rows must never win
-    valid = np.flatnonzero(np.arange(positions) < lengths[:, None])
-    padded[valid] = packed
-    want_max, want_pos = _pool_brute_force(packed, lengths)
+    rows = np.maximum(rng.normal(size=(int(lengths.sum()), h)), 0.0)
+    rows[0:3, 0] = 0.0  # ReLU zeros tie at every position of document 0
+    rows[10:12, 2] = 0.0  # and of document 3
+    rows[[5, 8], 1] = 7.0  # a positive tie at positions 1 and 4 of document 2
+    want_max, want_pos = _pool_brute_force(rows, lengths)
     assert want_pos[0, 0] == 0 and want_pos[3, 2] == 0 and want_pos[2, 1] == 1
 
     g = rng.normal(size=(len(lengths), h))
-    want_grad = np.zeros_like(packed)
+    want_grad = np.zeros_like(rows)
     want_grad[starts[:, None] + want_pos, np.arange(h)] = g
-    grads = []
-    for rows in (packed, padded):
-        tape = ad.Tape()
-        H = leaf(tape, rows)
-        out, pos = ad.max_over_time_batch(H, len(lengths), positions, lengths)
-        assert np.array_equal(out.data, want_max)
-        assert np.array_equal(pos, want_pos)
-        tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
-        grads.append(H.grad)
-    assert np.array_equal(grads[0], want_grad)
-    assert np.array_equal(grads[1][valid], want_grad)
-    assert not np.delete(grads[1], valid, axis=0).any()
+    tape = ad.Tape()
+    H = leaf(tape, rows)
+    out = ad.max_over_time_batch(H, lengths)
+    assert np.array_equal(out.data, want_max)
+    tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
+    assert np.array_equal(H.grad, want_grad)
 
 
 def test_max_over_time_batch_on_a_no_grad_tape_returns_the_recording_maxima_only():
     rng = np.random.default_rng(5)
-    positions, h = 6, 4
+    h = 4
     lengths = np.array([3, 1, 6, 2])
-    packed = np.maximum(rng.normal(size=(int(lengths.sum()), h)), 0.0)
-    packed[0:3, 0] = 0.0  # ReLU zeros tie at every position of document 0
-    packed[[5, 8], 1] = 7.0  # a positive tie inside document 2
-    padded = np.full((len(lengths) * positions, h), 99.0)  # padding rows must never win
-    padded[np.flatnonzero(np.arange(positions) < lengths[:, None])] = packed
-    for rows in (packed, padded):
-        want, _ = ad.max_over_time_batch(leaf(ad.Tape(), rows), len(lengths), positions, lengths)
-        tape = ad.NoGradTape()
-        out, pos = ad.max_over_time_batch(leaf(tape, rows), len(lengths), positions, lengths)
-        assert pos is None
-        assert np.array_equal(out.data, want.data)
-        assert out.data.max() < 99.0
-        assert out.tape is tape and tape._steps == []
+    rows = np.maximum(rng.normal(size=(int(lengths.sum()), h)), 0.0)
+    rows[0:3, 0] = 0.0  # ReLU zeros tie at every position of document 0
+    rows[[5, 8], 1] = 7.0  # a positive tie inside document 2
+    want = ad.max_over_time_batch(leaf(ad.Tape(), rows), lengths)
+    tape = ad.NoGradTape()
+    out = ad.max_over_time_batch(leaf(tape, rows), lengths)
+    assert np.array_equal(out.data, want.data)
+    assert out.tape is tape and tape._steps == []
 
 
 @pytest.mark.parametrize("lengths", [
@@ -320,47 +304,30 @@ def test_max_over_time_batch_on_a_no_grad_tape_returns_the_recording_maxima_only
     [4, 4, 4, 4],           # all equal
     [5],                    # a single document
 ], ids=["shuffled", "sorted", "all-equal", "single"])
-@pytest.mark.parametrize("layout", ["packed", "padded"])
-def test_forward_only_pooling_by_runs_equals_a_per_document_max(lengths, layout):
-    positions, h = 6, 5
+def test_forward_only_pooling_by_runs_equals_a_per_document_max(lengths):
+    h = 5
     lengths = np.array(lengths)
     starts = np.cumsum(lengths) - lengths
-    packed = np.random.default_rng(len(lengths)).normal(size=(int(lengths.sum()), h))
-    packed[-1, 3] = np.nan  # the last document's last row
-    want = np.stack([packed[s : s + n].max(axis=0) for s, n in zip(starts, lengths)])
-    rows = packed
-    if layout == "padded":
-        rows = np.full((len(lengths) * positions, h), 99.0)  # padding rows must never win
-        rows[np.flatnonzero(np.arange(positions) < lengths[:, None])] = packed
-    out, pos = ad.max_over_time_batch(leaf(ad.NoGradTape(), rows), len(lengths), positions, lengths)
-    assert pos is None
+    rows = np.random.default_rng(len(lengths)).normal(size=(int(lengths.sum()), h))
+    rows[-1, 3] = np.nan  # the last document's last row
+    want = np.stack([rows[s : s + n].max(axis=0) for s, n in zip(starts, lengths)])
+    out = ad.max_over_time_batch(leaf(ad.NoGradTape(), rows), lengths)
     assert np.array_equal(out.data, want, equal_nan=True)
     assert np.isnan(out.data[-1, 3]) and not np.isnan(np.delete(out.data, -1, axis=0)).any()
-    assert out.data[~np.isnan(out.data)].max() < 99.0
 
 
 @pytest.mark.parametrize("tape_cls", [ad.Tape, ad.NoGradTape])
 def test_max_over_time_batch_rejects_an_empty_batch(tape_cls):
     H = leaf(tape_cls(), np.zeros((0, 3)))
     with pytest.raises(ShapeError, match="bad lengths"):
-        ad.max_over_time_batch(H, 0, 2, np.zeros(0, dtype=np.int64))
+        ad.max_over_time_batch(H, np.zeros(0, dtype=np.int64))
 
 
-def test_affine_and_softmax_treat_a_vector_as_a_one_row_batch():
-    rng = np.random.default_rng(4)
-    x, W, b, g = rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=2), rng.normal(size=2)
-    results = []
-    for shape in ((3,), (1, 3)):
-        tape = ad.Tape()
-        xt, Wt, bt = leaf(tape, x.reshape(shape)), leaf(tape, W), leaf(tape, b)
-        y = ad.affine(xt, Wt, bt)
-        p = ad.softmax(y)
-        assert y.shape == p.shape == shape[:-1] + (2,)
-        tape.backward(ad.vsum(ad.mul(p, leaf(tape, g.reshape(p.shape)))))
-        assert xt.grad.shape == shape
-        results.append([y.data, p.data, y.grad, xt.grad, Wt.grad, bt.grad])
-    for vec, row in zip(*results):
-        np.testing.assert_allclose(vec.reshape(-1), row.reshape(-1), rtol=1e-12, atol=1e-15)
+def test_softmax_rejects_anything_but_a_logit_batch():
+    tape = ad.Tape()
+    for bad in ([1.0, 2.0], [[[1.0, 2.0]]]):  # a vector is not a one-row batch
+        with pytest.raises(ShapeError, match="logits must be"):
+            ad.softmax(leaf(tape, bad))
 
 
 def test_add_of_a_tensor_with_itself_and_unshared_buffers():

@@ -215,6 +215,28 @@ def test_evaluate_rejects_mismatched_vocab(trained_dir, synth_dir, tmp_path, cap
     assert "size mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vocab_hash", [None, 5], ids=["missing", "not-a-string"])
+def test_evaluate_rejects_a_checkpoint_without_a_string_vocab_hash(trained_dir, synth_dir, tmp_path, capsys,
+                                                                    vocab_hash):
+    blob = (trained_dir / "model.ckpt").read_bytes()
+    nl = blob.find(b"\n")
+    header = json.loads(blob[:nl])
+    if vocab_hash is None:
+        del header["vocab_hash"]
+    else:
+        header["vocab_hash"] = vocab_hash
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode("utf-8") + blob[nl:])
+    code = main([
+        "evaluate", "--checkpoint", str(bad),
+        "--vocab", str(trained_dir / "vocab.txt"),
+        "--test", str(synth_dir / "target_test.jsonl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.ckpt" in err and "'vocab_hash' must be a string" in err
+
+
 def test_evaluate_rejects_overflowing_checkpoint_with_exit_3(trained_dir, synth_dir, tmp_path, capsys):
     # finite but huge parameters pass load_checkpoint, then the convolution
     # overflows to inf and softmax to NaN, which argmax would score as class 0

@@ -202,11 +202,15 @@ def test_vocab_save_load_and_content_hash(tmp_path):
     assert other.content_hash() != vocab.content_hash()
 
 
-def test_vocab_rejects_bad_layout():
+def test_vocab_rejects_bad_layout(tmp_path):
     with pytest.raises(DataError):
         Vocab(itos=["a", "b"])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="vocab line 4: duplicate token 'a'"):
         Vocab(itos=["<pad>", "<unk>", "a", "a"])
+    path = tmp_path / "vocab.txt"
+    path.write_text("<pad>\n<unk>\na\nb\nc\nb\nd\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"vocab\.txt: vocab line 6: duplicate token 'b'"):
+        Vocab.load(path)
 
 
 # ----------------------------------------------------------------- embeddings

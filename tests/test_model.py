@@ -39,6 +39,13 @@ def _encode(params, mat, lengths):
     return encode_batch(tape, leaves, np.asarray(mat), np.asarray(lengths))
 
 
+def _winning_rows(enc):
+    """The rows of Z that the pooling backward of sum(xi) writes to, for the
+    toy's one filter."""
+    enc.xi.tape.backward(ad.vsum(enc.xi))
+    return np.flatnonzero(enc.Z.grad[:, 0])
+
+
 # -------------------------------------------------------------------- windows
 
 
@@ -61,7 +68,7 @@ def test_encode_hand_trace_a_b_c_b():
     enc = _encode(_toy_params(), [[2, 3, 4, 3]], [4])
     assert np.allclose(enc.H.data.reshape(4), [3.0, 6.0, 7.0, 5.0])
     assert enc.xi.data.item() == 7.0
-    assert enc.argmax.item() == 2
+    assert np.array_equal(_winning_rows(enc), [2])
 
 
 def test_encode_hand_trace_a_b_c_c():
@@ -69,16 +76,18 @@ def test_encode_hand_trace_a_b_c_c():
     enc = _encode(_toy_params(), [[2, 3, 4, 4]], [4])
     assert np.allclose(enc.H.data.reshape(4), [3.0, 6.0, 8.0, 6.0])
     assert enc.xi.data.item() == 8.0
-    assert enc.argmax.item() == 2
+    assert np.array_equal(_winning_rows(enc), [2])
 
 
 def test_pooling_masks_padding_and_breaks_ties_low():
     # doc 2 is "b b" padded to length 4: positions 0 and 1 both activate 4
     enc = _encode(_toy_params(), [[2, 3, 4, 3], [3, 3, 0, 0]], [4, 2])
     assert enc.xi.data[1].item() == 4.0
-    assert enc.argmax[1].item() == 0
-    # the padded positions hold activations too but never win the max
+    # the padded positions are never convolved, so they cannot win the max
     assert enc.xi.data[0].item() == 7.0
+    assert enc.Z.shape == (6, 1)
+    # doc 1's gradient reaches its first position (row 4) only, not the tied row 5
+    assert np.array_equal(_winning_rows(enc), [2, 4])
 
 
 def test_classify_rows_are_distributions():
@@ -103,7 +112,7 @@ def test_forward_eval_is_deterministic():
     p1, enc1 = forward_eval(params, mat, lengths)
     p2, enc2 = forward_eval(params, mat, lengths)
     assert np.array_equal(p1, p2)
-    assert np.array_equal(enc1.argmax, enc2.argmax)
+    assert np.array_equal(enc1.Z.data, enc2.Z.data)
     assert np.allclose(p1.sum(axis=1), 1.0)
 
 

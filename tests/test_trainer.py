@@ -130,6 +130,8 @@ def test_parse_history_rejects_bad_header(tmp_path):
     ("1,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "expected 9 fields, got 10"),
     ("1,0.1,0.2,oops,0.4,0.5,0.6,0.7,0.8", "non-numeric"),
     ("one,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8", "non-numeric"),
+    ("2,0.1,0.2,0.3,0.4,0.5,0.6,nan,0.8", "non-finite dev_error"),  # argmin would pick it
+    ("2,0.1,inf,0.3,0.4,0.5,0.6,0.7,0.8", "non-finite J"),
 ])
 def test_parse_history_rejects_bad_rows(tmp_path, row, problem):
     path = tmp_path / "history.csv"
