@@ -19,9 +19,9 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
-import scipy.sparse
 
 from .errors import NumericalError, ShapeError
 
@@ -39,6 +39,7 @@ __all__ = [
     "batch_mean",
     "embed_windows",
     "conv_windows",
+    "conv_max_pool",
     "add",
     "mul",
     "vsum",
@@ -177,40 +178,35 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
+def _packed_lengths(lengths, rows_shape: tuple, op: str, rows: str) -> np.ndarray:
+    """lengths as int64, checked to split the [n, ·] packed rows of
+    rows_shape into at least one document of at least one row each."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1:
+        raise ShapeError(f"{op}: bad lengths (shape {lengths.shape})")
+    n_valid = int(lengths.sum())
+    if len(rows_shape) != 2 or rows_shape[0] != n_valid:
+        raise ShapeError(f"{op}: {rows} {rows_shape} does not hold {n_valid} packed rows")
+    return lengths
+
+
 def max_over_time_batch(H: Tensor, lengths: np.ndarray) -> Tensor:
     """Per-document column-wise max of packed rows: [sum(lengths), h] ->
     [n_docs, h].
 
     H holds each document's positions as consecutive rows, document-major:
     document k owns the lengths[k] rows from the sum of the earlier lengths.
-    On a recording tape one argmax over each document's rows gives each
-    filter's winning row, the lowest on ties, the maxima are gathered there
-    and the backward writes to the winning rows. A NoGradTape has no backward
-    to route, so only the maxima are taken: each run of consecutive
-    documents of one length L is one [k, L, h] view, reduced by max over its
-    middle axis. Max selects a value without rounding it, so the maxima are
-    bit-equal to the gathered ones, and a NaN row still gives its document a
-    NaN maximum. Callers that sort a batch by length make these runs longest.
+    One argmax over each document's rows gives each filter's winning row,
+    the lowest on ties, the maxima are gathered there and the backward
+    writes to the winning rows. The encoder's forward-only passes pool
+    inside conv_max_pool instead, as each block of rows is made.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1:
-        raise ShapeError(f"max_over_time_batch: bad lengths (shape {lengths.shape})")
-    n_valid = int(lengths.sum())
-    if H.data.ndim != 2 or H.data.shape[0] != n_valid:
-        raise ShapeError(f"max_over_time_batch: H {H.data.shape} does not hold {n_valid} packed rows")
-    n_docs, h = lengths.size, H.data.shape[1]
+    lengths = _packed_lengths(lengths, H.data.shape, "max_over_time_batch", "H")
     starts = np.cumsum(lengths) - lengths
-    if isinstance(H.tape, NoGradTape):
-        maxima = np.empty((n_docs, h))
-        bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n_docs]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            n, s = int(lengths[lo]), int(starts[lo])
-            maxima[lo:hi] = H.data[s : s + (hi - lo) * n].reshape(hi - lo, n, h).max(axis=1)
-        return H.tape.leaf(maxima)
     # np.argmax returns the first (lowest) maximizer
     winners = np.stack([H.data[s : s + n].argmax(axis=0) for s, n in zip(starts.tolist(), lengths.tolist())])
     winners += starts[:, None]
-    cols = np.arange(h)
+    cols = np.arange(H.data.shape[1])
     out = H.tape.leaf(H.data[winners, cols])
 
     def back():
@@ -307,22 +303,23 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
     return out
 
 
-def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor:
-    """affine(embed_windows(E, idx_win), W, b), computed through the distinct
-    tokens of idx_win.
+# The convolution's forward fills its output a block of window rows at a
+# time: at most CONV_BLOCK_ROWS rows and CONV_BLOCK_VALUES values, so at
+# paper width (h = 300) a block and its scratch leave room in a 2 MB
+# second-level cache for the projections they gather from.
+CONV_BLOCK_ROWS = 256
+CONV_BLOCK_VALUES = 128 * 300
 
-    A window row is its l embedding rows side by side, so x W^T is
-    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
-    the U distinct tokens is projected once per slot, Q[u*l + j] =
-    E[u] W_j^T, and an incidence matrix A ([n, U*l], a single 1 per window
-    slot) adds up each window's l projections: y = A Q + b. In the encoder's
-    windows every id is some position's own token or padding, so U <= n + 1
-    and the projection GEMM has at most one row more than the window GEMM
-    ([n, l*d] by [l*d, h]) it replaces. Backward reverses the
-    factorisation: A^T gathers the output gradient per (token, slot), then
-    one GEMM gives dW and one the touched rows of dE. Results agree with the
-    window GEMM to rounding, not bit for bit, as the summation order differs.
-    """
+
+def _block_rows(h: int) -> int:
+    return min(CONV_BLOCK_ROWS, max(1, CONV_BLOCK_VALUES // h))
+
+
+def _conv_forward(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray):
+    """Check conv_windows' inputs and project the distinct tokens. Returns
+    the tape, slots [n, l] (the row of Q that each window slot reads),
+    uniq, E[uniq], M (W's slot blocks side by side), the output Z [n, h],
+    still empty, and fill(start, stop), which fills Z's rows start..stop-1."""
     tape = _same_tape(E, W, b)
     idx_win = np.asarray(idx_win)
     if idx_win.ndim < 2 or idx_win.shape[-1] < 1:
@@ -338,26 +335,70 @@ def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor
         raise NumericalError(
             f"conv_windows: token index out of range [0, {V}) (min {flat.min()}, max {flat.max()})"
         )
-    n = flat.size // l
     mark = np.zeros(V, dtype=bool)
     mark[flat] = True
     uniq = np.flatnonzero(mark)
     rank = np.empty(V, dtype=np.int64)
     rank[uniq] = np.arange(uniq.size)
-    A = scipy.sparse.csr_array(
-        (np.ones(flat.size), (rank[flat].reshape(n, l) * l + np.arange(l)).ravel(),
-         np.arange(0, flat.size + 1, l)),
-        shape=(n, uniq.size * l),
-    )
+    slots = rank[flat].reshape(-1, l) * l + np.arange(l)
     EU = E.data[uniq]
     M = W.data.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
-    y = A @ (EU @ M).reshape(-1, h)
-    y += b.data
-    out = tape.leaf(y)
+    Q = (EU @ M).reshape(-1, h)
+    n = slots.shape[0]
+    Z = np.empty((n, h))
+    ids = np.ascontiguousarray(slots.T)  # one contiguous run of Q rows per slot
+    block = _block_rows(h)
+    part = np.empty((min(n, block), h))
+
+    def fill(start: int, stop: int) -> None:
+        # Slot 0's projections are gathered straight into Z, each later
+        # slot's into part and added, then b: a CSR incidence product's
+        # additions, in its order, without the zero-filled output it starts
+        # from. mode="clip" skips the index check (the ids are checked
+        # above) and, unlike "raise", writes into out without a buffer.
+        for lo in range(start, stop, block):
+            m = min(block, stop - lo)
+            rows = Z[lo : lo + m]
+            np.take(Q, ids[0, lo : lo + m], axis=0, out=rows, mode="clip")
+            for slot in ids[1:, lo : lo + m]:
+                np.take(Q, slot, axis=0, out=part[:m], mode="clip")
+                rows += part[:m]
+            rows += b.data
+
+    return tape, slots, uniq, EU, M, Z, fill
+
+
+def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor:
+    """affine(embed_windows(E, idx_win), W, b), computed through the distinct
+    tokens of idx_win.
+
+    A window row is its l embedding rows side by side, so x W^T is
+    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
+    the U distinct tokens is projected once per slot, Q[u*l + j] =
+    E[u] W_j^T, by one GEMM. The forward then fills the output a block of
+    rows at a time, in numpy: each window's l projections are gathered and
+    added in slot order, then b. In
+    the encoder's windows every id is some position's own token or padding,
+    so U <= n + 1 and the projection GEMM has at most one row more than the
+    window GEMM ([n, l*d] by [l*d, h]) it replaces. Backward reverses the
+    factorisation: the transposed incidence matrix A^T ([U*l, n], a single
+    1 per window slot, built only there, with scipy.sparse) gathers the
+    output gradient per (token, slot), then one GEMM gives dW and one the
+    touched rows of dE. Results agree with the window GEMM to rounding, not
+    bit for bit, as the summation order differs.
+    """
+    tape, slots, uniq, EU, M, Z, fill = _conv_forward(E, W, b, idx_win)
+    (n, h), l, d = Z.shape, slots.shape[1], E.data.shape[1]
+    fill(0, n)
+    out = tape.leaf(Z)
 
     def back():
+        import scipy.sparse  # here, not with the module: scoring never runs a backward
+
         g = out.grad
-        G = (A.T @ g).reshape(-1, l * h)
+        AT = scipy.sparse.csc_array((np.ones(slots.size), slots.reshape(-1), np.arange(0, slots.size + 1, l)),
+                                    shape=(uniq.size * l, n))
+        G = (AT @ g).reshape(-1, l * h)
         accumulate(W, (EU.T @ G).reshape(d, l, h).transpose(2, 1, 0).reshape(h, l * d))
         accumulate(b, g.sum(axis=0))
         dE = np.zeros_like(E.data)
@@ -366,6 +407,44 @@ def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor
 
     tape.record(back)
     return out
+
+
+def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray,
+                  lengths: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The convolution of packed windows and its per-document maxima:
+    Z = conv_windows(E, W, b, idx_win) and max_over_time_batch(Z, lengths).
+
+    A recording tape runs exactly those two ops. A NoGradTape has no
+    backward to route, so it pools each block of Z as soon as it is filled,
+    while the block is in cache. A block is whole documents of at most
+    _block_rows(h) rows, or one longer document alone, and each run of k
+    consecutive documents of one length L inside it is one [k, L, h] view,
+    reduced by max over its middle axis. Max selects a value without
+    rounding it, so the maxima are bit-equal to the gathered ones, and a NaN
+    row still gives its document a NaN maximum. Callers that sort a batch
+    by length make these runs longest. Z is returned either way.
+    """
+    if not isinstance(E.tape, NoGradTape):
+        Z = conv_windows(E, W, b, idx_win)
+        return Z, max_over_time_batch(Z, lengths)
+    tape, slots, _, _, _, Z, fill = _conv_forward(E, W, b, idx_win)
+    lens = _packed_lengths(lengths, slots.shape, "conv_max_pool", "windows").tolist()
+    n_docs, h = len(lens), Z.shape[1]
+    block = _block_rows(h)
+    maxima = np.empty((n_docs, h))
+    lo = start = 0
+    while lo < n_docs:
+        # the block: documents lo..hi-1, rows start..stop-1
+        hi, stop = lo + 1, start + lens[lo]
+        while hi < n_docs and stop + lens[hi] - start <= block:
+            stop += lens[hi]
+            hi += 1
+        fill(start, stop)
+        for L, run in groupby(lens[lo:hi]):
+            k = len(list(run))
+            np.max(Z[start : start + k * L].reshape(k, L, h), axis=1, out=maxima[lo : lo + k])
+            lo, start = lo + k, start + k * L
+    return tape.leaf(Z), tape.leaf(maxima)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -15,15 +15,18 @@ Z when first read.
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
 document-major order, so the convolution never touches a padding position,
-and max-over-time pools each document's contiguous segment of rows; a
-forward-only pass (NoGradTape) takes only the maxima, one reduction per run
-of consecutive equal-length documents, and a training pass also the winning
-rows its backward writes to. Padding ids still fill the window slots past a
-document's edges ("same" padding). The convolution runs through the batch's
-distinct tokens (autodiff.conv_windows): each token is projected once per
-window slot by one GEMM, and each window's output is the sum of its l slot
-projections, so the GEMM grows with the distinct tokens of a batch, not with
-its windows.
+and max-over-time pools each document's contiguous segment of rows. Padding
+ids still fill the window slots past a document's edges ("same" padding).
+The convolution runs through the batch's distinct tokens
+(autodiff.conv_max_pool): each token is projected once per window slot by
+one GEMM, so the GEMM grows with the distinct tokens of a batch, not with
+its windows, and each window's output is the sum of its l slot projections,
+added up in numpy a block of rows at a time (autodiff.CONV_BLOCK_ROWS). A
+training pass pools with the winning rows its backward writes to; a
+forward-only pass (NoGradTape) pools each block as soon as it is made,
+taking only the maxima, one reduction per run of consecutive equal-length
+documents. Scoring therefore runs on numpy alone; scipy.sparse is loaded by
+the first training backward.
 """
 
 from __future__ import annotations
@@ -167,8 +170,8 @@ def encode_batch(
     valid = np.arange(P) < lengths[:, None]
     # ids past a document's length read as padding, so its windows see only its own tokens
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
-    Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)  # [n_valid, h]
-    xi = ad.dropout(ad.relu(ad.max_over_time_batch(Z, lengths)), dropout_rate, training, rng)
+    Z, pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [n_valid, h], [B, h]
+    xi = ad.dropout(ad.relu(pooled), dropout_rate, training, rng)
     return EncodedBatch(xi=xi, Z=Z, idx_win=idx_win)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import textda.autodiff as ad
 from textda.data import PAD_INDEX
-from textda.errors import NumericalError
+from textda.errors import NumericalError, ShapeError
 from textda.losses import source_cross_entropy
 from textda.model import ModelParams, build_windows, classify, encode_batch, forward_eval, init_params
 from textda.rng import named_rng
@@ -204,3 +204,116 @@ def test_forward_eval_frees_the_pre_activations_with_its_encoding():
         assert all(probe() is None for probe in probes)
     finally:
         gc.enable()
+
+
+def _windows(mat, lengths, window=WINDOW):
+    valid = np.arange(mat.shape[1]) < lengths[:, None]
+    return build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]
+
+
+def _batch(lengths, seed=0):
+    """Documents of the given lengths, of random non-padding ids."""
+    lengths = np.array(lengths)
+    rng = named_rng(seed, "batch")
+    mat = np.full((len(lengths), lengths.max()), PAD_INDEX, dtype=np.int64)
+    for k, n in enumerate(lengths):
+        mat[k, :n] = rng.integers(1, V, size=n)
+    return mat, lengths
+
+
+BLOCK_CASES = {
+    # a run of 100 documents of length 7 over three blocks
+    "equal-run-over-blocks": [2, 2] + [7] * 100 + [3],
+    "longer-than-a-block": [4, 300, 1, 6],
+    "max-doc-len": [400],  # data.max_doc_len's default
+    "all-distinct": [9, 1, 30, 2, 17, 40, 5, 3, 60, 11, 25],
+    "single": [5],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_forward_only_blocks_match_the_recording_path_bit_for_bit(case):
+    assert max(BLOCK_CASES["longer-than-a-block"]) > ad.CONV_BLOCK_ROWS
+    params = _tie_params()
+    params.b[1] = -10.0  # filter 1 is ReLU-dead at every position
+    mat, lengths = _batch(BLOCK_CASES[case])
+    if lengths[-1] >= 7:
+        mat[-1, :7] = [*TRIGRAM, 9, *TRIGRAM]  # a positive tie: the trigram twice, apart
+    idx_win = _windows(mat, lengths)
+    tape = ad.Tape()
+    leaves = params.leaves(tape)
+    Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
+    maxima = ad.max_over_time_batch(Z, lengths)
+    want_probs = ad.softmax(classify(tape, leaves, ad.relu(maxima))).data
+
+    no_grad = ad.NoGradTape()
+    fast = params.leaves(no_grad)
+    Z_fast, maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
+    probs, enc = forward_eval(params, mat, lengths)
+    assert np.array_equal(Z_fast.data, Z.data) and np.array_equal(enc.Z.data, Z.data)
+    assert np.array_equal(maxima_fast.data, maxima.data)
+    assert np.array_equal(probs, want_probs)
+    assert no_grad._steps == []
+    assert not enc.xi.data[:, 1].any()
+    if lengths[-1] >= 7:
+        assert enc.xi.data[-1, 0] > 1.0
+
+
+def test_forward_only_blocks_of_wide_filters_match_the_recording_path_bit_for_bit():
+    hidden = 300  # paper width: blocks hold fewer than CONV_BLOCK_ROWS rows
+    assert ad._block_rows(hidden) < ad.CONV_BLOCK_ROWS
+    params = init_params(named_rng(0, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
+                         window=WINDOW, hidden=hidden, n_classes=3, rng=named_rng(0, "init"))
+    mat, lengths = _batch([2] + [7] * 60 + [300, 5])
+    idx_win = _windows(mat, lengths)
+    tape = ad.Tape()
+    leaves = params.leaves(tape)
+    Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
+    maxima = ad.max_over_time_batch(Z, lengths)
+    want_probs = ad.softmax(classify(tape, leaves, ad.relu(maxima))).data
+    fast = params.leaves(ad.NoGradTape())
+    Z_fast, maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
+    assert np.array_equal(Z_fast.data, Z.data)
+    assert np.array_equal(maxima_fast.data, maxima.data)
+    assert np.array_equal(forward_eval(params, mat, lengths)[0], want_probs)
+
+
+def test_forward_eval_names_a_nan_row_past_the_first_block():
+    params = _params()
+    params.E[V - 1] = np.nan
+    mat, lengths = _batch([7] * 100)
+    mat[mat == V - 1] = 1
+    mat[80, 3] = V - 1  # document 80 alone reads the NaN row, in the third block
+    with pytest.raises(NumericalError, match="batch row 80 are not finite"):
+        forward_eval(params, mat, lengths)
+
+
+def test_forward_only_encode_checks_ids_and_lengths_as_the_recording_path_does():
+    params = _params()
+    idx_win = np.array([[0, 1, 2], [1, 2, V]])
+    errors = []
+    for tape in (ad.Tape(), ad.NoGradTape()):
+        leaves = params.leaves(tape)
+        with pytest.raises(NumericalError, match="token index out of range") as err:
+            ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, np.array([2]))
+        errors.append(str(err.value))
+        with pytest.raises(ShapeError, match="does not hold 3 packed rows"):
+            ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win.clip(0, V - 1), np.array([1, 2]))
+        with pytest.raises(ShapeError, match="bad lengths"):
+            ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win.clip(0, V - 1), np.array([0, 2]))
+    assert errors[0] == errors[1]
+
+
+def test_a_forward_only_encode_still_applies_training_dropout():
+    params = _params()
+    mat, lengths = _ragged_batch()
+    xi = []
+    for tape in (ad.Tape(), ad.NoGradTape()):
+        enc = encode_batch(tape, params.leaves(tape), mat, lengths, dropout_rate=0.5, training=True,
+                           rng=named_rng(4, "dropout"))
+        xi.append(enc.xi.data)
+    plain = forward_eval(params, mat, lengths)[1].xi.data
+    kept = xi[1] != 0.0
+    assert np.array_equal(xi[0], xi[1])
+    assert np.array_equal(xi[1][kept], 2.0 * plain[kept])
+    assert (plain[~kept] != 0.0).any()  # some positive features were dropped
