@@ -6,9 +6,14 @@ tensor's .grad buffer, and drops each once it has run, so a consumed tape
 holds no reference cycle and its tensors are freed by reference counting.
 A gradient buffer is allocated on first accumulation, taking over the fresh
 array the closure hands in. NoGradTape records nothing, for forward-only
-passes. Everything is float64. The op set is exactly what the classifier
-and its losses need, each backward hand-derived and covered by grad_check
-(central finite differences) in the test suite.
+passes. Everything is float64. The op set is what the classifier and its
+losses need, each backward hand-derived and covered by grad_check (central
+finite differences) in the test suite. The encoder's convolution and
+max-over-time pooling are one op, conv_max_pool, which holds no array of
+every window position on either tape and whose backward goes through the
+winning windows only. embed_windows and max_over_time_batch, the unfused
+steps, have no caller in the package; they stay because the benchmark's
+tracer (perfbench/tracer.py) wraps them by name.
 
 Conventions fixed here and relied on elsewhere:
   relu subgradient at 0 is 0; max pooling breaks ties toward the lowest
@@ -38,11 +43,9 @@ __all__ = [
     "l1_normalize",
     "batch_mean",
     "embed_windows",
-    "conv_windows",
+    "conv_rows",
     "conv_max_pool",
     "add",
-    "mul",
-    "vsum",
     "scale",
     "grad_check",
     "GradCheckReport",
@@ -198,8 +201,9 @@ def max_over_time_batch(H: Tensor, lengths: np.ndarray) -> Tensor:
     document k owns the lengths[k] rows from the sum of the earlier lengths.
     One argmax over each document's rows gives each filter's winning row,
     the lowest on ties, the maxima are gathered there and the backward
-    writes to the winning rows. The encoder's forward-only passes pool
-    inside conv_max_pool instead, as each block of rows is made.
+    writes to the winning rows. The encoder pools inside conv_max_pool
+    instead; this op stays for the benchmark's tracer, which wraps it by
+    name, and as the tests' unfused reference.
     """
     lengths = _packed_lengths(lengths, H.data.shape, "max_over_time_batch", "H")
     starts = np.cumsum(lengths) - lengths
@@ -282,7 +286,9 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
     row the concatenation of the l embedding vectors of one window, in the
     row-major order of idx_win's leading axes. Backward sums the rows'
     gradients per (token, column) with one bincount, so repeated tokens
-    accumulate correctly.
+    accumulate correctly. The encoder projects distinct tokens instead
+    (conv_max_pool); this op stays for the benchmark's tracer, which wraps
+    it by name, and as the tests' oracle for the window rows.
     """
     idx_win = np.asarray(idx_win)
     if idx_win.ndim < 2:
@@ -303,10 +309,10 @@ def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
     return out
 
 
-# The convolution's forward fills its output a block of window rows at a
-# time: at most CONV_BLOCK_ROWS rows and CONV_BLOCK_VALUES values, so at
-# paper width (h = 300) a block and its scratch leave room in a 2 MB
-# second-level cache for the projections they gather from.
+# The convolution's forward fills a block of window rows at a time: at most
+# CONV_BLOCK_ROWS rows and CONV_BLOCK_VALUES values, so at paper width
+# (h = 300) a block and its scratch leave room in a 2 MB second-level cache
+# for the projections they gather from.
 CONV_BLOCK_ROWS = 256
 CONV_BLOCK_VALUES = 128 * 300
 
@@ -315,123 +321,104 @@ def _block_rows(h: int) -> int:
     return min(CONV_BLOCK_ROWS, max(1, CONV_BLOCK_VALUES // h))
 
 
-def _conv_forward(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray):
-    """Check conv_windows' inputs and project the distinct tokens. Returns
-    the tape, slots [n, l] (the row of Q that each window slot reads),
-    uniq, E[uniq], M (W's slot blocks side by side), the output Z [n, h],
-    still empty, and fill(start, stop), which fills Z's rows start..stop-1."""
-    tape = _same_tape(E, W, b)
+def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray, op: str):
+    """Check the convolution's inputs and project the distinct tokens.
+
+    A window row is its l embedding rows side by side, so x W^T is
+    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
+    the U distinct tokens is projected once per slot, Q[u*l + j] =
+    E[u] W_j^T, by one GEMM. In the encoder's windows every id is some
+    position's own token or padding, so U <= n + 1. Returns slots [n, l]
+    (the row of Q that each window slot reads), uniq, E[uniq], M (W's slot
+    blocks side by side) and fill(out, start, stop), which writes the
+    pre-activations of window rows start..stop-1 into out.
+    """
     idx_win = np.asarray(idx_win)
     if idx_win.ndim < 2 or idx_win.shape[-1] < 1:
-        raise ShapeError(f"conv_windows: window index array must be [..., l], got shape {idx_win.shape}")
-    V, d = E.data.shape
+        raise ShapeError(f"{op}: window index array must be [..., l], got shape {idx_win.shape}")
+    V, d = E.shape
     l = idx_win.shape[-1]
-    if W.data.ndim != 2 or b.data.ndim != 1 or W.data.shape != (b.data.shape[0], l * d):
-        raise ShapeError(f"conv_windows: W {W.data.shape} and b {b.data.shape} do not fit "
-                         f"windows of {l} rows of E {E.data.shape}")
-    h = W.data.shape[0]
+    if W.ndim != 2 or b.ndim != 1 or W.shape != (b.shape[0], l * d):
+        raise ShapeError(f"{op}: W {W.shape} and b {b.shape} do not fit windows of {l} rows of E {E.shape}")
+    h = W.shape[0]
     flat = idx_win.reshape(-1)
     if flat.size and (flat.min() < 0 or flat.max() >= V):
-        raise NumericalError(
-            f"conv_windows: token index out of range [0, {V}) (min {flat.min()}, max {flat.max()})"
-        )
+        raise NumericalError(f"{op}: token index out of range [0, {V}) (min {flat.min()}, max {flat.max()})")
     mark = np.zeros(V, dtype=bool)
     mark[flat] = True
     uniq = np.flatnonzero(mark)
     rank = np.empty(V, dtype=np.int64)
     rank[uniq] = np.arange(uniq.size)
     slots = rank[flat].reshape(-1, l) * l + np.arange(l)
-    EU = E.data[uniq]
-    M = W.data.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
+    EU = E[uniq]
+    M = W.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
     Q = (EU @ M).reshape(-1, h)
-    n = slots.shape[0]
-    Z = np.empty((n, h))
     ids = np.ascontiguousarray(slots.T)  # one contiguous run of Q rows per slot
     block = _block_rows(h)
-    part = np.empty((min(n, block), h))
+    part = np.empty((min(slots.shape[0], block), h))
 
-    def fill(start: int, stop: int) -> None:
-        # Slot 0's projections are gathered straight into Z, each later
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        # Slot 0's projections are gathered straight into out, each later
         # slot's into part and added, then b: a CSR incidence product's
         # additions, in its order, without the zero-filled output it starts
         # from. mode="clip" skips the index check (the ids are checked
         # above) and, unlike "raise", writes into out without a buffer.
         for lo in range(start, stop, block):
             m = min(block, stop - lo)
-            rows = Z[lo : lo + m]
+            rows = out[lo - start : lo - start + m]
             np.take(Q, ids[0, lo : lo + m], axis=0, out=rows, mode="clip")
             for slot in ids[1:, lo : lo + m]:
                 np.take(Q, slot, axis=0, out=part[:m], mode="clip")
                 rows += part[:m]
-            rows += b.data
+            rows += b
 
-    return tape, slots, uniq, EU, M, Z, fill
+    return slots, uniq, EU, M, fill
 
 
-def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor:
-    """affine(embed_windows(E, idx_win), W, b), computed through the distinct
-    tokens of idx_win.
+def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray) -> np.ndarray:
+    """The pre-activations [n, h] of every window, x W^T + b, filled as
+    conv_max_pool fills its blocks, so bit-equal to the values it pools.
+    Plain arrays, no tape: for filter analysis, which reads every window."""
+    slots, _, _, _, fill = _conv_forward(E, W, b, idx_win, "conv_rows")
+    Z = np.empty((slots.shape[0], W.shape[0]))
+    fill(Z, 0, Z.shape[0])
+    return Z
 
-    A window row is its l embedding rows side by side, so x W^T is
-    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
-    the U distinct tokens is projected once per slot, Q[u*l + j] =
-    E[u] W_j^T, by one GEMM. The forward then fills the output a block of
-    rows at a time, in numpy: each window's l projections are gathered and
-    added in slot order, then b. In
-    the encoder's windows every id is some position's own token or padding,
-    so U <= n + 1 and the projection GEMM has at most one row more than the
-    window GEMM ([n, l*d] by [l*d, h]) it replaces. Backward reverses the
-    factorisation: the transposed incidence matrix A^T ([U*l, n], a single
-    1 per window slot, built only there, with scipy.sparse) gathers the
-    output gradient per (token, slot), then one GEMM gives dW and one the
-    touched rows of dE. Results agree with the window GEMM to rounding, not
-    bit for bit, as the summation order differs.
+
+def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """Per-document column maxima [n_docs, h] of the convolution of packed
+    windows, max_over_time_batch(affine(embed_windows(E, idx_win), W, b),
+    lengths), holding no [n, h] array on either tape.
+
+    The forward fills one reused buffer a block at a time (_conv_forward)
+    and pools each block while it is in cache; a block is whole documents
+    of at most _block_rows(h) rows, or one longer document alone. A
+    NoGradTape takes one max per run of k equal-length documents, over a
+    [k, L, h] view (callers that sort a batch by length make runs longest);
+    a recording tape takes one argmax per document, the lowest row on ties,
+    and gathers the maxima there. Max selects without rounding, so both
+    tapes give the same bits, and a NaN row gives its document a NaN maximum.
+
+    The backward goes through the winning windows only: one bincount of the
+    maxima's gradient gv sums, in document order, G[u, j*h + f] over the
+    documents whose winning window for filter f reads token u in slot j;
+    then one GEMM gives dW, one the touched rows of dE, and db = gv.sum(0).
+    These are the nonzero terms of the incidence product over all n rows,
+    in its order, so the bits are the same.
     """
-    tape, slots, uniq, EU, M, Z, fill = _conv_forward(E, W, b, idx_win)
-    (n, h), l, d = Z.shape, slots.shape[1], E.data.shape[1]
-    fill(0, n)
-    out = tape.leaf(Z)
-
-    def back():
-        import scipy.sparse  # here, not with the module: scoring never runs a backward
-
-        g = out.grad
-        AT = scipy.sparse.csc_array((np.ones(slots.size), slots.reshape(-1), np.arange(0, slots.size + 1, l)),
-                                    shape=(uniq.size * l, n))
-        G = (AT @ g).reshape(-1, l * h)
-        accumulate(W, (EU.T @ G).reshape(d, l, h).transpose(2, 1, 0).reshape(h, l * d))
-        accumulate(b, g.sum(axis=0))
-        dE = np.zeros_like(E.data)
-        dE[uniq] = G @ M.T
-        accumulate(E, dE)
-
-    tape.record(back)
-    return out
-
-
-def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray,
-                  lengths: np.ndarray) -> tuple[Tensor, Tensor]:
-    """The convolution of packed windows and its per-document maxima:
-    Z = conv_windows(E, W, b, idx_win) and max_over_time_batch(Z, lengths).
-
-    A recording tape runs exactly those two ops. A NoGradTape has no
-    backward to route, so it pools each block of Z as soon as it is filled,
-    while the block is in cache. A block is whole documents of at most
-    _block_rows(h) rows, or one longer document alone, and each run of k
-    consecutive documents of one length L inside it is one [k, L, h] view,
-    reduced by max over its middle axis. Max selects a value without
-    rounding it, so the maxima are bit-equal to the gathered ones, and a NaN
-    row still gives its document a NaN maximum. Callers that sort a batch
-    by length make these runs longest. Z is returned either way.
-    """
-    if not isinstance(E.tape, NoGradTape):
-        Z = conv_windows(E, W, b, idx_win)
-        return Z, max_over_time_batch(Z, lengths)
-    tape, slots, _, _, _, Z, fill = _conv_forward(E, W, b, idx_win)
-    lens = _packed_lengths(lengths, slots.shape, "conv_max_pool", "windows").tolist()
-    n_docs, h = len(lens), Z.shape[1]
+    tape = _same_tape(E, W, b)
+    slots, uniq, EU, M, fill = _conv_forward(E.data, W.data, b.data, idx_win, "conv_max_pool")
+    lens = _packed_lengths(lengths, slots.shape, "conv_max_pool", "windows")
+    starts = np.cumsum(lens) - lens
+    lens = lens.tolist()
+    n_docs, h = len(lens), W.data.shape[0]
     block = _block_rows(h)
+    buf = np.empty((min(slots.shape[0], max(block, max(lens))), h))
     maxima = np.empty((n_docs, h))
+    record = not isinstance(tape, NoGradTape)
+    if record:
+        winners = np.empty((n_docs, h), dtype=np.int64)  # each filter's winning row per document
+        cols = np.arange(h)
     lo = start = 0
     while lo < n_docs:
         # the block: documents lo..hi-1, rows start..stop-1
@@ -439,12 +426,41 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray,
         while hi < n_docs and stop + lens[hi] - start <= block:
             stop += lens[hi]
             hi += 1
-        fill(start, stop)
-        for L, run in groupby(lens[lo:hi]):
-            k = len(list(run))
-            np.max(Z[start : start + k * L].reshape(k, L, h), axis=1, out=maxima[lo : lo + k])
-            lo, start = lo + k, start + k * L
-    return tape.leaf(Z), tape.leaf(maxima)
+        rows = buf[: stop - start]
+        fill(rows, start, stop)
+        if record:
+            first = starts[lo:hi] - start
+            # np.argmax returns the first (lowest) maximizer
+            win = np.stack([rows[s : s + n].argmax(axis=0) for s, n in zip(first.tolist(), lens[lo:hi])])
+            win += first[:, None]
+            maxima[lo:hi] = rows[win, cols]
+            np.add(win, start, out=winners[lo:hi])
+        else:
+            doc, s = lo, 0
+            for L, run in groupby(lens[lo:hi]):
+                k = len(list(run))
+                np.max(rows[s : s + k * L].reshape(k, L, h), axis=1, out=maxima[doc : doc + k])
+                doc, s = doc + k, s + k * L
+        lo, start = hi, stop
+    out = tape.leaf(maxima)
+    if not record:
+        return out
+
+    def back():
+        gv = out.grad
+        l, d = slots.shape[1], E.data.shape[1]
+        # bin (u*l + j)*h + f: token u in slot j of filter f's winning window
+        bins = slots[winners] * h + cols[:, None]  # [n_docs, h, l]
+        G = np.bincount(bins.ravel(), weights=np.repeat(gv.ravel(), l),
+                        minlength=uniq.size * l * h).reshape(-1, l * h)
+        accumulate(W, (EU.T @ G).reshape(d, l, h).transpose(2, 1, 0).reshape(h, l * d))
+        accumulate(b, gv.sum(axis=0))
+        dE = np.zeros_like(E.data)
+        dE[uniq] = G @ M.T
+        accumulate(E, dE)
+
+    tape.record(back)
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -458,32 +474,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         accumulate(b, out.grad.copy())
 
     tape.record(back)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out = tape.leaf(a.data * b.data)
-
-    def back():
-        accumulate(a, out.grad * b.data)
-        accumulate(b, out.grad * a.data)
-
-    tape.record(back)
-    return out
-
-
-def vsum(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar."""
-    out = x.tape.leaf(float(x.data.sum()))
-
-    def back():
-        accumulate(x, np.full(x.data.shape, out.grad))
-
-    x.tape.record(back)
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .data import LABELS, PAD_INDEX, UNK_INDEX, Corpus, Vocab, pad_batch
 from .ensemble import predict_all
 from .errors import ConfigError, DataError
-from .model import ModelParams, forward_eval
+from .model import ModelParams, window_activations
 
 __all__ = [
     "accuracy",
@@ -281,11 +281,11 @@ def filter_analysis(
         for start in range(0, len(enc), eval_batch):
             idx = np.arange(start, min(start + eval_batch, len(enc)))
             mat, lengths = pad_batch(enc, idx)
-            _, details = forward_eval(params, mat, lengths)
-            triples = [tuple(_token_name(vocab, w) for w in win) for win in details.idx_win.tolist()]
+            idx_win, H = window_activations(params, mat, lengths)
+            triples = [tuple(_token_name(vocab, w) for w in win) for win in idx_win.tolist()]
             for j in wanted:
                 table = best[j]
-                for triple, act in zip(triples, details.H.data[:, j].tolist()):
+                for triple, act in zip(triples, H[:, j].tolist()):
                     got = table.get(triple)
                     if got is None:
                         table[triple] = (act, {corpus.domain})

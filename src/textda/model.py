@@ -7,33 +7,28 @@ it is monotone and selects without rounding, so relu(max z) == max relu(z)
 bit for bit, and the ReLU and its backward touch [B, h] instead of
 [n_valid, h]. classify: the logit head F_w xi + F_b, which the losses take
 directly; only forward_eval applies the softmax, to report class
-probabilities. The encoding also keeps every position's pre-activations Z
-and window ids idx_win; the post-ReLU activations H, from which filter
-analysis traces filters back to the trigrams that fire them, are found from
-Z when first read.
+probabilities. The encoding keeps xi and the window ids idx_win, not the
+per-position activations: filter analysis, which traces filters back to
+the trigrams that fire them, gets those from window_activations.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
 document-major order, so the convolution never touches a padding position,
 and max-over-time pools each document's contiguous segment of rows. Padding
 ids still fill the window slots past a document's edges ("same" padding).
-The convolution runs through the batch's distinct tokens
-(autodiff.conv_max_pool): each token is projected once per window slot by
-one GEMM, so the GEMM grows with the distinct tokens of a batch, not with
-its windows, and each window's output is the sum of its l slot projections,
-added up in numpy a block of rows at a time (autodiff.CONV_BLOCK_ROWS). A
-training pass pools with the winning rows its backward writes to; a
-forward-only pass (NoGradTape) pools each block as soon as it is made,
-taking only the maxima, one reduction per run of consecutive equal-length
-documents. Scoring therefore runs on numpy alone; scipy.sparse is loaded by
-the first training backward.
+The convolution and the pooling are one op (autodiff.conv_max_pool), which
+projects each distinct token of the batch once per window slot by one GEMM,
+adds up each window's l slot projections a block of rows at a time and
+pools each block while it is in cache, so no [n_valid, h] array is built on
+either tape. A training pass keeps each document's winning rows, and its
+backward goes through those windows only. Training and scoring run on
+numpy alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +45,7 @@ __all__ = [
     "encode_batch",
     "classify",
     "forward_eval",
+    "window_activations",
     "apply_max_norm",
     "save_checkpoint",
     "load_checkpoint",
@@ -146,14 +142,14 @@ def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
 @dataclass
 class EncodedBatch:
     xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout in training)
-    Z: ad.Tensor             # [n_valid, h] pre-activations, valid positions only
-    idx_win: np.ndarray      # [n_valid, l] token indices of those positions' windows
+    idx_win: np.ndarray      # [n_valid, l] token indices of the valid positions' windows
 
-    @cached_property
-    def H(self) -> ad.Tensor:
-        """[n_valid, h] post-ReLU activations, computed from Z on first read;
-        a leaf of Z's tape, so no gradient flows through it."""
-        return self.Z.tape.leaf(np.maximum(self.Z.data, 0.0))
+
+def _packed_windows(mat: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
+    """The windows [n_valid, l] of each document's own positions, document-major."""
+    valid = np.arange(mat.shape[1]) < lengths[:, None]
+    # ids past a document's length read as padding, so its windows see only its own tokens
+    return build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]
 
 
 def encode_batch(
@@ -165,14 +161,10 @@ def encode_batch(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
-    P = mat.shape[1]
-    window = leaves["W"].data.shape[1] // leaves["E"].data.shape[1]
-    valid = np.arange(P) < lengths[:, None]
-    # ids past a document's length read as padding, so its windows see only its own tokens
-    idx_win = build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]  # [n_valid, l]
-    Z, pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [n_valid, h], [B, h]
+    idx_win = _packed_windows(mat, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
+    pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [B, h]
     xi = ad.dropout(ad.relu(pooled), dropout_rate, training, rng)
-    return EncodedBatch(xi=xi, Z=Z, idx_win=idx_win)
+    return EncodedBatch(xi=xi, idx_win=idx_win)
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
@@ -182,11 +174,11 @@ def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.T
 
 def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
     """Deterministic eval-mode forward pass (dropout off); returns the class
-    probabilities as a plain array plus the encoding details. Its tape
-    records nothing: the pass cannot be differentiated, pooling takes only
-    the maxima, and H is computed only if read. A row depends
-    on its batch mates only through the batch's set of distinct tokens, so
-    reordering a batch's documents leaves every row's bits as they were. Raises
+    probabilities as a plain array plus the encoding. Its tape records
+    nothing: the pass cannot be differentiated and pooling keeps only the
+    maxima. A row depends on its batch mates only through the batch's set
+    of distinct tokens, so reordering a batch's documents leaves every
+    row's bits as they were. Raises
     NumericalError naming the first row whose probabilities are not finite
     (finite but huge parameters overflow), since argmax reads a NaN row as
     class 0."""
@@ -199,6 +191,21 @@ def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> t
         raise NumericalError(f"forward_eval: class probabilities of batch row {bad[0]} are not finite "
                              f"({bad.size} of {len(probs)} rows)")
     return probs, enc
+
+
+def window_activations(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The window ids [n_valid, l] of every valid position and its post-ReLU
+    activations [n_valid, h], bit-equal to the values the encoder pools.
+    The one [n_valid, h] array the package builds, for filter analysis.
+    Raises NumericalError naming the first batch row with a non-finite
+    activation."""
+    idx_win = _packed_windows(mat, lengths, params.window)
+    H = np.maximum(ad.conv_rows(params.E, params.W, params.b, idx_win), 0.0)
+    bad = np.flatnonzero(~np.isfinite(H).all(axis=1))
+    if bad.size:
+        row = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))  # the packed row's document
+        raise NumericalError(f"window_activations: activations of batch row {row} are not finite")
+    return idx_win, H
 
 
 def apply_max_norm(rows: np.ndarray, max_norm: float) -> None:

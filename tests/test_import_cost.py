@@ -25,21 +25,28 @@ import numpy as np
 import textda, textda.cli
 from textda import autodiff as ad
 from textda.ensemble import predict_all
-from textda.model import forward_eval, init_params
+from textda.losses import source_cross_entropy
+from textda.model import classify, encode_batch, forward_eval, init_params
+from textda.trainer import RMSProp
 
 rng = np.random.default_rng(0)
 params = init_params(rng.normal(size=(9, 4)), window=3, hidden=5, n_classes=3, rng=rng)
-forward_eval(params, np.array([[1, 2, 3, 4], [5, 6, 0, 0]]), np.array([4, 2]))
+mat, lengths = np.array([[1, 2, 3, 4], [5, 6, 0, 0]]), np.array([4, 2])
+forward_eval(params, mat, lengths)
 predict_all(params, [[1, 2, 3], [4, 5], [6, 7, 8, 2]], eval_batch=2)
-assert 'scipy.sparse' not in sys.modules, 'scoring loaded scipy.sparse'
+before = params.W.copy()
 tape = ad.Tape()
 leaves = params.leaves(tape)
-Z = ad.conv_windows(leaves['E'], leaves['W'], leaves['b'], np.array([[0, 1, 2], [1, 2, 0]]))
-tape.backward(ad.vsum(ad.mul(Z, Z)))
-assert 'scipy.sparse' in sys.modules and leaves['W'].grad.any() and leaves['E'].grad[1:3].any()
+enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.5, training=True, rng=rng)
+tape.backward(source_cross_entropy(np.eye(3)[[0, 2]], classify(tape, leaves, enc.xi)))
+assert leaves['W'].grad.any() and leaves['E'].grad[1:7].any()
+RMSProp(params.arrays(), lr=1e-3).step(params.arrays(), {name: leaf.grad for name, leaf in leaves.items()})
+assert not np.array_equal(params.W, before)
+assert not [name for name in sys.modules if name.startswith('scipy.sparse')], 'scipy.sparse loaded'
 """
 
 
-def test_scoring_runs_without_scipy_sparse_and_a_backward_still_loads_it():
-    # scipy.sparse takes about 0.2 s to import and only the convolution's backward uses it
+def test_scoring_and_a_training_step_run_without_scipy_sparse():
+    # scipy.sparse takes about 0.2 s and 22 MB to import, and neither the
+    # encoder's forward nor its backward needs it
     _run_fresh(SCORE_THEN_TRAIN)

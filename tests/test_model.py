@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import textda.autodiff as ad
+from reference_ops import mul, vsum
 from textda.errors import ConfigError, DataError, NumericalError
 from textda.model import (
     ModelParams,
@@ -17,6 +18,7 @@ from textda.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    window_activations,
 )
 from textda.rng import named_rng
 
@@ -39,11 +41,23 @@ def _encode(params, mat, lengths):
     return encode_batch(tape, leaves, np.asarray(mat), np.asarray(lengths))
 
 
-def _winning_rows(enc):
-    """The rows of Z that the pooling backward of sum(xi) writes to, for the
-    toy's one filter."""
-    enc.xi.tape.backward(ad.vsum(enc.xi))
-    return np.flatnonzero(enc.Z.grad[:, 0])
+def _winning_rows(params, mat, lengths):
+    """The packed rows whose windows the backward of each document's feature
+    reaches, for the toy's one filter. With b = 0 and one scalar embedding
+    per token, document k's feature gives W the gradient x_r, the embeddings
+    of its winning window r side by side, so the rows whose x equal W's
+    gradient are the rows that gradient went through."""
+    rows = []
+    for k in range(len(lengths)):
+        tape = ad.Tape()
+        leaves = params.leaves(tape)
+        enc = encode_batch(tape, leaves, np.asarray(mat), np.asarray(lengths))
+        pick = np.zeros(enc.xi.shape)
+        pick[k] = 1.0
+        tape.backward(vsum(mul(enc.xi, tape.leaf(pick))))
+        windows = params.E[enc.idx_win, 0]  # [n_valid, l]
+        rows.extend(np.flatnonzero((windows == leaves["W"].grad[0]).all(axis=1)).tolist())
+    return rows
 
 
 # -------------------------------------------------------------------- windows
@@ -66,28 +80,33 @@ def test_build_windows_same_padding():
 def test_encode_hand_trace_a_b_c_b():
     # tokens a b c b -> window sums [0+1+2, 1+2+3, 2+3+2, 3+2+0] = [3, 6, 7, 5]
     enc = _encode(_toy_params(), [[2, 3, 4, 3]], [4])
-    assert np.allclose(enc.H.data.reshape(4), [3.0, 6.0, 7.0, 5.0])
+    _, H = window_activations(_toy_params(), np.array([[2, 3, 4, 3]]), np.array([4]))
+    assert np.allclose(H.reshape(4), [3.0, 6.0, 7.0, 5.0])
     assert enc.xi.data.item() == 7.0
-    assert np.array_equal(_winning_rows(enc), [2])
+    assert _winning_rows(_toy_params(), [[2, 3, 4, 3]], [4]) == [2]
 
 
 def test_encode_hand_trace_a_b_c_c():
     # tokens a b c c -> window sums [3, 6, 8, 6]; max 8 at position 2
     enc = _encode(_toy_params(), [[2, 3, 4, 4]], [4])
-    assert np.allclose(enc.H.data.reshape(4), [3.0, 6.0, 8.0, 6.0])
+    _, H = window_activations(_toy_params(), np.array([[2, 3, 4, 4]]), np.array([4]))
+    assert np.allclose(H.reshape(4), [3.0, 6.0, 8.0, 6.0])
     assert enc.xi.data.item() == 8.0
-    assert np.array_equal(_winning_rows(enc), [2])
+    assert _winning_rows(_toy_params(), [[2, 3, 4, 4]], [4]) == [2]
 
 
 def test_pooling_masks_padding_and_breaks_ties_low():
     # doc 2 is "b b" padded to length 4: positions 0 and 1 both activate 4
-    enc = _encode(_toy_params(), [[2, 3, 4, 3], [3, 3, 0, 0]], [4, 2])
+    mat, lengths = [[2, 3, 4, 3], [3, 3, 0, 0]], [4, 2]
+    enc = _encode(_toy_params(), mat, lengths)
     assert enc.xi.data[1].item() == 4.0
     # the padded positions are never convolved, so they cannot win the max
     assert enc.xi.data[0].item() == 7.0
-    assert enc.Z.shape == (6, 1)
+    idx_win, H = window_activations(_toy_params(), np.array(mat), np.array(lengths))
+    assert H.shape == (6, 1) and np.array_equal(idx_win, enc.idx_win)
+    assert H[4, 0] == H[5, 0] == 4.0
     # doc 1's gradient reaches its first position (row 4) only, not the tied row 5
-    assert np.array_equal(_winning_rows(enc), [2, 4])
+    assert _winning_rows(_toy_params(), mat, lengths) == [2, 4]
 
 
 def test_classify_rows_are_distributions():
@@ -112,7 +131,8 @@ def test_forward_eval_is_deterministic():
     p1, enc1 = forward_eval(params, mat, lengths)
     p2, enc2 = forward_eval(params, mat, lengths)
     assert np.array_equal(p1, p2)
-    assert np.array_equal(enc1.Z.data, enc2.Z.data)
+    assert np.array_equal(enc1.xi.data, enc2.xi.data)
+    assert np.array_equal(window_activations(params, mat, lengths)[1], window_activations(params, mat, lengths)[1])
     assert np.allclose(p1.sum(axis=1), 1.0)
 
 
@@ -272,8 +292,8 @@ def test_forward_eval_records_nothing_and_frees_its_encoding():
     try:
         probs, enc = forward_eval(params, mat, lengths)
         with pytest.raises(NumericalError):
-            enc.xi.tape.backward(ad.vsum(enc.xi))
-        probes = [weakref.ref(enc.xi), weakref.ref(enc.H)]
+            enc.xi.tape.backward(vsum(enc.xi))
+        probes = [weakref.ref(enc.xi), weakref.ref(enc.idx_win)]
         del enc
         assert all(probe() is None for probe in probes)
     finally:

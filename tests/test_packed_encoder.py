@@ -1,16 +1,26 @@
 """Packed encoder: only each document's own positions are convolved and pooled."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import textda.autodiff as ad
+from reference_ops import conv_windows, mul, vsum
 from textda.data import PAD_INDEX
 from textda.errors import NumericalError, ShapeError
 from textda.losses import source_cross_entropy
-from textda.model import ModelParams, build_windows, classify, encode_batch, forward_eval, init_params
+from textda.model import (
+    ModelParams,
+    build_windows,
+    classify,
+    encode_batch,
+    forward_eval,
+    init_params,
+    window_activations,
+)
 from textda.rng import named_rng
 
 V, D, HIDDEN, WINDOW = 12, 3, 5, 3
@@ -62,6 +72,16 @@ def _padded_reference(params: ModelParams, mat, lengths):
     return z / z.sum(axis=1, keepdims=True), masked.argmax(axis=1)
 
 
+def _dense_conv_grads(params: ModelParams, idx_win, g):
+    """E, W and b gradients of the window GEMM x W^T + b, x [n, l*d] being
+    each window's embedding rows side by side, for the output gradient g
+    [n, h]."""
+    n, l = idx_win.shape
+    dE = np.zeros_like(params.E)
+    np.add.at(dE, idx_win, (g @ params.W).reshape(n, l, -1))
+    return {"E": dE, "W": g.T @ params.E[idx_win].reshape(n, -1), "b": g.sum(axis=0)}
+
+
 def _loss_and_grads(params, mat, lengths):
     tape = ad.Tape()
     leaves = params.leaves(tape)
@@ -77,18 +97,20 @@ def test_forward_eval_matches_padded_reference_on_ragged_batch():
     probs, enc = forward_eval(params, mat, lengths)
     ref_probs, ref_arg = _padded_reference(params, mat, lengths)
     assert np.abs(probs - ref_probs).max() <= 1e-12
-    # on a recording tape the gradient of sum(xi) reaches the reference's
-    # winning row of every filter whose maximum is positive, and no other row
+    # on a recording tape the gradient of sum(xi) goes through the reference's
+    # winning window of every filter whose maximum is positive, and no other
     tape = ad.Tape()
-    rec = encode_batch(tape, params.leaves(tape), mat, lengths)
-    tape.backward(ad.vsum(rec.xi))
+    leaves = params.leaves(tape)
+    rec = encode_batch(tape, leaves, mat, lengths)
+    tape.backward(vsum(rec.xi))
     starts = np.cumsum(lengths) - lengths
-    want = np.zeros_like(rec.Z.data)
-    want[starts[:, None] + ref_arg, np.arange(HIDDEN)] = rec.xi.data > 0.0
-    assert np.array_equal(rec.Z.grad, want)
+    g = np.zeros((lengths.sum(), HIDDEN))
+    g[starts[:, None] + ref_arg, np.arange(HIDDEN)] = rec.xi.data > 0.0
+    for name, want in _dense_conv_grads(params, rec.idx_win, g).items():
+        assert np.abs(leaves[name].grad - want).max() <= 1e-12, name
     # the repeated trigram ties at a positive activation; the lower position wins
     assert enc.xi.data[1, 0] > 1.0 and ref_arg[1, 0] == 2
-    assert enc.H.data.shape == (lengths.sum(), HIDDEN)
+    assert window_activations(params, mat, lengths)[1].shape == (lengths.sum(), HIDDEN)
     assert enc.idx_win.shape == (lengths.sum(), WINDOW)
 
 
@@ -149,6 +171,8 @@ def test_forward_eval_still_rejects_a_nan_embedding():
     mat, lengths = _ragged_batch()
     with pytest.raises(NumericalError, match="batch row 1 are not finite"):
         forward_eval(params, mat, lengths)
+    with pytest.raises(NumericalError, match="batch row 1 are not finite"):
+        window_activations(params, mat, lengths)
 
 
 def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
@@ -156,7 +180,7 @@ def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
     every valid position, max_over_time_batch, dropout."""
     valid = np.arange(mat.shape[1]) < lengths[:, None]
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), WINDOW)[valid]
-    H = ad.relu(ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))
+    H = ad.relu(conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))
     return ad.dropout(ad.max_over_time_batch(H, lengths), rate, True, rng), H
 
 
@@ -188,18 +212,20 @@ def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, ra
         assert np.array_equal(grads_new[name], grads_old[name]), name
     if tape_cls is ad.Tape:
         assert grads_new["W"][0].any() and not grads_new["W"][1].any() and grads_new["b"][1] == 0.0
-    assert np.array_equal(enc.H.data, np.maximum(enc.Z.data, 0.0))
-    assert np.array_equal(enc.H.data, H.data)
+    assert np.array_equal(window_activations(params, mat, lengths)[1], H.data)
     assert not xi_new[:, 1].any()
 
 
 def test_forward_eval_frees_the_pre_activations_with_its_encoding():
+    # the encoding holds the pooled features and the window ids, no
+    # [n_valid, h] array, and freeing it frees both
     mat, lengths = _ragged_batch()
     gc.disable()
     try:
         _, enc = forward_eval(_params(), mat, lengths)
-        assert enc.Z.data.shape == (lengths.sum(), HIDDEN)
-        probes = [weakref.ref(enc.Z), weakref.ref(enc.H), weakref.ref(enc.xi)]
+        assert sorted(vars(enc)) == ["idx_win", "xi"]
+        assert enc.xi.data.shape == (len(lengths), HIDDEN) and enc.idx_win.shape == (lengths.sum(), WINDOW)
+        probes = [weakref.ref(enc.xi), weakref.ref(enc.idx_win)]
         del enc
         assert all(probe() is None for probe in probes)
     finally:
@@ -242,15 +268,15 @@ def test_forward_only_blocks_match_the_recording_path_bit_for_bit(case):
     idx_win = _windows(mat, lengths)
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
+    Z = conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
     maxima = ad.max_over_time_batch(Z, lengths)
     want_probs = ad.softmax(classify(tape, leaves, ad.relu(maxima))).data
 
     no_grad = ad.NoGradTape()
     fast = params.leaves(no_grad)
-    Z_fast, maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
+    maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
     probs, enc = forward_eval(params, mat, lengths)
-    assert np.array_equal(Z_fast.data, Z.data) and np.array_equal(enc.Z.data, Z.data)
+    assert np.array_equal(ad.conv_rows(params.E, params.W, params.b, idx_win), Z.data)
     assert np.array_equal(maxima_fast.data, maxima.data)
     assert np.array_equal(probs, want_probs)
     assert no_grad._steps == []
@@ -268,12 +294,12 @@ def test_forward_only_blocks_of_wide_filters_match_the_recording_path_bit_for_bi
     idx_win = _windows(mat, lengths)
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    Z = ad.conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
+    Z = conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
     maxima = ad.max_over_time_batch(Z, lengths)
     want_probs = ad.softmax(classify(tape, leaves, ad.relu(maxima))).data
     fast = params.leaves(ad.NoGradTape())
-    Z_fast, maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
-    assert np.array_equal(Z_fast.data, Z.data)
+    maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
+    assert np.array_equal(ad.conv_rows(params.E, params.W, params.b, idx_win), Z.data)
     assert np.array_equal(maxima_fast.data, maxima.data)
     assert np.array_equal(forward_eval(params, mat, lengths)[0], want_probs)
 
@@ -301,6 +327,13 @@ def test_forward_only_encode_checks_ids_and_lengths_as_the_recording_path_does()
             ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win.clip(0, V - 1), np.array([1, 2]))
         with pytest.raises(ShapeError, match="bad lengths"):
             ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win.clip(0, V - 1), np.array([0, 2]))
+        with pytest.raises(ShapeError, match="do not fit windows of 2 rows"):
+            ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win[:, :2].clip(0, V - 1), np.array([2]))
+        with pytest.raises(ShapeError, match="do not fit"):
+            ad.conv_max_pool(leaves["E"], leaves["W"], tape.leaf(np.zeros(HIDDEN + 1)), idx_win.clip(0, V - 1),
+                             np.array([2]))
+        with pytest.raises(ShapeError, match="must be"):
+            ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], np.array([0, 1, 2]), np.array([1]))
     assert errors[0] == errors[1]
 
 
@@ -317,3 +350,92 @@ def test_a_forward_only_encode_still_applies_training_dropout():
     assert np.array_equal(xi[0], xi[1])
     assert np.array_equal(xi[1][kept], 2.0 * plain[kept])
     assert (plain[~kept] != 0.0).any()  # some positive features were dropped
+
+
+# ------------------------------------------------- the fused op, gated alone
+
+
+def _gate_batch(hidden):
+    """The ragged batch plus a document longer than a block: a length-1
+    document, TRIGRAM twice with identical windows (a positive tie of
+    filter 0, which persists under any perturbation), and filter 1 ReLU-dead
+    at every position."""
+    params = init_params(named_rng(2, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
+                         window=WINDOW, hidden=hidden, n_classes=3, rng=named_rng(2, "init"))
+    params.E[list(TRIGRAM)] *= 8.0
+    params.W[0] = params.E[list(TRIGRAM)].ravel()
+    params.b[1] = -10.0
+    mat, lengths = _ragged_batch()
+    long_mat, long_lengths = _batch([ad._block_rows(hidden) + 44], seed=4)
+    full = np.full((len(lengths) + 1, long_lengths[0]), PAD_INDEX, dtype=np.int64)
+    full[:-1, : mat.shape[1]] = mat
+    full[-1] = long_mat[0]
+    return params, full, np.append(lengths, long_lengths)
+
+
+def _pooled_loss(pool, tape, leaves, idx_win, lengths):
+    """A weighted sum of the ReLU of the pooled maxima, as the encoder
+    applies it, and the maxima."""
+    maxima = pool(leaves, idx_win, lengths)
+    w = named_rng(6, "weights").normal(size=maxima.shape)
+    return vsum(mul(ad.relu(maxima), tape.leaf(w))), maxima
+
+
+def _fused(leaves, idx_win, lengths):
+    return ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)
+
+
+def _unfused(leaves, idx_win, lengths):
+    return ad.max_over_time_batch(conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win), lengths)
+
+
+def test_conv_max_pool_passes_grad_check():
+    params, mat, lengths = _gate_batch(HIDDEN)
+    assert lengths.min() == 1 and lengths.max() > ad._block_rows(HIDDEN)
+    idx_win = _windows(mat, lengths)
+    arrays = {name: params.arrays()[name] for name in ("E", "W", "b")}
+    report = ad.grad_check(lambda tape, leaves: _pooled_loss(_fused, tape, leaves, idx_win, lengths)[0],
+                           arrays, h=1e-5, tol=1e-4)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("hidden", [HIDDEN, 300])
+def test_conv_max_pool_equals_the_unfused_chain_bit_for_bit(hidden):
+    params, mat, lengths = _gate_batch(hidden)
+    idx_win = _windows(mat, lengths)
+    runs = {}
+    for pool in (_fused, _unfused):
+        tape = ad.Tape()
+        leaves = params.leaves(tape)
+        loss, maxima = _pooled_loss(pool, tape, leaves, idx_win, lengths)
+        tape.backward(loss)
+        runs[pool] = maxima.data, {name: leaves[name].grad for name in ("E", "W", "b")}
+    (maxima, grads), (want_maxima, want_grads) = runs[_fused], runs[_unfused]
+    no_grad = ad.NoGradTape()
+    assert np.array_equal(maxima, want_maxima)
+    assert np.array_equal(_fused(params.leaves(no_grad), idx_win, lengths).data, want_maxima)
+    for name, want in want_grads.items():
+        assert np.array_equal(grads[name], want), name
+    assert want_maxima[1, 0] > 1.0 and (want_maxima[:, 1] < 0.0).all()
+    assert grads["W"][0].any() and not grads["W"][1].any() and grads["b"][1] == 0.0
+
+
+@pytest.mark.parametrize("tape_cls", [ad.Tape, ad.NoGradTape])
+def test_an_encode_and_its_backward_allocate_no_array_of_every_position(tape_cls):
+    hidden = 64
+    params = init_params(named_rng(0, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
+                         window=WINDOW, hidden=hidden, n_classes=3, rng=named_rng(0, "init"))
+    mat, lengths = _batch([30] * 200)
+    n_bytes = int(lengths.sum()) * hidden * 8  # one [n_valid, h] float64 array: 3 MB
+    tape = tape_cls()
+    leaves = params.leaves(tape)
+    tracemalloc.start()
+    try:
+        enc = encode_batch(tape, leaves, mat, lengths)
+        if tape_cls is ad.Tape:
+            tape.backward(source_cross_entropy(np.eye(3)[np.arange(len(lengths)) % 3],
+                                               classify(tape, leaves, enc.xi)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_bytes, (peak, n_bytes)
