@@ -3,9 +3,10 @@ Checking every loss gradient against finite differences
 ========================================================
 
 Each loss term used in training is differentiated by the tape in
-textda.autodiff. This script rebuilds each term on a small fixed problem
-and compares the tape gradients against central finite differences,
-parameter by parameter. It exits with status 1 if any check fails.
+textda.autodiff. This script builds the trainer's own objective on a small
+fixed problem with every term switched on, and compares the tape gradient
+of each term against central finite differences, parameter by parameter.
+It exits with status 1 if any check fails.
 """
 
 import sys
@@ -13,16 +14,11 @@ import sys
 import numpy as np
 
 import textda.autodiff as ad
-from textda.losses import (
-    bootstrap_loss,
-    entropy_min_loss,
-    feature_adaptation_loss,
-    mmd_rbf,
-    source_cross_entropy,
-)
-from textda.model import classify, encode_batch
-from textda.data import pad_batch
+from textda.config import TrainConfig
+from textda.data import BatchTriple
+from textda.losses import LossWeights
 from textda.rng import named_rng
+from textda.trainer import objective
 
 # a tiny model: 20 token types, 4-dim embeddings, 6 filters, 3 classes
 V, d, h, C, window = 20, 4, 6, 3, 3
@@ -37,56 +33,39 @@ params = {
     "F_b": rng.uniform(-0.1, 0.1, C),
 }
 
-# two 4-document batches standing in for a source and a target minibatch
+# two 4-document batches standing in for a source and a target minibatch;
+# the target batch also serves as the union batch the ensemble term reads
 docs_s = [rng.integers(2, V, size=n) for n in (5, 3, 7, 4)]
 docs_t = [rng.integers(2, V, size=n) for n in (6, 4, 3, 5)]
-mat_s, len_s = pad_batch(docs_s, np.arange(4))
-mat_t, len_t = pad_batch(docs_t, np.arange(4))
 y = np.eye(C)[rng.integers(0, C, 4)]        # gold labels, one-hot
 z = np.eye(C)[rng.integers(0, C, 4)]        # ensemble targets, one-hot
+pools = [docs_s, docs_t, docs_t]
+batch = BatchTriple(np.arange(4), np.arange(4), np.arange(4))
+all_on = LossWeights(1.0, 1.0, 1.0)
 
 
-def features(tape, leaves, mat, lengths):
-    # dropout off: finite differences need a deterministic function
-    return encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
+def term(name, variant="DAS"):
+    """One term ("L", "J", "Gamma" or "Omega") of the objective with every
+    weight and w_t at 1. The variant picks J's distance: symmetric KL, or
+    an RBF MMD of bandwidth 1 under MMD-baseline. Dropout is off, since
+    finite differences need a deterministic function."""
+    config = TrainConfig(variant=variant, dropout_rate=0.0, mmd_sigma=1.0)
 
+    def loss(tape, leaves):
+        return objective(tape, leaves, pools, batch, y, z, all_on, 1.0, config, None)[2][name]
 
-def classification_loss(tape, leaves):
-    xi = features(tape, leaves, mat_s, len_s).xi
-    return source_cross_entropy(y, classify(tape, leaves, xi))
-
-
-def alignment_loss(tape, leaves):
-    xi_s = features(tape, leaves, mat_s, len_s).xi
-    xi_t = features(tape, leaves, mat_t, len_t).xi
-    return feature_adaptation_loss(xi_s, xi_t)
-
-
-def mmd_loss(tape, leaves):
-    xi_s = features(tape, leaves, mat_s, len_s).xi
-    xi_t = features(tape, leaves, mat_t, len_t).xi
-    return mmd_rbf(xi_s, xi_t, sigma=1.0)
-
-
-def entropy_loss(tape, leaves):
-    xi_t = features(tape, leaves, mat_t, len_t).xi
-    return entropy_min_loss(classify(tape, leaves, xi_t))
-
-
-def ensemble_loss(tape, leaves):
-    xi_t = features(tape, leaves, mat_t, len_t).xi
-    return bootstrap_loss(z, classify(tape, leaves, xi_t))
+    return loss
 
 
 # run the check: perturb every coordinate of every parameter by +-h and
 # compare the symmetric difference quotient with the tape gradient
 failed = []
 for name, fn in [
-    ("classification", classification_loss),
-    ("feature alignment", alignment_loss),
-    ("mmd baseline", mmd_loss),
-    ("entropy", entropy_loss),
-    ("ensemble bootstrap", ensemble_loss),
+    ("classification", term("L")),
+    ("feature alignment", term("J")),
+    ("mmd baseline", term("J", "MMD-baseline")),
+    ("entropy", term("Gamma")),
+    ("ensemble bootstrap", term("Omega")),
 ]:
     report = ad.grad_check(fn, params, h=1e-5, tol=1e-4)
     print(f"{name:20s} {report.summary()}")

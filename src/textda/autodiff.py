@@ -223,16 +223,16 @@ def max_over_time_batch(H: Tensor, lengths: np.ndarray) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: entries zeroed with probability `rate`, survivors
-    scaled by 1/(1-rate). Identity (same tensor, no RNG draw) when not
-    training or rate is 0."""
+    scaled by 1/(1-rate). Rate 0 is eval mode: the same tensor back, no RNG
+    draw."""
     if not (0.0 <= rate < 1.0):
         raise NumericalError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise NumericalError("dropout: training mode needs an rng")
+        raise NumericalError("dropout: a rate above 0 needs an rng")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = x.tape.leaf(x.data * keep)
 

@@ -82,14 +82,15 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("synth", help="generate a synthetic domain-pair task")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--shift", type=float, default=0.7)
-    p.add_argument("--train-docs", type=int, default=2000)
-    p.add_argument("--test-docs", type=int, default=1000)
-    p.add_argument("--source-unlabeled-docs", type=int, default=0)
-    p.add_argument("--sentiment-rate", type=float, default=0.35)
-    p.add_argument("--len-min", type=int, default=8)
-    p.add_argument("--len-max", type=int, default=30)
+    # each flag sets the SyntheticSpec field named by its dest; unset flags keep the spec's default
+    p.add_argument("--seed", type=int, help="generator seed")
+    p.add_argument("--shift", type=float)
+    p.add_argument("--train-docs", type=int, dest="n_train")
+    p.add_argument("--test-docs", type=int, dest="n_test")
+    p.add_argument("--source-unlabeled-docs", type=int, dest="n_source_unlabeled")
+    p.add_argument("--sentiment-rate", type=float)
+    p.add_argument("--len-min", type=int)
+    p.add_argument("--len-max", type=int)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -300,11 +301,15 @@ def cmd_gradcheck(args) -> int:
     failed = []
     for component in ("L", "J", "Gamma", "Omega", "MMD", "total"):
         report = ad.grad_check(build(component), params, h=1e-5, tol=1e-4)
-        results[component] = {"passed": report.passed, "max_rel_error": report.max_rel_error}
+        # the worst coordinate is a flat index into that parameter's array
+        results[component] = {"passed": report.passed, "max_rel_error": report.max_rel_error,
+                              "worst_param": report.worst_param, "worst_index": report.worst_index}
         status = "PASS" if report.passed else "FAIL"
-        print(f"{component:6s} {status}  max rel error {report.max_rel_error:.3e}")
+        line = f"{component:6s} {status}  max rel error {report.max_rel_error:.3e}"
         if not report.passed:
+            line += f" at {report.worst_param}[{report.worst_index}]"
             failed.append(component)
+        print(line)
     if args.out:
         payload = {"command": "gradcheck", "tol": 1e-4, "h": 1e-5,
                    "passed": not failed, "components": results}
@@ -316,16 +321,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_train=args.train_docs,
-        n_test=args.test_docs,
-        n_source_unlabeled=args.source_unlabeled_docs,
-        shift=args.shift,
-        sentiment_rate=args.sentiment_rate,
-        len_min=args.len_min,
-        len_max=args.len_max,
-        seed=args.seed,
-    )
+    names = [f.name for f in dataclasses.fields(SyntheticSpec)]
+    spec = SyntheticSpec(**{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
     corpora = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

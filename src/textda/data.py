@@ -385,11 +385,9 @@ class BatchStream:
             return self._source.take(k)
         n_cls = len(self._source_classes)
         counts = [k // n_cls + (1 if r < k % n_cls else 0) for r in range(n_cls)]
-        parts = [cyc.take(c) for cyc, c in zip(self._source_classes, counts)]
         out = np.empty(k, dtype=np.int64)
-        for slot in range(k):
-            cls = slot % n_cls
-            out[slot] = parts[cls][slot // n_cls]
+        for c, (cyc, count) in enumerate(zip(self._source_classes, counts)):
+            out[c::n_cls] = cyc.take(count)  # slot c + i * n_cls takes class c's i-th draw
         return out
 
     def epoch(self):

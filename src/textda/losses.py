@@ -266,10 +266,10 @@ def compose_total(
     Omega: Tensor | None,
     weights: LossWeights,
     w_t: float,
-) -> Tensor:
-    """Tape-side composition, term by term in the same order as total_loss so
-    the scalar value matches the logged breakdown bit for bit (skipped terms
-    contribute exactly 0.0 there)."""
+) -> tuple[Tensor, LossBreakdown]:
+    """The objective on the tape plus its logged breakdown. The tape adds the
+    terms in total_loss's order, so both totals match bit for bit; a skipped
+    (None) term logs exactly 0.0."""
     out = L
     if J is not None:
         out = add(out, scale(J, weights.lambda1))
@@ -277,4 +277,5 @@ def compose_total(
         out = add(out, scale(Gamma, weights.lambda2))
     if Omega is not None:
         out = add(out, scale(Omega, w_t))
-    return out
+    values = (0.0 if x is None else float(x.data) for x in (L, J, Gamma, Omega))
+    return out, total_loss(*values, weights, w_t)

@@ -141,7 +141,7 @@ def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
 
 @dataclass
 class EncodedBatch:
-    xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout in training)
+    xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout at a rate above 0)
     idx_win: np.ndarray      # [n_valid, l] token indices of the valid positions' windows
 
 
@@ -158,12 +158,11 @@ def encode_batch(
     mat: np.ndarray,
     lengths: np.ndarray,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
     idx_win = _packed_windows(mat, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
     pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [B, h]
-    xi = ad.dropout(ad.relu(pooled), dropout_rate, training, rng)
+    xi = ad.dropout(ad.relu(pooled), dropout_rate, rng)
     return EncodedBatch(xi=xi, idx_win=idx_win)
 
 
@@ -184,7 +183,7 @@ def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> t
     class 0."""
     tape = ad.NoGradTape()
     leaves = params.leaves(tape)
-    enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
+    enc = encode_batch(tape, leaves, mat, lengths)
     probs = ad.softmax(classify(tape, leaves, enc.xi)).data
     bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
     if bad.size:

@@ -150,7 +150,7 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray
 
     def encode(docs, idx):
         mat, lengths = pad_batch(docs, idx)
-        return encode_batch(tape, leaves, mat, lengths, config.dropout_rate, training=True, rng=rng).xi
+        return encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
 
     xi_s = encode(enc_s, batch.source_idx)
     L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
@@ -170,10 +170,8 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray
     if weights.lambda3 > 0.0 and targets is not None:
         xi_u = encode(enc_u, batch.union_idx)
         Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
-    terms = {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
-    total = compose_total(L, J, Gamma, Omega, weights, w_t)
-    values = (0.0 if x is None else float(x.data) for x in terms.values())
-    return total, total_loss(*values, weights, w_t), terms
+    total, breakdown = compose_total(L, J, Gamma, Omega, weights, w_t)
+    return total, breakdown, {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
 
 
 def train(

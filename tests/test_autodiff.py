@@ -85,19 +85,33 @@ def test_max_over_time_batch_bad_lengths():
 def test_dropout_eval_is_identity_and_train_scales():
     tape = ad.Tape()
     x = leaf(tape, np.ones(10))
-    assert ad.dropout(x, 0.5, training=False, rng=None) is x
-    assert ad.dropout(x, 0.0, training=True, rng=None) is x
+    assert ad.dropout(x, 0.0, rng=None) is x
     rng = np.random.default_rng(0)
-    y = ad.dropout(x, 0.5, training=True, rng=rng)
+    y = ad.dropout(x, 0.5, rng=rng)
     kept = y.data[y.data != 0.0]
     assert np.allclose(kept, 2.0)  # survivors scaled by 1/(1-rate)
+
+
+def test_dropout_rate_zero_returns_the_same_tensor_and_draws_nothing():
+    for tape in (ad.Tape(), ad.NoGradTape()):
+        x = leaf(tape, np.ones(10))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert ad.dropout(x, 0.0, rng) is x
+        assert rng.bit_generator.state == before
+
+
+def test_dropout_above_rate_zero_needs_an_rng():
+    x = leaf(ad.Tape(), np.ones(3))
+    with pytest.raises(NumericalError, match="needs an rng"):
+        ad.dropout(x, 0.5, rng=None)
 
 
 def test_dropout_statistical_mean():
     tape = ad.Tape()
     x = leaf(tape, np.ones(10000))
     rng = np.random.default_rng(123)
-    y = ad.dropout(x, 0.5, training=True, rng=rng)
+    y = ad.dropout(x, 0.5, rng=rng)
     assert 0.95 <= y.data.mean() <= 1.05
 
 
@@ -105,9 +119,9 @@ def test_dropout_rate_validation():
     tape = ad.Tape()
     x = leaf(tape, np.ones(3))
     with pytest.raises(NumericalError):
-        ad.dropout(x, 1.0, training=True, rng=np.random.default_rng(0))
+        ad.dropout(x, 1.0, rng=np.random.default_rng(0))
     with pytest.raises(NumericalError):
-        ad.dropout(x, -0.1, training=True, rng=np.random.default_rng(0))
+        ad.dropout(x, -0.1, rng=np.random.default_rng(0))
 
 
 def test_l1_normalize_value_and_validation():

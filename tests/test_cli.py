@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from textda import trainer
+from textda import cli, trainer
 from textda.cli import main
 from textda.config import TrainConfig
 from textda.data import Vocab, load_corpus
 from textda.errors import NumericalError
 from textda.model import load_checkpoint, save_checkpoint
+from textda.synth import SyntheticSpec
 from textda.trainer import parse_history_csv
 
 TINY_CONF = """\
@@ -68,6 +69,19 @@ def test_synth_can_emit_unlabeled_source(tmp_path):
                  "--test-docs", "6", "--source-unlabeled-docs", "9", "--seed", "1"])
     assert code == 0
     assert len(load_corpus(tmp_path / "source_unlabeled.jsonl", domain="x")) == 9
+
+
+def test_synth_without_size_flags_uses_the_spec_defaults(tmp_path, monkeypatch):
+    seen = []
+    real = cli.generate_synthetic
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: seen.append(spec) or real(spec))
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    spec = SyntheticSpec()
+    assert seen == [spec]
+    for name, n in (("source_labeled", spec.n_train), ("target_unlabeled", spec.n_train),
+                    ("target_test", spec.n_test)):
+        assert len(load_corpus(tmp_path / f"{name}.jsonl", domain="x")) == n
+    assert not (tmp_path / "source_unlabeled.jsonl").exists()
 
 
 # ---------------------------------------------------------------------- train
@@ -366,6 +380,18 @@ def test_gradcheck_detects_corrupted_gradients(capsys):
     text = capsys.readouterr()
     assert "FAIL" in text.out
     assert "gradient check failed" in text.err
+
+
+def test_gradcheck_names_each_failing_components_worst_coordinate(tmp_path, capsys):
+    # the corruption adds 1e-3 to every W gradient coordinate and to nothing else
+    assert main(["gradcheck", "--corrupt-gradient", "--out", str(tmp_path)]) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    payload = json.loads((tmp_path / "gradcheck.json").read_text(encoding="utf-8"))
+    assert fails and payload["passed"] is False
+    for line in fails:
+        result = payload["components"][line.split()[0]]
+        assert result["worst_param"] == "W" and 0 <= result["worst_index"] < 6 * 12
+        assert line.endswith(f" at W[{result['worst_index']}]")
 
 
 # ----------------------------------------------------------------- bad usage

@@ -1,5 +1,6 @@
 """Corpus IO, vocabulary, embeddings, splits, and batch streams."""
 
+import copy
 import json
 
 import numpy as np
@@ -353,6 +354,20 @@ def test_batch_stream_balanced_source_counts():
     for t in stream.epoch():
         got = np.bincount(labels[t.source_idx], minlength=3)
         assert got.max() - got.min() <= 1
+
+
+def test_balanced_source_slots_round_robin_the_classes_draw_for_draw():
+    # slot s holds the (s // 3)-th draw of class s % 3, as a slot-by-slot
+    # fill from a copy of the stream's samplers gives it
+    labels = np.array([0] * 7 + [1] * 2 + [2] * 4)
+    stream = BatchStream(labels, n_target=5, n_union=20, batch_size=4,
+                         balance=True, rng=named_rng(5, "shuffle"))
+    for k in (1, 2, 3, 7, 10, 9):
+        twin = copy.deepcopy(stream)
+        got = stream._take_source(k)
+        parts = [cyc.take(k // 3 + (c < k % 3)) for c, cyc in enumerate(twin._source_classes)]
+        assert np.array_equal(got, [parts[s % 3][s // 3] for s in range(k)])
+        assert np.array_equal(labels[got], np.arange(k) % 3)
 
 
 def test_batch_stream_same_seed_reproduces_exactly():

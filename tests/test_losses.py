@@ -325,9 +325,10 @@ def test_compose_total_matches_scalar_total_bitwise():
     w_t = 2.3456
     tape = ad.Tape()
     leaves = [tape.leaf(np.float64(v)) for v in vals]
-    out = compose_total(leaves[0], leaves[1], leaves[2], leaves[3], w, w_t)
+    out, logged = compose_total(leaves[0], leaves[1], leaves[2], leaves[3], w, w_t)
     bd = total_loss(*vals, w, w_t=w_t)
-    assert out.data.item() == bd.total
+    assert logged == bd
+    assert out.data.item() == logged.total
 
 
 def test_compose_total_skipped_terms_equal_zero_weight_scalars():
@@ -335,6 +336,14 @@ def test_compose_total_skipped_terms_equal_zero_weight_scalars():
     w = LossWeights(0.0, 0.0, 0.0)
     tape = ad.Tape()
     L = tape.leaf(np.float64(0.7123456789))
-    out = compose_total(L, None, None, None, w, w_t=0.0)
+    out, logged = compose_total(L, None, None, None, w, w_t=0.0)
     bd = total_loss(0.7123456789, 0.25, 0.5, 0.75, w, w_t=0.0)
-    assert out.data.item() == bd.total == 0.7123456789
+    assert out.data.item() == logged.total == bd.total == 0.7123456789
+    assert (logged.J, logged.Gamma, logged.Omega) == (0.0, 0.0, 0.0)
+
+
+def test_compose_total_names_a_nonfinite_term():
+    tape = ad.Tape()
+    L, J = tape.leaf(np.float64(0.5)), tape.leaf(np.float64(np.inf))
+    with pytest.raises(NumericalError, match="component J"):
+        compose_total(L, J, None, None, LossWeights(1.0, 1.0, 1.0), w_t=1.0)

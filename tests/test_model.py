@@ -145,15 +145,17 @@ def test_training_dropout_differs_from_eval():
     lengths = np.array([4])
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    dropped = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.5,
-                           training=True, rng=named_rng(2, "dropout"))
+    dropped = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.5, rng=named_rng(2, "dropout"))
     clean = _encode(params, mat, lengths)
     assert not np.array_equal(dropped.xi.data, clean.xi.data)
-    # eval mode ignores the rate entirely
+    # eval mode is rate 0: no mask and no draw from the rng
     tape2 = ad.Tape()
     leaves2 = params.leaves(tape2)
-    off = encode_batch(tape2, leaves2, mat, lengths, dropout_rate=0.5, training=False)
+    rng = named_rng(2, "dropout")
+    before = rng.bit_generator.state
+    off = encode_batch(tape2, leaves2, mat, lengths, dropout_rate=0.0, rng=rng)
     assert np.array_equal(off.xi.data, clean.xi.data)
+    assert rng.bit_generator.state == before
 
 
 # --------------------------------------------------------------- initializers

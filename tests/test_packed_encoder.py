@@ -158,7 +158,7 @@ def test_forward_only_pooling_matches_the_recording_tape_bit_for_bit():
     probs, enc = forward_eval(params, mat, lengths)
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    ref_enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.0, training=False)
+    ref_enc = encode_batch(tape, leaves, mat, lengths)
     assert np.array_equal(enc.xi.data, ref_enc.xi.data)
     assert np.array_equal(probs, ad.softmax(classify(tape, leaves, ref_enc.xi)).data)
     assert not enc.xi.data[:, 1].any()
@@ -181,7 +181,7 @@ def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
     valid = np.arange(mat.shape[1]) < lengths[:, None]
     idx_win = build_windows(np.where(valid, mat, PAD_INDEX), WINDOW)[valid]
     H = ad.relu(conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))
-    return ad.dropout(ad.max_over_time_batch(H, lengths), rate, True, rng), H
+    return ad.dropout(ad.max_over_time_batch(H, lengths), rate, rng), H
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.5])
@@ -197,7 +197,7 @@ def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, ra
         leaves = params.leaves(tape)
         rng = named_rng(9, "dropout")
         if order == "pool_then_relu":
-            enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=rate, training=True, rng=rng)
+            enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=rate, rng=rng)
             xi = enc.xi
         else:
             xi, H = _relu_then_pool(tape, leaves, mat, lengths, rate, rng)
@@ -342,7 +342,7 @@ def test_a_forward_only_encode_still_applies_training_dropout():
     mat, lengths = _ragged_batch()
     xi = []
     for tape in (ad.Tape(), ad.NoGradTape()):
-        enc = encode_batch(tape, params.leaves(tape), mat, lengths, dropout_rate=0.5, training=True,
+        enc = encode_batch(tape, params.leaves(tape), mat, lengths, dropout_rate=0.5,
                            rng=named_rng(4, "dropout"))
         xi.append(enc.xi.data)
     plain = forward_eval(params, mat, lengths)[1].xi.data
