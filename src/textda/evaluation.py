@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import LABELS, PAD_INDEX, UNK_INDEX, Corpus, Vocab, pad_batch
+from .data import LABELS, PAD_INDEX, Corpus, Vocab, pad_batch
 from .ensemble import predict_all
 from .errors import ConfigError, DataError
 from .model import ModelParams, window_activations
@@ -244,14 +244,6 @@ def top_filters_per_class(F_w: np.ndarray, k: int) -> dict[int, list[int]]:
     return out
 
 
-def _token_name(vocab: Vocab, idx: int) -> str:
-    if idx == PAD_INDEX:
-        return "*"
-    if idx == UNK_INDEX:
-        return "<unk>"
-    return vocab.itos[idx]
-
-
 def filter_analysis(
     params: ModelParams,
     vocab: Vocab,
@@ -273,8 +265,10 @@ def filter_analysis(
         raise ConfigError(f"k_filters must be in [1, {params.F_w.shape[1]}], got {k_filters}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
-    # token-triple -> (max activation, set of domains) per filter
-    best: dict[int, dict[tuple[str, ...], tuple[float, set]]] = {j: {} for j in wanted}
+    names = list(vocab.itos)
+    names[PAD_INDEX] = "*"
+    # rendered triple -> (max activation of each wanted filter, set of domains)
+    best: dict[tuple[str, ...], tuple[np.ndarray, set]] = {}
 
     for corpus in corpora:
         enc = [vocab.encode(d.tokens, max_doc_len) for d in corpus]
@@ -282,25 +276,27 @@ def filter_analysis(
             idx = np.arange(start, min(start + eval_batch, len(enc)))
             mat, lengths = pad_batch(enc, idx)
             idx_win, H = window_activations(params, mat, lengths)
-            triples = [tuple(_token_name(vocab, w) for w in win) for win in idx_win.tolist()]
-            for j in wanted:
-                table = best[j]
-                for triple, act in zip(triples, H[:, j].tolist()):
-                    got = table.get(triple)
-                    if got is None:
-                        table[triple] = (act, {corpus.domain})
-                    else:
-                        table[triple] = (max(got[0], act), got[1] | {corpus.domain})
+            # rows of a fresh gather: a stored row is updated in place, and
+            # post-ReLU values hold no -0.0, so np.maximum keeps max()'s bits
+            for win, row in zip(idx_win.tolist(), H[:, wanted]):
+                triple = tuple(names[w] for w in win)
+                got = best.get(triple)
+                if got is None:
+                    best[triple] = (row, {corpus.domain})
+                else:
+                    np.maximum(got[0], row, out=got[0])
+                    got[1].add(corpus.domain)
 
     report = FilterReport(k_filters=k_filters, k_trigrams=k_trigrams)
     for c, label in enumerate(LABELS):
         summaries = []
         for j in per_class[c]:
+            col = wanted.index(j)
             # equal to sorted(...)[:k_trigrams]; keys are unique, as triples are dict keys
-            ranked = heapq.nsmallest(k_trigrams, best[j].items(), key=lambda kv: (-kv[1][0], kv[0]))
+            ranked = heapq.nsmallest(k_trigrams, best.items(), key=lambda kv: (-kv[1][0][col], kv[0]))
             hits = [
-                TrigramHit(tokens=triple, activation=act, domains="+".join(sorted(domains)))
-                for triple, (act, domains) in ranked
+                TrigramHit(tokens=triple, activation=float(acts[col]), domains="+".join(sorted(domains)))
+                for triple, (acts, domains) in ranked
             ]
             summaries.append(FilterSummary(index=j, class_weight=float(params.F_w[c, j]), trigrams=hits))
         report.classes[label] = summaries

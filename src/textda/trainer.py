@@ -27,6 +27,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .config import TrainConfig
 from .data import (
+    LABELS,
     PAD_INDEX,
     BatchStream,
     BatchTriple,
@@ -74,7 +75,6 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e6
-N_CLASSES = 3
 
 CSV_COLUMNS = ("epoch", "L", "J", "Gamma", "Omega", "w_t", "total", "dev_error", "seconds")
 
@@ -198,9 +198,9 @@ def train(
     enc_dev = [vocab.encode(d.tokens, cap) for d in dev]
     dev_labels = dev.label_indices()
     labels_s = source.label_indices()
-    onehot_s = np.eye(N_CLASSES, dtype=np.float64)[labels_s]
+    onehot_s = np.eye(len(LABELS), dtype=np.float64)[labels_s]
 
-    params = init_params(embeddings, config.window, config.hidden, N_CLASSES,
+    params = init_params(embeddings, config.window, config.hidden, len(LABELS),
                          named_rng(config.seed, "init"))
     optimizer = RMSProp(params.arrays(), config.learning_rate)
     stream = BatchStream(
@@ -211,12 +211,10 @@ def train(
     rng_drop = named_rng(config.seed, "dropout")
 
     need_ensemble = weights.lambda3 > 0.0
-    ensemble = EnsembleState.zeros(len(enc_union), N_CLASSES, config.alpha) if need_ensemble else None
+    ensemble = EnsembleState.zeros(len(enc_union), len(LABELS), config.alpha) if need_ensemble else None
     z_tilde: np.ndarray | None = None
 
     history = History()
-    best_error = np.inf
-    best_params = params.copy()
 
     for t in range(1, config.epochs + 1):
         tick = time.perf_counter()
@@ -253,9 +251,6 @@ def train(
         epoch_row = total_loss(*map(float, sums / iters), weights, w_t)
 
         dev_error = _dev_error(params, enc_dev, dev_labels, config.eval_batch)
-        if dev_error < best_error:
-            best_error = dev_error
-            best_params = params.copy()
 
         if need_ensemble:
             fresh = predict_all(params, enc_union, config.eval_batch)
@@ -266,6 +261,8 @@ def train(
 
         history.epochs.append(EpochMetrics(t, **dataclasses.asdict(epoch_row), dev_error=dev_error,
                                            seconds=time.perf_counter() - tick))
+        if select_model(history) == t:
+            best_params = params.copy()
 
     history.best_epoch = select_model(history)
     return best_params, history

@@ -241,6 +241,30 @@ def _brute_force_filter_tops(params, vocab, corpora, filters, k_trigrams, max_do
     }
 
 
+def _corpus(domain, token_lists):
+    return Corpus([Document(tuple(t), "neutral", None, domain) for t in token_lists], domain)
+
+
+def _assert_matches_brute_force(params, vocab, corpora, k_trigrams, max_doc_len, eval_batch):
+    """filter_analysis over every filter equals the brute-force oracle;
+    returns the rendered hits."""
+    n_filters = params.W.shape[0]
+    report = filter_analysis(params, vocab, corpora, k_filters=n_filters, k_trigrams=k_trigrams,
+                             max_doc_len=max_doc_len, eval_batch=eval_batch)
+    expected = _brute_force_filter_tops(params, vocab, corpora, range(n_filters), k_trigrams, max_doc_len)
+    hits = []
+    for summaries in report.classes.values():
+        assert sorted(fs.index for fs in summaries) == list(range(n_filters))
+        for fs in summaries:
+            want = expected[fs.index]
+            assert [hit.tokens for hit in fs.trigrams] == [triple for triple, _ in want]
+            for hit, (_, (act, domains)) in zip(fs.trigrams, want):
+                assert abs(hit.activation - act) <= 1e-12
+                assert hit.domains == "+".join(sorted(domains))
+            hits += fs.trigrams
+    return hits
+
+
 def test_filter_analysis_matches_brute_force_on_ragged_corpus():
     words = ["good", "bad", "great", "movie", "plot", "dull", "fine"]
     vocab = Vocab(itos=["<pad>", "<unk>"] + words)
@@ -250,27 +274,36 @@ def test_filter_analysis_matches_brute_force_on_ragged_corpus():
     E[vocab.stoi["great"]] *= 6.0  # "great" opens or fills short documents
     params = ModelParams(E=E, W=rng.normal(size=(4, 6)), b=rng.normal(0.0, 0.1, size=4),
                          F_w=rng.normal(size=(3, 4)), F_b=np.zeros(3), window=3)
-
-    def corpus(domain, token_lists):
-        return Corpus([Document(tuple(t), "neutral", None, domain) for t in token_lists], domain)
-
     corpora = [
-        corpus("src", [["great"], ["good", "movie", "plot", "dull", "fine", "bad", "movie"],
-                       ["bad", "unseen", "plot"], ["great", "good"], ["fine", "dull", "movie", "good"]]),
-        corpus("tgt", [["movie", "great", "plot", "plot", "bad"], ["dull"],
-                       ["good", "movie", "plot", "dull", "fine", "bad", "movie", "great", "good"]]),
+        _corpus("src", [["great"], ["good", "movie", "plot", "dull", "fine", "bad", "movie"],
+                        ["bad", "unseen", "plot"], ["great", "good"], ["fine", "dull", "movie", "good"]]),
+        _corpus("tgt", [["movie", "great", "plot", "plot", "bad"], ["dull"],
+                        ["good", "movie", "plot", "dull", "fine", "bad", "movie", "great", "good"]]),
     ]
-    report = filter_analysis(params, vocab, corpora, k_filters=4, k_trigrams=4,
-                             max_doc_len=8, eval_batch=2)
-    expected = _brute_force_filter_tops(params, vocab, corpora, range(4), 4, max_doc_len=8)
-    rendered = []
-    for summaries in report.classes.values():
-        assert sorted(fs.index for fs in summaries) == [0, 1, 2, 3]
-        for fs in summaries:
-            want = expected[fs.index]
-            assert [hit.tokens for hit in fs.trigrams] == [triple for triple, _ in want]
-            for hit, (_, (act, domains)) in zip(fs.trigrams, want):
-                assert abs(hit.activation - act) <= 1e-12
-                assert hit.domains == "+".join(sorted(domains))
-            rendered += [hit.rendered() for hit in fs.trigrams]
+    rendered = [hit.rendered() for hit in _assert_matches_brute_force(
+        params, vocab, corpora, k_trigrams=4, max_doc_len=8, eval_batch=2)]
     assert any(r.startswith("*-") for r in rendered) and any(r.endswith("-*") for r in rendered)
+
+    # a literal "*" token renders like padding: the (*, good, movie) window of
+    # a tgt document and the padded (<pad>, good, movie) window of a src
+    # document are one trigram, with both domains and the larger activation
+    vocab = Vocab(itos=["<pad>", "<unk>", "*", "good", "movie", "plot"])
+    E = rng.uniform(-0.5, 0.5, size=(len(vocab), 2))
+    E[0] = 0.0
+    E[vocab.stoi["good"]] *= 6.0
+    E[vocab.stoi["movie"]] *= 6.0
+    params = ModelParams(E=E, W=rng.normal(size=(3, 6)), b=rng.normal(0.0, 0.1, size=3),
+                         F_w=rng.normal(size=(3, 3)), F_b=np.zeros(3), window=3)
+    corpora = [
+        _corpus("src", [["good", "movie"], ["plot", "*"]]),
+        _corpus("tgt", [["*", "good", "movie", "plot"], ["plot"]]),
+    ]
+    star = params.E[vocab.stoi["*"]]
+    tail = np.concatenate([params.E[vocab.stoi["good"]], params.E[vocab.stoi["movie"]]])
+    star_act = np.maximum(params.W @ np.concatenate([star, tail]) + params.b, 0.0)
+    pad_act = np.maximum(params.W @ np.concatenate([np.zeros(2), tail]) + params.b, 0.0)
+    assert (star_act != pad_act).any()
+    merged = [hit for hit in _assert_matches_brute_force(params, vocab, corpora, k_trigrams=3,
+                                                         max_doc_len=8, eval_batch=1)
+              if hit.tokens == ("*", "good", "movie")]
+    assert merged and all(hit.domains == "src+tgt" for hit in merged)
