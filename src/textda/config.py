@@ -34,7 +34,6 @@ class TrainConfig:
     hidden: int = 300
     embedding_dim: int = 300
     dropout_rate: float = 0.5
-    max_norm: float = 3.0
     vocab_size: int = 10000
     n_dev: int = 1000
     max_doc_len: int = 400
@@ -67,8 +66,6 @@ class TrainConfig:
             raise ConfigError(f"window must be odd and >= 1, got {self.window}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.max_norm <= 0:
-            raise ConfigError("max_norm must be positive")
         if self.mmd_sigma is not None and self.mmd_sigma <= 0:
             raise ConfigError("mmd_sigma must be positive (or unset for the median heuristic)")
 

@@ -185,51 +185,27 @@ class TrigramHit:
     tokens: tuple[str, ...]
     activation: float
     domains: str  # "+"-joined sorted domain tags the trigram occurred in
+    rendered: str = field(init=False)  # the tokens joined by "-"
 
-    def rendered(self) -> str:
-        return "-".join(self.tokens)
+    def __post_init__(self):
+        self.rendered = "-".join(self.tokens)
 
 
 @dataclass
 class FilterSummary:
-    index: int
+    filter: int  # the filter's index
     class_weight: float
     trigrams: list[TrigramHit] = field(default_factory=list)
 
 
 @dataclass
-class FilterReport:
+class FilterReport:  # the report dataclasses' field names are filters.json's keys
     k_filters: int
     k_trigrams: int
     classes: dict = field(default_factory=dict)  # label -> list[FilterSummary]
 
-    def to_dict(self) -> dict:
-        return {
-            "k_filters": self.k_filters,
-            "k_trigrams": self.k_trigrams,
-            "classes": {
-                label: [
-                    {
-                        "filter": fs.index,
-                        "class_weight": fs.class_weight,
-                        "trigrams": [
-                            {
-                                "tokens": list(hit.tokens),
-                                "rendered": hit.rendered(),
-                                "activation": hit.activation,
-                                "domains": hit.domains,
-                            }
-                            for hit in fs.trigrams
-                        ],
-                    }
-                    for fs in summaries
-                ]
-                for label, summaries in self.classes.items()
-            },
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def top_filters_per_class(F_w: np.ndarray, k: int) -> dict[int, list[int]]:
@@ -298,7 +274,7 @@ def filter_analysis(
                 TrigramHit(tokens=triple, activation=float(acts[col]), domains="+".join(sorted(domains)))
                 for triple, (acts, domains) in ranked
             ]
-            summaries.append(FilterSummary(index=j, class_weight=float(params.F_w[c, j]), trigrams=hits))
+            summaries.append(FilterSummary(filter=j, class_weight=float(params.F_w[c, j]), trigrams=hits))
         report.classes[label] = summaries
     return report
 
@@ -310,8 +286,8 @@ def render_filter_report(report: FilterReport) -> str:
             continue
         lines.append(f"class: {label}")
         for fs in report.classes[label]:
-            lines.append(f"  filter {fs.index} (class weight {fs.class_weight:.4f})")
+            lines.append(f"  filter {fs.filter} (class weight {fs.class_weight:.4f})")
             for hit in fs.trigrams:
-                lines.append(f"    {hit.rendered()}  activation {hit.activation:.4f}  [{hit.domains}]")
+                lines.append(f"    {hit.rendered}  activation {hit.activation:.4f}  [{hit.domains}]")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, accumulate, add, batch_mean, l1_normalize, scale
+from .autodiff import Tensor, _softmax_parts, accumulate, add, batch_mean, l1_normalize, scale
 from .errors import ConfigError, NumericalError, ShapeError
 
 __all__ = [
@@ -91,18 +91,7 @@ class LossBreakdown:
 
 def _as_const(y) -> np.ndarray:
     # accept a Tensor for convenience; it is treated as constant (stop-gradient)
-    data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    return data
-
-
-def _softmax_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-sum-exp [B, 1], log-softmax [B, C] and softmax [B, C] of logit rows."""
-    m = x.max(axis=1, keepdims=True)
-    z = x - m
-    e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    log_total = np.log(total)
-    return m + log_total, z - log_total, e / total
+    return y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
 
 
 def _cross_entropy(name: str, y: np.ndarray, logits: Tensor) -> Tensor:

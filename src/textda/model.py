@@ -207,8 +207,8 @@ def window_activations(params: ModelParams, mat: np.ndarray, lengths: np.ndarray
     return idx_win, H
 
 
-def apply_max_norm(rows: np.ndarray, max_norm: float) -> None:
-    """Project each row onto the L2 ball of radius max_norm, in place."""
+def apply_max_norm(rows: np.ndarray, max_norm: float = 3.0) -> None:
+    """Project each row onto the L2 ball of radius max_norm (the paper's 3.0), in place."""
     if not (max_norm > 0.0):
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     norms = np.sqrt((rows * rows).sum(axis=1))

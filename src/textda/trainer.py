@@ -76,8 +76,6 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e6
 
-CSV_COLUMNS = ("epoch", "L", "J", "Gamma", "Omega", "w_t", "total", "dev_error", "seconds")
-
 
 @dataclass
 class EpochMetrics:
@@ -90,6 +88,9 @@ class EpochMetrics:
     total: float
     dev_error: float
     seconds: float
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochMetrics))  # history.csv's header
 
 
 @dataclass
@@ -244,7 +245,7 @@ def train(
                         f"training diverged at epoch {t}, iteration {iters + 1}: "
                         f"parameter {name} is not finite after the optimizer step"
                     )
-            apply_max_norm(params.F_w, config.max_norm)
+            apply_max_norm(params.F_w)
             sums += (step.L, step.J, step.Gamma, step.Omega)
             iters += 1
 
@@ -273,7 +274,7 @@ def write_history_csv(history: History, path) -> None:
     parsed row reproduces it bit for bit."""
     lines = [",".join(CSV_COLUMNS)]
     for m in history.epochs:
-        lines.append(",".join([str(m.epoch), *(repr(getattr(m, name)) for name in CSV_COLUMNS[1:])]))
+        lines.append(",".join(map(repr, dataclasses.astuple(m))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

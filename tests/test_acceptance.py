@@ -360,7 +360,7 @@ def test_criterion_8_filter_analysis_recovers_planted_trigram(capsys):
     report = filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=3)
     top_summary = report.classes["positive"][0]
     hit = top_summary.trigrams[0]
-    filter_ok = top_summary.index == 2
+    filter_ok = top_summary.filter == 2
     triple_ok = hit.tokens == best_triple == ("stellar", "superb", "wow")
     act_ok = abs(hit.activation - best_act) < 1e-9
     ok = filter_ok and triple_ok and act_ok

@@ -382,6 +382,15 @@ def test_gradcheck_detects_corrupted_gradients(capsys):
     assert "gradient check failed" in text.err
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_gradcheck_passes_on_every_seed_and_fails_on_a_corrupted_gradient(capsys, seed):
+    # the fixture's MMD bias gradients are exactly 0 on most of these seeds,
+    # where the difference quotient holds only rounding
+    assert main(["gradcheck", "--seed", str(seed)]) == 0
+    assert main(["gradcheck", "--seed", str(seed), "--corrupt-gradient"]) == 3
+    capsys.readouterr()
+
+
 def test_gradcheck_names_each_failing_components_worst_coordinate(tmp_path, capsys):
     # the corruption adds 1e-3 to every W gradient coordinate and to nothing else
     assert main(["gradcheck", "--corrupt-gradient", "--out", str(tmp_path)]) == 3
@@ -420,18 +429,19 @@ def test_scheme_choices_come_from_the_data_module():
 
 def test_train_non_finite_config_value_exits_1(tmp_path, synth_dir, capsys):
     conf = tmp_path / "nan.conf"
-    conf.write_text(TINY_CONF + "max_norm = nan\n", encoding="utf-8")
+    conf.write_text(TINY_CONF + "alpha = nan\n", encoding="utf-8")
     code = main([
         "train", "--config", str(conf), "--out", str(tmp_path / "o"),
         "--source", str(synth_dir / "source_labeled.jsonl"),
         "--target", str(synth_dir / "target_unlabeled.jsonl"),
     ])
     assert code == 1
-    assert "max_norm must be finite" in capsys.readouterr().err
+    assert "alpha must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["distance_loss = mmd-rbf", "bootstrap_from_epoch1 = true",
-                                  "rmsprop_rho = 0.9", "rmsprop_eps = 1e-8", "l1_eps = 1e-6"])
+                                  "rmsprop_rho = 0.9", "rmsprop_eps = 1e-8", "l1_eps = 1e-6",
+                                  "max_norm = 3.0"])
 def test_train_rejects_removed_config_keys(tmp_path, synth_dir, capsys, line):
     conf = tmp_path / "old.conf"
     conf.write_text(TINY_CONF + line + "\n", encoding="utf-8")

@@ -70,7 +70,7 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
     config = TrainConfig(
         variant="MMD-baseline", lambda1=1.5, lambda2=0.25,
         lambda3=2.5, alpha=0.3, learning_rate=1e-3, epochs=7, batch_size=11, seed=13,
-        window=5, hidden=17, embedding_dim=19, dropout_rate=0.1, max_norm=2.5,
+        window=5, hidden=17, embedding_dim=19, dropout_rate=0.1,
         vocab_size=123, n_dev=9, max_doc_len=77, balance_source=False, eval_batch=31,
         mmd_sigma=mmd_sigma,
     )
@@ -81,9 +81,10 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
 
 
 @pytest.mark.parametrize("key", ["distance_loss", "bootstrap_from_epoch1", "rmsprop_rho", "rmsprop_eps",
-                                 "l1_eps"])
+                                 "l1_eps", "max_norm"])
 def test_removed_settings_are_unknown_keys(key):
-    # J's distance follows the variant; the optimizer and L1 epsilons are the functions' own defaults
+    # J's distance follows the variant; the optimizer and L1 epsilons and the max norm are the
+    # functions' own defaults
     with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: [{key!r}]")):
         TrainConfig.from_strings({key: "1"})
 
@@ -122,8 +123,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type in ("f
 
 
 def test_float_fields_cover_the_loss_and_optimizer_settings():
-    assert {"lambda1", "lambda2", "lambda3", "learning_rate", "max_norm",
-            "mmd_sigma"} <= set(FLOAT_FIELDS)
+    assert {"lambda1", "lambda2", "lambda3", "learning_rate", "mmd_sigma"} <= set(FLOAT_FIELDS)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])

@@ -1,5 +1,7 @@
 """Metrics, Welch t-test, and filter trigram inspection."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -174,8 +176,8 @@ def test_filter_analysis_finds_strongest_trigram_and_merges_domains():
     assert hits[0].tokens == ("good", "great", "movie")
     assert abs(hits[0].activation - 4.5) < 1e-12
     assert hits[0].domains == "src+tgt"  # deduplicated across both corpora
-    assert hits[0].rendered() == "good-great-movie"
-    rendered_all = [h.rendered() for h in hits]
+    assert hits[0].rendered == "good-great-movie"
+    rendered_all = [h.rendered for h in hits]
     assert "*-good-great" in rendered_all  # padding renders as *
     assert len(rendered_all) == len(set(rendered_all))
 
@@ -254,9 +256,9 @@ def _assert_matches_brute_force(params, vocab, corpora, k_trigrams, max_doc_len,
     expected = _brute_force_filter_tops(params, vocab, corpora, range(n_filters), k_trigrams, max_doc_len)
     hits = []
     for summaries in report.classes.values():
-        assert sorted(fs.index for fs in summaries) == list(range(n_filters))
+        assert sorted(fs.filter for fs in summaries) == list(range(n_filters))
         for fs in summaries:
-            want = expected[fs.index]
+            want = expected[fs.filter]
             assert [hit.tokens for hit in fs.trigrams] == [triple for triple, _ in want]
             for hit, (_, (act, domains)) in zip(fs.trigrams, want):
                 assert abs(hit.activation - act) <= 1e-12
@@ -280,7 +282,7 @@ def test_filter_analysis_matches_brute_force_on_ragged_corpus():
         _corpus("tgt", [["movie", "great", "plot", "plot", "bad"], ["dull"],
                         ["good", "movie", "plot", "dull", "fine", "bad", "movie", "great", "good"]]),
     ]
-    rendered = [hit.rendered() for hit in _assert_matches_brute_force(
+    rendered = [hit.rendered for hit in _assert_matches_brute_force(
         params, vocab, corpora, k_trigrams=4, max_doc_len=8, eval_batch=2)]
     assert any(r.startswith("*-") for r in rendered) and any(r.endswith("-*") for r in rendered)
 
@@ -307,3 +309,54 @@ def test_filter_analysis_matches_brute_force_on_ragged_corpus():
                                                          max_doc_len=8, eval_batch=1)
               if hit.tokens == ("*", "good", "movie")]
     assert merged and all(hit.domains == "src+tgt" for hit in merged)
+
+
+def _reference_filters_dict(report):
+    """filters.json's layout, written out key by key."""
+    return {
+        "k_filters": report.k_filters,
+        "k_trigrams": report.k_trigrams,
+        "classes": {
+            label: [
+                {
+                    "filter": fs.filter,
+                    "class_weight": fs.class_weight,
+                    "trigrams": [
+                        {
+                            "tokens": list(hit.tokens),
+                            "rendered": "-".join(hit.tokens),
+                            "activation": hit.activation,
+                            "domains": hit.domains,
+                        }
+                        for hit in fs.trigrams
+                    ],
+                }
+                for fs in summaries
+            ]
+            for label, summaries in report.classes.items()
+        },
+    }
+
+
+def test_filters_json_matches_the_reference_layout_byte_for_byte():
+    # W ignores the last slot, so trigrams that differ only there tie; a
+    # literal "*" renders like padding; two domains
+    vocab = Vocab(itos=["<pad>", "<unk>", "*", "good", "movie", "plot"])
+    rng = np.random.default_rng(3)
+    E = rng.uniform(-0.5, 0.5, size=(len(vocab), 2))
+    E[0] = 0.0
+    W = rng.normal(size=(2, 6))
+    W[:, 4:] = 0.0
+    params = ModelParams(E=E, W=W, b=np.full(2, 2.0), F_w=rng.normal(size=(3, 2)), F_b=np.zeros(3),
+                         window=3)
+    corpora = [
+        _corpus("src", [["good", "movie", "plot"], ["*", "good", "*"]]),
+        _corpus("tgt", [["good", "movie", "good"], ["plot", "*"]]),
+    ]
+    report = filter_analysis(params, vocab, corpora, k_filters=2, k_trigrams=20, max_doc_len=8)
+    (fs, _), *_ = report.classes.values()
+    acts = {hit.tokens: hit.activation for hit in fs.trigrams}
+    assert acts[("good", "movie", "plot")] == acts[("good", "movie", "good")]
+    assert {hit.domains for hit in fs.trigrams} == {"src", "tgt", "src+tgt"}
+    assert any(hit.tokens[0] == "*" and hit.domains == "src+tgt" for hit in fs.trigrams)
+    assert report.to_json() == json.dumps(_reference_filters_dict(report), indent=2, sort_keys=True)

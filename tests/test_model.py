@@ -192,6 +192,9 @@ def test_apply_max_norm_projects_in_place():
     assert np.array_equal(rows[1], [0.3, 0.4])
     with pytest.raises(ConfigError):
         apply_max_norm(rows, 0.0)
+    default = np.array([[6.0, 8.0]])
+    apply_max_norm(default)  # the paper's radius, 3.0
+    assert np.allclose(default, [[1.8, 2.4]])
 
 
 # ---------------------------------------------------------------- checkpoints

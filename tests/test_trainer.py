@@ -101,6 +101,10 @@ def test_select_model_earliest_minimum():
 # ---------------------------------------------------------------- history CSV
 
 
+def test_history_columns_are_the_epoch_metrics_fields_in_order():
+    assert CSV_COLUMNS == ("epoch", "L", "J", "Gamma", "Omega", "w_t", "total", "dev_error", "seconds")
+
+
 def test_history_csv_round_trip_exact(tmp_path):
     history = History()
     history.epochs.append(EpochMetrics(
