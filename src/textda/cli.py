@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig, parse_config_file
-from .data import RATING_SCHEMES, BatchTriple, Vocab, build_vocab, load_corpus, save_corpus
+from .data import LABELS, RATING_SCHEMES, BatchTriple, Vocab, build_vocab, load_corpus, save_corpus
 from .errors import ConfigError, DataError, NumericalError, TextdaError
 from .evaluation import evaluate_corpus, filter_analysis, render_filter_report
 from .losses import LossWeights, rampup_weight
@@ -215,7 +215,7 @@ def cmd_evaluate(args) -> int:
     print(report.summary())
     if args.out:
         payload = {"command": "evaluate", "checkpoint": str(args.checkpoint),
-                   "test": str(args.test), **report.to_dict()}
+                   "test": str(args.test), **dataclasses.asdict(report)}
         _write_json(Path(args.out) / "eval_report.json", payload)
     return 0
 
@@ -244,7 +244,7 @@ def cmd_analyze_filters(args) -> int:
 
 
 def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
-    """Toy problem (V=20, d=4, h=6, C=3, 4-document batches) plus a builder
+    """Toy problem (V=20, d=4, h=6, C=len(LABELS), 4-document batches) plus a builder
     for each loss component on it, all through the trainer's own objective
     with dropout off. "total" is the objective under the given config, with
     MMD sigma pinned to 1.0 unless configured: the median heuristic depends
@@ -252,7 +252,7 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
     as a constant. Each other component is one term of the objective with
     every term on (DAS, all weights and w_t 1); "MMD" is J under MMD-baseline
     with sigma 1.0."""
-    V, d, h, C, window = 20, 4, 6, 3, 3
+    V, d, h, C, window = 20, 4, 6, len(LABELS), 3
     rng = named_rng(cfg.seed, "gradcheck")
     E = rng.uniform(-0.5, 0.5, (V, d))
     E[0] = 0.0

@@ -14,8 +14,8 @@ trigrams with the highest post-ReLU activation. Padding positions render as
 
 from __future__ import annotations
 
-import heapq
 import json
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def _check_label_arrays(golds, preds, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_label_arrays(golds, preds) -> tuple[np.ndarray, np.ndarray]:
     g = np.asarray(golds, dtype=np.int64)
     p = np.asarray(preds, dtype=np.int64)
     if g.ndim != 1 or g.shape != p.shape:
@@ -51,20 +51,20 @@ def _check_label_arrays(golds, preds, n_classes: int) -> tuple[np.ndarray, np.nd
     if g.size == 0:
         raise ConfigError("cannot score an empty prediction set")
     for name, arr in (("golds", g), ("preds", p)):
-        if arr.min() < 0 or arr.max() >= n_classes:
-            raise ConfigError(f"{name} contain a class outside [0, {n_classes})")
+        if arr.min() < 0 or arr.max() >= len(LABELS):
+            raise ConfigError(f"{name} contain a class outside [0, {len(LABELS)})")
     return g, p
 
 
-def accuracy(golds, preds, n_classes: int = len(LABELS)) -> float:
-    g, p = _check_label_arrays(golds, preds, n_classes)
+def accuracy(golds, preds) -> float:
+    g, p = _check_label_arrays(golds, preds)
     return float((g == p).mean())
 
 
-def confusion_matrix(golds, preds, n_classes: int = len(LABELS)) -> np.ndarray:
+def confusion_matrix(golds, preds) -> np.ndarray:
     """[C, C] counts; rows are gold classes, columns predictions."""
-    g, p = _check_label_arrays(golds, preds, n_classes)
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    g, p = _check_label_arrays(golds, preds)
+    cm = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     np.add.at(cm, (g, p), 1)
     return cm
 
@@ -73,10 +73,10 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def per_class_f1(golds, preds, n_classes: int = len(LABELS)) -> list[dict]:
-    cm = confusion_matrix(golds, preds, n_classes)
+def per_class_f1(golds, preds) -> list[dict]:
+    cm = confusion_matrix(golds, preds)
     out = []
-    for c in range(n_classes):
+    for c in range(len(LABELS)):
         tp = float(cm[c, c])
         precision = _safe_div(tp, float(cm[:, c].sum()))
         recall = _safe_div(tp, float(cm[c, :].sum()))
@@ -88,12 +88,10 @@ def per_class_f1(golds, preds, n_classes: int = len(LABELS)) -> list[dict]:
     return out
 
 
-def macro_f1(golds, preds, n_classes: int = len(LABELS)) -> float:
+def macro_f1(golds, preds) -> float:
     """Mean F1 over the classes present in the gold labels."""
-    g, p = _check_label_arrays(golds, preds, n_classes)
-    stats = per_class_f1(g, p, n_classes)
-    present = [c for c in range(n_classes) if stats[c]["support"] > 0]
-    return float(np.mean([stats[c]["f1"] for c in present]))
+    stats = per_class_f1(golds, preds)
+    return float(np.mean([st["f1"] for st in stats if st["support"] > 0]))
 
 
 @dataclass
@@ -103,9 +101,6 @@ class EvalReport:
     macro_f1: float
     per_class: dict
     confusion: list
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def summary(self) -> str:
         lines = [
@@ -213,11 +208,7 @@ def top_filters_per_class(F_w: np.ndarray, k: int) -> dict[int, list[int]]:
     (ties toward the lower index)."""
     if k < 1 or k > F_w.shape[1]:
         raise ConfigError(f"k must be in [1, {F_w.shape[1]}], got {k}")
-    out = {}
-    for c in range(F_w.shape[0]):
-        order = np.argsort(-F_w[c], kind="stable")
-        out[c] = [int(j) for j in order[:k]]
-    return out
+    return {c: [int(j) for j in np.argsort(-F_w[c], kind="stable")[:k]] for c in range(F_w.shape[0])}
 
 
 def filter_analysis(
@@ -243,36 +234,43 @@ def filter_analysis(
     wanted = sorted({j for filters in per_class.values() for j in filters})
     names = list(vocab.itos)
     names[PAD_INDEX] = "*"
-    # rendered triple -> (max activation of each wanted filter, set of domains)
-    best: dict[tuple[str, ...], tuple[np.ndarray, set]] = {}
+    # rendered triple -> one row: the wanted filters' maximum activations, then a
+    # column per corpus that turns 0 once the triple occurs in it. Rows start at
+    # -inf; max(-inf, x) is x, and post-ReLU values hold no -0.0, so np.maximum
+    # keeps max()'s bits
+    best: defaultdict[tuple[str, ...], np.ndarray] = defaultdict(np.full(len(wanted) + len(corpora), -np.inf).copy)
 
-    for corpus in corpora:
+    for k, corpus in enumerate(corpora):
         enc = [vocab.encode(d.tokens, max_doc_len) for d in corpus]
+        seen = np.where(np.arange(len(corpora)) == k, 0.0, -np.inf)
         for start in range(0, len(enc), eval_batch):
             idx = np.arange(start, min(start + eval_batch, len(enc)))
             mat, lengths = pad_batch(enc, idx)
             idx_win, H = window_activations(params, mat, lengths)
-            # rows of a fresh gather: a stored row is updated in place, and
-            # post-ReLU values hold no -0.0, so np.maximum keeps max()'s bits
-            for win, row in zip(idx_win.tolist(), H[:, wanted]):
-                triple = tuple(names[w] for w in win)
-                got = best.get(triple)
-                if got is None:
-                    best[triple] = (row, {corpus.domain})
-                else:
-                    np.maximum(got[0], row, out=got[0])
-                    got[1].add(corpus.domain)
+            rows = np.hstack([H[:, wanted], np.broadcast_to(seen, (len(H), len(corpora)))])
+            for win, row in zip(idx_win.tolist(), rows):
+                stored = best[tuple(names[w] for w in win)]
+                np.maximum(stored, row, out=stored)
+
+    # ranked by (activation descending, triple ascending): the triples are sorted
+    # once, and a stable argsort of a negated column keeps ties in that order
+    triples = sorted(best)
+    table = np.empty((len(triples), len(wanted) + len(corpora)))
+    for i, triple in enumerate(triples):
+        table[i] = best.pop(triple)  # each row is released as it is copied, so the table is held once
+
+    def domains(i) -> str:
+        return "+".join(sorted({corpora[k].domain for k in np.flatnonzero(table[i, len(wanted):] == 0.0)}))
 
     report = FilterReport(k_filters=k_filters, k_trigrams=k_trigrams)
     for c, label in enumerate(LABELS):
         summaries = []
         for j in per_class[c]:
             col = wanted.index(j)
-            # equal to sorted(...)[:k_trigrams]; keys are unique, as triples are dict keys
-            ranked = heapq.nsmallest(k_trigrams, best.items(), key=lambda kv: (-kv[1][0][col], kv[0]))
+            ranked = np.argsort(-table[:, col], kind="stable")[:k_trigrams]
             hits = [
-                TrigramHit(tokens=triple, activation=float(acts[col]), domains="+".join(sorted(domains)))
-                for triple, (acts, domains) in ranked
+                TrigramHit(tokens=triples[i], activation=float(table[i, col]), domains=domains(i))
+                for i in ranked
             ]
             summaries.append(FilterSummary(filter=j, class_weight=float(params.F_w[c, j]), trigrams=hits))
         report.classes[label] = summaries

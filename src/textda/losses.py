@@ -175,12 +175,18 @@ def feature_adaptation_loss(xi_s: Tensor, xi_t: Tensor, eps: float = 1e-6) -> Te
     return symmetric_kl(g_s, g_t)
 
 
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances [len(A), len(B)] between rows, clipped at 0."""
+    a2 = (A * A).sum(axis=1)[:, None]
+    b2 = (B * B).sum(axis=1)[None, :]
+    return np.maximum(a2 + b2 - 2.0 * A @ B.T, 0.0)
+
+
 def median_heuristic_sigma(xs: np.ndarray, xt: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled rows (1.0 when the
     median degenerates to 0)."""
     pooled = np.vstack([np.asarray(xs, dtype=np.float64), np.asarray(xt, dtype=np.float64)])
-    sq = (pooled * pooled).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T, 0.0)
+    d2 = _sq_dists(pooled, pooled)
     iu = np.triu_indices(pooled.shape[0], k=1)
     med = float(np.median(np.sqrt(d2[iu])))
     return med if med > 0.0 else 1.0
@@ -200,15 +206,9 @@ def mmd_rbf(xs: Tensor, xt: Tensor, sigma: float) -> Tensor:
     m, n = X.shape[0], Y.shape[0]
     c = 1.0 / (sigma * sigma)
 
-    def kernel(A, B):
-        a2 = (A * A).sum(axis=1)[:, None]
-        b2 = (B * B).sum(axis=1)[None, :]
-        d2 = np.maximum(a2 + b2 - 2.0 * A @ B.T, 0.0)
-        return np.exp(-0.5 * c * d2)
-
-    K_ss = kernel(X, X)
-    K_tt = kernel(Y, Y)
-    K_st = kernel(X, Y)
+    K_ss = np.exp(-0.5 * c * _sq_dists(X, X))
+    K_tt = np.exp(-0.5 * c * _sq_dists(Y, Y))
+    K_st = np.exp(-0.5 * c * _sq_dists(X, Y))
     tape = xs.tape
     out = tape.leaf(float(K_ss.mean() + K_tt.mean() - 2.0 * K_st.mean()))
 

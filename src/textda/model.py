@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import PAD_INDEX
+from .data import LABELS, PAD_INDEX
 from .errors import ConfigError, DataError, NumericalError
 
 __all__ = [
@@ -58,8 +58,8 @@ PARAM_ORDER = ("E", "W", "b", "F_w", "F_b")
 
 @dataclass
 class ModelParams:
-    """E [V, d] embeddings; W [h, l*d], b [h] convolution; F_w [C, h],
-    F_b [C] output head; window is the convolution width l."""
+    """E [V, d] embeddings; W [h, l*d], b [h] convolution; F_w [C, h], F_b [C]
+    output head, C = len(LABELS); window is the convolution width l."""
 
     E: np.ndarray
     W: np.ndarray
@@ -77,6 +77,8 @@ class ModelParams:
             raise ConfigError(f"W expects rows of length window*d = {self.window * d}, got {ld}")
         if self.b.shape != (h,) or self.F_w.shape[1] != h or self.F_b.shape != (self.F_w.shape[0],):
             raise ConfigError("inconsistent parameter shapes")
+        if self.F_w.shape[0] != len(LABELS):
+            raise ConfigError(f"the output head must have one row per class of {LABELS}, got {self.F_w.shape[0]}")
 
     @property
     def vocab_size(self) -> int:
@@ -109,8 +111,7 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-s, s, size=(fan_out, fan_in))
 
 
-def init_params(embeddings: np.ndarray, window: int, hidden: int, n_classes: int,
-                rng: np.random.Generator) -> ModelParams:
+def init_params(embeddings: np.ndarray, window: int, hidden: int, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weight matrices, zero biases; the embedding matrix is
     taken as provided (pretrained or random-initialized by the loader)."""
     E = np.array(embeddings, dtype=np.float64)
@@ -118,10 +119,8 @@ def init_params(embeddings: np.ndarray, window: int, hidden: int, n_classes: int
         raise ConfigError(f"embeddings must be 2-D, got shape {E.shape}")
     d = E.shape[1]
     W = _glorot(rng, hidden, window * d)
-    F_w = _glorot(rng, n_classes, hidden)
-    return ModelParams(
-        E=E, W=W, b=np.zeros(hidden), F_w=F_w, F_b=np.zeros(n_classes), window=window,
-    )
+    F_w = _glorot(rng, len(LABELS), hidden)
+    return ModelParams(E=E, W=W, b=np.zeros(hidden), F_w=F_w, F_b=np.zeros(len(LABELS)), window=window)
 
 
 def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
@@ -261,8 +260,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise DataError(f"checkpoint {p}: header field 'vocab_hash' must be a string, "
                         f"got {header.get('vocab_hash')!r}")
     V, d, l, h, C = (header[key] for key in dims)
-    if l % 2 == 0:
-        raise DataError(f"checkpoint {p}: window must be odd, got {l}")
     shapes = {"E": (V, d), "W": (h, l * d), "b": (h,), "F_w": (C, h), "F_b": (C,)}
     found = p.stat().st_size - len(line)
     need = sum(int(np.prod(s)) for s in shapes.values()) * 8
@@ -282,5 +279,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             if not np.isfinite(arr).all():
                 raise DataError(f"checkpoint {p}: parameter {name} has non-finite values")
             arrays[name] = arr.astype(np.float64, copy=False)
-    params = ModelParams(window=l, **arrays)
-    return params, header
+    try:
+        return ModelParams(window=l, **arrays), header
+    except ConfigError as e:
+        raise DataError(f"checkpoint {p}: {e}") from e

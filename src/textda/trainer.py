@@ -201,8 +201,7 @@ def train(
     labels_s = source.label_indices()
     onehot_s = np.eye(len(LABELS), dtype=np.float64)[labels_s]
 
-    params = init_params(embeddings, config.window, config.hidden, len(LABELS),
-                         named_rng(config.seed, "init"))
+    params = init_params(embeddings, config.window, config.hidden, named_rng(config.seed, "init"))
     optimizer = RMSProp(params.arrays(), config.learning_rate)
     stream = BatchStream(
         labels_s, n_target=len(enc_t), n_union=len(enc_union),

@@ -254,7 +254,7 @@ def test_criterion_6_ensemble_algebra(capsys):
 
     params = init_params(
         named_rng(2, "embeddings").uniform(-0.25, 0.25, size=(30, 6)),
-        window=3, hidden=8, n_classes=3, rng=named_rng(2, "init"))
+        window=3, hidden=8, rng=named_rng(2, "init"))
     docs = [named_rng(3, "synth").integers(2, 30, size=n) for n in (5, 9, 4, 7, 6)]
     model_preds = predict_all(params, docs)
     first = EnsembleState.zeros(len(docs), 3, alpha=alpha)

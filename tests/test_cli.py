@@ -271,6 +271,29 @@ def test_evaluate_rejects_overflowing_checkpoint_with_exit_3(trained_dir, synth_
     assert "accuracy" not in captured.out
 
 
+@pytest.mark.parametrize("n_classes", [2, 4])
+@pytest.mark.parametrize("command", ["evaluate", "analyze-filters"])
+def test_checkpoint_with_another_class_count_exits_2_naming_it(trained_dir, synth_dir, tmp_path, capsys,
+                                                              command, n_classes):
+    # a well-formed file whose head has one class fewer or more than LABELS
+    params, header = load_checkpoint(trained_dir / "model.ckpt")
+    rng = np.random.default_rng(n_classes)
+    arrays = {**params.arrays(), "F_w": rng.normal(size=(n_classes, params.hidden)),
+              "F_b": rng.normal(size=n_classes)}
+    bad = tmp_path / f"head{n_classes}.ckpt"
+    with bad.open("wb") as fh:
+        fh.write((json.dumps({**header, "n_classes": n_classes}) + "\n").encode("utf-8"))
+        for name in ("E", "W", "b", "F_w", "F_b"):
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+    test = str(synth_dir / "target_test.jsonl")
+    data = ["--test", test] if command == "evaluate" else ["--corpus", test, "--k-filters", "2"]
+    code = main([command, "--checkpoint", str(bad), "--vocab", str(trained_dir / "vocab.txt"), *data])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "one row per class" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------- analyze-filters
 
 

@@ -76,7 +76,7 @@ def test_first_update_targets_equal_model_argmax():
 def test_predict_all_chunking_matches_single_pass():
     rng = named_rng(7, "embeddings")
     params = init_params(rng.uniform(-0.25, 0.25, size=(15, 4)),
-                         window=3, hidden=6, n_classes=3, rng=named_rng(7, "init"))
+                         window=3, hidden=6, rng=named_rng(7, "init"))
     docs = [
         np.array([2, 3, 4, 5, 6, 7]),
         np.array([8, 9]),
@@ -97,7 +97,7 @@ def test_predict_all_chunking_matches_single_pass():
 def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkeypatch):
     rng = named_rng(11, "docs")
     params = init_params(rng.uniform(-0.25, 0.25, size=(15, 4)),
-                         window=3, hidden=6, n_classes=3, rng=named_rng(11, "init"))
+                         window=3, hidden=6, rng=named_rng(11, "init"))
     # batches of 20 with many ties: numpy's default sort is not stable at that size
     lengths = rng.integers(1, 6, size=45).tolist()
     docs = [rng.integers(1, 15, size=n) for n in lengths]
@@ -127,7 +127,7 @@ def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkey
 def test_predict_all_rejects_non_finite_probabilities():
     # finite but huge parameters: the convolution overflows to inf and
     # softmax turns the rows to NaN
-    params = init_params(np.full((15, 4), 1e308), window=3, hidden=6, n_classes=3,
+    params = init_params(np.full((15, 4), 1e308), window=3, hidden=6,
                          rng=named_rng(7, "init"))
     params.W[:] = 1.0
     docs = [np.array([2, 3, 4]), np.array([5, 6])]
@@ -139,7 +139,7 @@ def test_predict_all_names_a_non_finite_document_by_its_unsorted_batch_row():
     # token 9's huge embedding overflows only the windows that hold it
     E = named_rng(7, "docs").uniform(-0.25, 0.25, size=(15, 4))
     E[9] = 1e308
-    params = init_params(E, window=3, hidden=6, n_classes=3, rng=named_rng(7, "init"))
+    params = init_params(E, window=3, hidden=6, rng=named_rng(7, "init"))
     params.W[:] = 1.0
     docs = [np.array([1, 2]), np.array([3]), np.array([4, 5, 6]),
             np.array([9, 2, 3, 4, 5]), np.array([1, 2]), np.array([3])]

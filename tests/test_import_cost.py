@@ -30,7 +30,7 @@ from textda.model import classify, encode_batch, forward_eval, init_params
 from textda.trainer import RMSProp
 
 rng = np.random.default_rng(0)
-params = init_params(rng.normal(size=(9, 4)), window=3, hidden=5, n_classes=3, rng=rng)
+params = init_params(rng.normal(size=(9, 4)), window=3, hidden=5, rng=rng)
 mat, lengths = np.array([[1, 2, 3, 4], [5, 6, 0, 0]]), np.array([4, 2])
 forward_eval(params, mat, lengths)
 predict_all(params, [[1, 2, 3], [4, 5], [6, 7, 8, 2]], eval_batch=2)

@@ -124,7 +124,7 @@ def test_classify_rows_are_distributions():
 def test_forward_eval_is_deterministic():
     params = init_params(
         named_rng(0, "embeddings").uniform(-0.25, 0.25, size=(9, 4)),
-        window=3, hidden=5, n_classes=3, rng=named_rng(0, "init"),
+        window=3, hidden=5, rng=named_rng(0, "init"),
     )
     mat = np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]])
     lengths = np.array([5, 3])
@@ -139,7 +139,7 @@ def test_forward_eval_is_deterministic():
 def test_training_dropout_differs_from_eval():
     params = init_params(
         named_rng(1, "embeddings").uniform(-0.25, 0.25, size=(9, 4)),
-        window=3, hidden=16, n_classes=3, rng=named_rng(1, "init"),
+        window=3, hidden=16, rng=named_rng(1, "init"),
     )
     mat = np.array([[2, 3, 4, 5]])
     lengths = np.array([4])
@@ -163,7 +163,7 @@ def test_training_dropout_differs_from_eval():
 
 def test_init_params_glorot_bounds_and_zero_biases():
     E = named_rng(3, "embeddings").uniform(-0.25, 0.25, size=(20, 6))
-    params = init_params(E, window=5, hidden=8, n_classes=3, rng=named_rng(3, "init"))
+    params = init_params(E, window=5, hidden=8, rng=named_rng(3, "init"))
     assert np.array_equal(params.E, E)
     assert params.E.dtype == np.float64
     s_w = np.sqrt(6.0 / (5 * 6 + 8))
@@ -182,6 +182,9 @@ def test_model_params_validation():
         ModelParams(E=good.E, W=np.ones((1, 4)), b=good.b, F_w=good.F_w, F_b=good.F_b, window=3)
     with pytest.raises(ConfigError):
         ModelParams(E=good.E, W=good.W, b=good.b, F_w=good.F_w, F_b=np.zeros(2), window=3)
+    # a consistent head with one row fewer than LABELS has classes
+    with pytest.raises(ConfigError, match="one row per class"):
+        ModelParams(E=good.E, W=good.W, b=good.b, F_w=good.F_w[:2], F_b=good.F_b[:2], window=3)
 
 
 def test_apply_max_norm_projects_in_place():
@@ -203,7 +206,7 @@ def test_apply_max_norm_projects_in_place():
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     params = init_params(
         named_rng(5, "embeddings").uniform(-0.25, 0.25, size=(12, 4)),
-        window=3, hidden=6, n_classes=3, rng=named_rng(5, "init"),
+        window=3, hidden=6, rng=named_rng(5, "init"),
     )
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, vocab_hash="ab" * 32, path=path)

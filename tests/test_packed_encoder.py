@@ -30,7 +30,7 @@ TRIGRAM = (2, 3, 4)
 def _params(seed=0):
     params = init_params(
         named_rng(seed, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
-        window=WINDOW, hidden=HIDDEN, n_classes=3, rng=named_rng(seed, "init"),
+        window=WINDOW, hidden=HIDDEN, rng=named_rng(seed, "init"),
     )
     params.b[:] = named_rng(seed, "bias").uniform(-0.05, 0.05, size=HIDDEN)
     return params
@@ -289,7 +289,7 @@ def test_forward_only_blocks_of_wide_filters_match_the_recording_path_bit_for_bi
     hidden = 300  # paper width: blocks hold fewer than CONV_BLOCK_ROWS rows
     assert ad._block_rows(hidden) < ad.CONV_BLOCK_ROWS
     params = init_params(named_rng(0, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
-                         window=WINDOW, hidden=hidden, n_classes=3, rng=named_rng(0, "init"))
+                         window=WINDOW, hidden=hidden, rng=named_rng(0, "init"))
     mat, lengths = _batch([2] + [7] * 60 + [300, 5])
     idx_win = _windows(mat, lengths)
     tape = ad.Tape()
@@ -361,7 +361,7 @@ def _gate_batch(hidden):
     filter 0, which persists under any perturbation), and filter 1 ReLU-dead
     at every position."""
     params = init_params(named_rng(2, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
-                         window=WINDOW, hidden=hidden, n_classes=3, rng=named_rng(2, "init"))
+                         window=WINDOW, hidden=hidden, rng=named_rng(2, "init"))
     params.E[list(TRIGRAM)] *= 8.0
     params.W[0] = params.E[list(TRIGRAM)].ravel()
     params.b[1] = -10.0
@@ -424,7 +424,7 @@ def test_conv_max_pool_equals_the_unfused_chain_bit_for_bit(hidden):
 def test_an_encode_and_its_backward_allocate_no_array_of_every_position(tape_cls):
     hidden = 64
     params = init_params(named_rng(0, "embeddings").uniform(-0.25, 0.25, size=(V, D)),
-                         window=WINDOW, hidden=hidden, n_classes=3, rng=named_rng(0, "init"))
+                         window=WINDOW, hidden=hidden, rng=named_rng(0, "init"))
     mat, lengths = _batch([30] * 200)
     n_bytes = int(lengths.sum()) * hidden * 8  # one [n_valid, h] float64 array: 3 MB
     tape = tape_cls()

@@ -155,7 +155,7 @@ def test_objective_takes_J_distance_from_the_variant(variant):
     vocab = build_vocab([source, target], config.vocab_size)
     enc_s, enc_t = ([vocab.encode(d.tokens, config.max_doc_len) for d in c] for c in (source, target))
     embeddings, _ = load_pretrained_embeddings(None, vocab, config.embedding_dim, named_rng(0, "e"))
-    params = init_params(embeddings, config.window, config.hidden, 3, named_rng(0, "init"))
+    params = init_params(embeddings, config.window, config.hidden, named_rng(0, "init"))
     batch = BatchTriple(np.arange(10), np.arange(10, 20), np.arange(10))
     onehot = np.eye(3)[source.label_indices()]
     tape = Tape()
