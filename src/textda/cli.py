@@ -116,7 +116,8 @@ def _load_model(checkpoint, vocab_path) -> tuple[ModelParams, Vocab]:
     vocab = Vocab.load(vocab_path)
     if len(vocab) != header["vocab_size"]:
         raise DataError(
-            f"vocab size mismatch: checkpoint expects {header['vocab_size']}, file has {len(vocab)}")
+            f"vocab size mismatch: checkpoint expects {header['vocab_size']}, "
+            f"file {vocab_path} has {len(vocab)}")
     if vocab.content_hash() != header["vocab_hash"]:
         raise DataError(
             f"vocab hash mismatch: checkpoint expects {header['vocab_hash']}, "

@@ -37,7 +37,6 @@ class TrainConfig:
     vocab_size: int = 10000
     n_dev: int = 1000
     max_doc_len: int = 400
-    balance_source: bool = True
     eval_batch: int = 256
     mmd_sigma: float | None = None  # None -> median heuristic per batch
 
@@ -93,22 +92,12 @@ class TrainConfig:
                               for key, raw in mapping.items()})
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
-
-
 def _parse_optional_float(raw: str) -> float | None:
     return None if raw.lower() in ("", "none", "median") else float(raw)
 
 
 # field annotation (a string under postponed evaluation) -> parser
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
-            "float | None": _parse_optional_float}
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": _parse_optional_float}
 
 
 def _coerce(key: str, annotation: str, raw: str):

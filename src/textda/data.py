@@ -152,6 +152,8 @@ def load_corpus(path, domain: str, scheme: str | None = None) -> Corpus:
             if not tokens:
                 raise DataError(f"{p}: line {lineno}: document has no tokens")
             docs.append(Document(tokens=tokens, label=label, rating=rating, domain=domain))
+    if not docs:
+        raise DataError(f"{p}: corpus has no documents")
     return Corpus(docs=docs, domain=domain)
 
 
@@ -345,8 +347,8 @@ class BatchStream:
     """Yields BatchTriples. One epoch is floor(n_union / batch_size)
     iterations; the union pool is visited without repetition inside an epoch
     (the remainder is dropped), while source and target pools cycle with
-    reshuffling. With balance=True the labeled-source slots round-robin the
-    classes present, so per-class counts in a batch differ by at most one."""
+    reshuffling. The labeled-source slots always round-robin the classes
+    present, so per-class counts in a batch differ by at most one."""
 
     def __init__(
         self,
@@ -354,7 +356,6 @@ class BatchStream:
         n_target: int,
         n_union: int,
         batch_size: int,
-        balance: bool,
         rng: np.random.Generator,
     ):
         source_labels = np.asarray(source_labels, dtype=np.int64)
@@ -368,21 +369,14 @@ class BatchStream:
         self.n_union = n_union
         self._rng = rng
         self._target = _Cycler(np.arange(n_target), rng)
-        if balance:
-            classes = np.unique(source_labels)
-            self._source_classes = [
-                _Cycler(np.flatnonzero(source_labels == c), rng) for c in classes
-            ]
-        else:
-            self._source_classes = None
-            self._source = _Cycler(np.arange(len(source_labels)), rng)
+        self._source_classes = [
+            _Cycler(np.flatnonzero(source_labels == c), rng) for c in np.unique(source_labels)
+        ]
 
     def iterations_per_epoch(self) -> int:
         return self.n_union // self.batch_size
 
     def _take_source(self, k: int) -> np.ndarray:
-        if self._source_classes is None:
-            return self._source.take(k)
         n_cls = len(self._source_classes)
         counts = [k // n_cls + (1 if r < k % n_cls else 0) for r in range(n_cls)]
         out = np.empty(k, dtype=np.int64)

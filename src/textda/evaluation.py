@@ -207,7 +207,7 @@ def top_filters_per_class(F_w: np.ndarray, k: int) -> dict[int, list[int]]:
     """Filter indices with the largest output weight per class, descending
     (ties toward the lower index)."""
     if k < 1 or k > F_w.shape[1]:
-        raise ConfigError(f"k must be in [1, {F_w.shape[1]}], got {k}")
+        raise ConfigError(f"k_filters must be in [1, {F_w.shape[1]}], got {k}")
     return {c: [int(j) for j in np.argsort(-F_w[c], kind="stable")[:k]] for c in range(F_w.shape[0])}
 
 
@@ -228,8 +228,6 @@ def filter_analysis(
     """
     if k_trigrams < 1:
         raise ConfigError(f"k_trigrams must be at least 1, got {k_trigrams}")
-    if not 1 <= k_filters <= params.F_w.shape[1]:
-        raise ConfigError(f"k_filters must be in [1, {params.F_w.shape[1]}], got {k_filters}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
     names = list(vocab.itos)
@@ -280,8 +278,6 @@ def filter_analysis(
 def render_filter_report(report: FilterReport) -> str:
     lines = []
     for label in LABELS:
-        if label not in report.classes:
-            continue
         lines.append(f"class: {label}")
         for fs in report.classes[label]:
             lines.append(f"  filter {fs.filter} (class weight {fs.class_weight:.4f})")

@@ -205,8 +205,7 @@ def train(
     optimizer = RMSProp(params.arrays(), config.learning_rate)
     stream = BatchStream(
         labels_s, n_target=len(enc_t), n_union=len(enc_union),
-        batch_size=config.batch_size, balance=config.balance_source,
-        rng=named_rng(config.seed, "shuffle"),
+        batch_size=config.batch_size, rng=named_rng(config.seed, "shuffle"),
     )
     rng_drop = named_rng(config.seed, "dropout")
 

@@ -164,6 +164,21 @@ def test_train_missing_source_exits_2_and_names_path(tmp_path, synth_dir, capsys
     assert "absent.jsonl" in capsys.readouterr().err
 
 
+def test_empty_corpus_exits_2_and_names_path(tmp_path, synth_dir, trained_dir, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n", encoding="utf-8")
+    for argv in (
+        ["train", "--out", str(tmp_path / "o"), "--source", str(empty),
+         "--target", str(synth_dir / "target_unlabeled.jsonl")],
+        ["evaluate", "--checkpoint", str(trained_dir / "model.ckpt"),
+         "--vocab", str(trained_dir / "vocab.txt"), "--test", str(empty)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{empty}: corpus has no documents" in err
+        assert "Traceback" not in err
+
+
 def test_train_bad_config_exits_1(tmp_path, synth_dir, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("epochs = -3\n", encoding="utf-8")
@@ -226,7 +241,8 @@ def test_evaluate_rejects_mismatched_vocab(trained_dir, synth_dir, tmp_path, cap
         "--test", str(synth_dir / "target_test.jsonl"),
     ])
     assert code == 2
-    assert "size mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "size mismatch" in err and str(shorter) in err
 
 
 @pytest.mark.parametrize("vocab_hash", [None, 5], ids=["missing", "not-a-string"])
@@ -464,7 +480,7 @@ def test_train_non_finite_config_value_exits_1(tmp_path, synth_dir, capsys):
 
 @pytest.mark.parametrize("line", ["distance_loss = mmd-rbf", "bootstrap_from_epoch1 = true",
                                   "rmsprop_rho = 0.9", "rmsprop_eps = 1e-8", "l1_eps = 1e-6",
-                                  "max_norm = 3.0"])
+                                  "max_norm = 3.0", "balance_source = true"])
 def test_train_rejects_removed_config_keys(tmp_path, synth_dir, capsys, line):
     conf = tmp_path / "old.conf"
     conf.write_text(TINY_CONF + line + "\n", encoding="utf-8")

@@ -48,19 +48,15 @@ def test_from_strings_coercion():
         "variant": "FANN",
         "lambda1": "12.5",
         "epochs": "7",
-        "balance_source": "false",
         "mmd_sigma": "none",
     })
     assert config.variant == "FANN"
     assert config.lambda1 == 12.5
     assert config.epochs == 7
-    assert config.balance_source is False
     assert config.mmd_sigma is None
     assert TrainConfig.from_strings({"mmd_sigma": "2.5"}).mmd_sigma == 2.5
     with pytest.raises(ConfigError, match="epochs"):
         TrainConfig.from_strings({"epochs": "seven"})
-    with pytest.raises(ConfigError, match="balance_source"):
-        TrainConfig.from_strings({"balance_source": "maybe"})
     with pytest.raises(ConfigError, match="unknown config key"):
         TrainConfig.from_strings({"lambda9": "1"})
 
@@ -71,7 +67,7 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
         variant="MMD-baseline", lambda1=1.5, lambda2=0.25,
         lambda3=2.5, alpha=0.3, learning_rate=1e-3, epochs=7, batch_size=11, seed=13,
         window=5, hidden=17, embedding_dim=19, dropout_rate=0.1,
-        vocab_size=123, n_dev=9, max_doc_len=77, balance_source=False, eval_batch=31,
+        vocab_size=123, n_dev=9, max_doc_len=77, eval_batch=31,
         mmd_sigma=mmd_sigma,
     )
     back = TrainConfig.from_strings({k: str(v) for k, v in config.to_dict().items()})
@@ -81,10 +77,10 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
 
 
 @pytest.mark.parametrize("key", ["distance_loss", "bootstrap_from_epoch1", "rmsprop_rho", "rmsprop_eps",
-                                 "l1_eps", "max_norm"])
+                                 "l1_eps", "max_norm", "balance_source"])
 def test_removed_settings_are_unknown_keys(key):
     # J's distance follows the variant; the optimizer and L1 epsilons and the max norm are the
-    # functions' own defaults
+    # functions' own defaults; the source batches are always class-balanced
     with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: [{key!r}]")):
         TrainConfig.from_strings({key: "1"})
 

@@ -329,7 +329,7 @@ def test_split_dev_sizes_disjoint_and_order_preserved():
 def test_batch_stream_epoch_shape_and_union_coverage():
     labels = np.array([0, 1, 2] * 10)
     stream = BatchStream(labels, n_target=25, n_union=55, batch_size=10,
-                         balance=True, rng=named_rng(0, "shuffle"))
+                         rng=named_rng(0, "shuffle"))
     assert stream.iterations_per_epoch() == 5
     triples = list(stream.epoch())
     assert len(triples) == 5
@@ -345,12 +345,12 @@ def test_batch_stream_epoch_shape_and_union_coverage():
 def test_batch_stream_balanced_source_counts():
     labels = np.array([0] * 30 + [1] * 5 + [2] * 10)
     stream = BatchStream(labels, n_target=10, n_union=45, batch_size=9,
-                         balance=True, rng=named_rng(3, "shuffle"))
+                         rng=named_rng(3, "shuffle"))
     for t in stream.epoch():
         got = np.bincount(labels[t.source_idx], minlength=3)
         assert np.array_equal(got, [3, 3, 3])
     stream = BatchStream(labels, n_target=10, n_union=45, batch_size=10,
-                         balance=True, rng=named_rng(3, "shuffle"))
+                         rng=named_rng(3, "shuffle"))
     for t in stream.epoch():
         got = np.bincount(labels[t.source_idx], minlength=3)
         assert got.max() - got.min() <= 1
@@ -361,7 +361,7 @@ def test_balanced_source_slots_round_robin_the_classes_draw_for_draw():
     # fill from a copy of the stream's samplers gives it
     labels = np.array([0] * 7 + [1] * 2 + [2] * 4)
     stream = BatchStream(labels, n_target=5, n_union=20, batch_size=4,
-                         balance=True, rng=named_rng(5, "shuffle"))
+                         rng=named_rng(5, "shuffle"))
     for k in (1, 2, 3, 7, 10, 9):
         twin = copy.deepcopy(stream)
         got = stream._take_source(k)
@@ -374,7 +374,7 @@ def test_batch_stream_same_seed_reproduces_exactly():
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     def collect():
         stream = BatchStream(labels, n_target=6, n_union=14, batch_size=4,
-                             balance=True, rng=named_rng(9, "shuffle"))
+                             rng=named_rng(9, "shuffle"))
         return [(t.source_idx.copy(), t.target_idx.copy(), t.union_idx.copy())
                 for _ in range(2) for t in stream.epoch()]
     a, b = collect(), collect()
@@ -385,10 +385,10 @@ def test_batch_stream_same_seed_reproduces_exactly():
 def test_batch_stream_validates_pools():
     with pytest.raises(ConfigError):
         BatchStream(np.array([0]), n_target=5, n_union=3, batch_size=4,
-                    balance=False, rng=named_rng(0, "shuffle"))
+                    rng=named_rng(0, "shuffle"))
     with pytest.raises(DataError):
         BatchStream(np.array([], dtype=np.int64), n_target=5, n_union=10,
-                    batch_size=2, balance=False, rng=named_rng(0, "shuffle"))
+                    batch_size=2, rng=named_rng(0, "shuffle"))
 
 
 def test_pad_batch_shapes_and_padding():
