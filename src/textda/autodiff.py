@@ -330,7 +330,7 @@ def _block_rows(h: int) -> int:
     return min(CONV_BLOCK_ROWS, max(1, CONV_BLOCK_VALUES // h))
 
 
-def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray, op: str):
+def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray, op: str, filters=slice(None)):
     """Check the convolution's inputs and project the distinct tokens.
 
     A window row is its l embedding rows side by side, so x W^T is
@@ -340,8 +340,9 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarr
     position's own token or padding, so U <= n + 1. Returns slots [n, l]
     (the row of Q that each window slot reads), uniq, E[uniq], M (W's slot
     blocks side by side) and fill(out, start, stop), which writes the
-    pre-activations of window rows start..stop-1 into out.
-    """
+    pre-activations of window rows start..stop-1 into out, for the given
+    filters (all by default), taken from Q after the GEMM, since a GEMM
+    over fewer rows of W can round differently."""
     idx_win = np.asarray(idx_win)
     if idx_win.ndim < 2 or idx_win.shape[-1] < 1:
         raise ShapeError(f"{op}: window index array must be [..., l], got shape {idx_win.shape}")
@@ -361,10 +362,10 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarr
     slots = rank[flat].reshape(-1, l) * l + np.arange(l)
     EU = E[uniq]
     M = W.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
-    Q = (EU @ M).reshape(-1, h)
+    Q, b = (EU @ M).reshape(-1, h)[:, filters], b[filters]
     ids = np.ascontiguousarray(slots.T)  # one contiguous run of Q rows per slot
-    block = _block_rows(h)
-    part = np.empty((min(slots.shape[0], block), h))
+    block = _block_rows(b.size)
+    part = np.empty((min(slots.shape[0], block), b.size))
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         # Slot 0's projections are gathered straight into out, each later
@@ -384,12 +385,13 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarr
     return slots, uniq, EU, M, fill
 
 
-def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray) -> np.ndarray:
-    """The pre-activations [n, h] of every window, x W^T + b, filled as
-    conv_max_pool fills its blocks, so bit-equal to the values it pools.
-    Plain arrays, no tape: for filter analysis, which reads every window."""
-    slots, _, _, _, fill = _conv_forward(E, W, b, idx_win, "conv_rows")
-    Z = np.empty((slots.shape[0], W.shape[0]))
+def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray, filters=slice(None)) -> np.ndarray:
+    """The pre-activations [n, h'] of every window, x W^T + b, for the
+    given filters (all h by default), filled as conv_max_pool fills its
+    blocks, so bit-equal to the values it pools. Plain arrays, no tape: for
+    filter analysis, which scores each distinct window of its corpora once."""
+    slots, _, _, _, fill = _conv_forward(E, W, b, idx_win, "conv_rows", filters)
+    Z = np.empty((slots.shape[0], b[filters].size))
     fill(Z, 0, Z.shape[0])
     return Z
 

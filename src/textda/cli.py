@@ -98,7 +98,10 @@ def build_parser() -> _Parser:
 
 def _load_train_config(args) -> TrainConfig:
     mapping = parse_config_file(args.config) if args.config else {}
-    cfg = TrainConfig.from_strings(mapping)
+    try:
+        cfg = TrainConfig.from_strings(mapping)
+    except ConfigError as e:  # only a config file's values can be bad
+        raise ConfigError(f"{args.config}: {e}") from e
     if getattr(args, "seed", None) is not None:  # evaluate and analyze-filters have no --seed
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
@@ -212,7 +215,7 @@ def cmd_evaluate(args) -> int:
     _require_files(args.checkpoint, args.vocab, args.test)
     params, vocab = _load_model(args.checkpoint, args.vocab)
     test = load_corpus(args.test, "target", args.scheme)
-    report = evaluate_corpus(params, vocab, test, cfg.max_doc_len, cfg.eval_batch)
+    report = evaluate_corpus(params, vocab, test, cfg.max_doc_len)
     print(report.summary())
     if args.out:
         payload = {"command": "evaluate", "checkpoint": str(args.checkpoint),
@@ -232,8 +235,7 @@ def cmd_analyze_filters(args) -> int:
             tag, path = Path(value).stem, value
         _require_files(path)
         corpora.append(load_corpus(path, tag, args.scheme))
-    report = filter_analysis(params, vocab, corpora, args.k_filters, args.k_trigrams,
-                             cfg.max_doc_len, cfg.eval_batch)
+    report = filter_analysis(params, vocab, corpora, args.k_filters, args.k_trigrams, cfg.max_doc_len)
     text = render_filter_report(report)
     print(text, end="")
     if args.out:

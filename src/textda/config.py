@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import read_lines
 from .errors import ConfigError
 from .losses import VARIANTS, LossWeights
 
@@ -37,7 +38,6 @@ class TrainConfig:
     vocab_size: int = 10000
     n_dev: int = 1000
     max_doc_len: int = 400
-    eval_batch: int = 256
     mmd_sigma: float | None = None  # None -> median heuristic per batch
 
     def __post_init__(self):
@@ -58,7 +58,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         for name in ("epochs", "batch_size", "hidden", "embedding_dim", "vocab_size",
-                     "n_dev", "max_doc_len", "eval_batch"):
+                     "n_dev", "max_doc_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.window < 1 or self.window % 2 == 0:
@@ -113,7 +113,7 @@ def parse_config_file(path) -> dict[str, str]:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in read_lines(p, ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

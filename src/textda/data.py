@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TextdaError
 
 __all__ = [
     "LABELS",
     "LABEL_TO_INDEX",
     "PAD_INDEX",
     "UNK_INDEX",
+    "read_lines",
     "tokenize",
     "map_rating_to_label",
     "Document",
@@ -50,6 +51,18 @@ UNK_INDEX = 1
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 RATING_SCHEMES = ("amazon5", "imdb10")
+
+
+def read_lines(path: Path, error: type[TextdaError] = DataError):
+    """Yield (line number, text) of each line of a UTF-8 file, decoded on its
+    own, so bytes that are not UTF-8 are refused naming the file and line."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise error(f"{path}: line {lineno}: not valid UTF-8 "
+                            f"(byte {raw[e.start]:#04x} at offset {e.start}: {e.reason})") from e
 
 
 def tokenize(text: str) -> list[str]:
@@ -119,39 +132,38 @@ def load_corpus(path, domain: str, scheme: str | None = None) -> Corpus:
     if not p.is_file():
         raise DataError(f"corpus file not found: {p}")
     docs: list[Document] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in read_lines(p):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{p}: line {lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
+            raise DataError(f"{p}: line {lineno}: expected an object with a string 'text' field")
+        has_rating = "rating" in rec
+        has_label = "label" in rec
+        if has_rating == has_label:
+            raise DataError(f"{p}: line {lineno}: need exactly one of 'rating' or 'label'")
+        rating: float | None = None
+        if has_rating:
+            if not isinstance(rec["rating"], (int, float)) or isinstance(rec["rating"], bool):
+                raise DataError(f"{p}: line {lineno}: 'rating' must be a number")
+            if scheme is None:
+                raise DataError(f"{p}: line {lineno}: rating-labeled corpus needs a rating scheme")
+            rating = float(rec["rating"])
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{p}: line {lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
-                raise DataError(f"{p}: line {lineno}: expected an object with a string 'text' field")
-            has_rating = "rating" in rec
-            has_label = "label" in rec
-            if has_rating == has_label:
-                raise DataError(f"{p}: line {lineno}: need exactly one of 'rating' or 'label'")
-            rating: float | None = None
-            if has_rating:
-                if not isinstance(rec["rating"], (int, float)) or isinstance(rec["rating"], bool):
-                    raise DataError(f"{p}: line {lineno}: 'rating' must be a number")
-                if scheme is None:
-                    raise DataError(f"{p}: line {lineno}: rating-labeled corpus needs a rating scheme")
-                rating = float(rec["rating"])
-                try:
-                    label = map_rating_to_label(rating, scheme)
-                except DataError as e:
-                    raise DataError(f"{p}: line {lineno}: {e}") from e
-            else:
-                label = rec["label"]
-                if label not in LABELS:
-                    raise DataError(f"{p}: line {lineno}: label {label!r} not in {LABELS}")
-            tokens = tuple(tokenize(rec["text"]))
-            if not tokens:
-                raise DataError(f"{p}: line {lineno}: document has no tokens")
-            docs.append(Document(tokens=tokens, label=label, rating=rating, domain=domain))
+                label = map_rating_to_label(rating, scheme)
+            except DataError as e:
+                raise DataError(f"{p}: line {lineno}: {e}") from e
+        else:
+            label = rec["label"]
+            if label not in LABELS:
+                raise DataError(f"{p}: line {lineno}: label {label!r} not in {LABELS}")
+        tokens = tuple(tokenize(rec["text"]))
+        if not tokens:
+            raise DataError(f"{p}: line {lineno}: document has no tokens")
+        docs.append(Document(tokens=tokens, label=label, rating=rating, domain=domain))
     if not docs:
         raise DataError(f"{p}: corpus has no documents")
     return Corpus(docs=docs, domain=domain)
@@ -211,8 +223,9 @@ class Vocab:
         p = Path(path)
         if not p.is_file():
             raise DataError(f"vocab file not found: {p}")
+        itos = [line.rstrip("\r\n") for _, line in read_lines(p)]
         try:
-            return cls(itos=p.read_text(encoding="utf-8").splitlines())
+            return cls(itos=itos)
         except DataError as e:
             raise DataError(f"{p}: {e}") from e
 
@@ -265,29 +278,28 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     if not p.is_file():
         raise DataError(f"embedding file not found: {p}")
     seen: set[int] = set()
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip().split(" ")
-            if lineno == 1 and len(parts) == 2 and all(f.isascii() and f.isdigit() for f in parts) \
-                    and int(parts[1]) == dim:
-                continue
-            if len(parts) < dim + 1:
-                raise DataError(f"{p}: line {lineno}: expected {dim} values after the token, got "
-                                f"{len(parts) - 1} (fields are separated by single spaces)")
-            idx = vocab.stoi.get(" ".join(parts[:-dim]))
-            if idx is None or idx == PAD_INDEX:
-                continue
-            try:
-                E[idx] = [float(v) for v in parts[-dim:]]
-            except ValueError as e:
-                raise DataError(f"{p}: line {lineno}: non-numeric embedding value") from e
-            if not np.isfinite(E[idx]).all():
-                raise DataError(f"{p}: line {lineno}: non-finite embedding value")
-            if idx not in seen:
-                seen.add(idx)
-                found += 1
+    for lineno, line in read_lines(p):
+        if not line.strip():
+            continue
+        parts = line.rstrip().split(" ")
+        if lineno == 1 and len(parts) == 2 and all(f.isascii() and f.isdigit() for f in parts) \
+                and int(parts[1]) == dim:
+            continue
+        if len(parts) < dim + 1:
+            raise DataError(f"{p}: line {lineno}: expected {dim} values after the token, got "
+                            f"{len(parts) - 1} (fields are separated by single spaces)")
+        idx = vocab.stoi.get(" ".join(parts[:-dim]))
+        if idx is None or idx == PAD_INDEX:
+            continue
+        try:
+            E[idx] = [float(v) for v in parts[-dim:]]
+        except ValueError as e:
+            raise DataError(f"{p}: line {lineno}: non-numeric embedding value") from e
+        if not np.isfinite(E[idx]).all():
+            raise DataError(f"{p}: line {lineno}: non-finite embedding value")
+        if idx not in seen:
+            seen.add(idx)
+            found += 1
     if not found:
         raise DataError(f"{p}: no line matches a vocabulary token (are its vectors {dim}-d?)")
     return E, found

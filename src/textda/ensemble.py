@@ -29,9 +29,9 @@ def predict_all(params: ModelParams, encoded_docs, eval_batch: int = 256) -> np.
     runs of equal lengths, and each row is written back to its document's
     place. Sorting within a batch, not across the corpus, keeps each batch's
     members, so its distinct tokens and every probability's bits are those
-    of the unsorted batch. A batch with a non-finite row is scored again
-    unsorted, so forward_eval's NumericalError names batch row k for
-    document start + k."""
+    of the unsorted batch. Raises NumericalError naming the first document,
+    by corpus index, whose probabilities are not finite (finite but huge
+    parameters overflow), since argmax reads a NaN row as class 0."""
     if eval_batch < 1:
         raise ConfigError(f"eval_batch must be >= 1, got {eval_batch}")
     n = len(encoded_docs)
@@ -40,12 +40,11 @@ def predict_all(params: ModelParams, encoded_docs, eval_batch: int = 256) -> np.
     for start in range(0, n, eval_batch):
         stop = min(start + eval_batch, n)
         idx = start + np.argsort(doc_lengths[start:stop], kind="stable")
-        mat, lengths = pad_batch(encoded_docs, idx)
-        try:
-            probs, _ = forward_eval(params, mat, lengths)
-        except NumericalError:
-            forward_eval(params, *pad_batch(encoded_docs, np.arange(start, stop)))
-            raise
+        probs, _ = forward_eval(params, *pad_batch(encoded_docs, idx))
+        bad = idx[~np.isfinite(probs).all(axis=1)]
+        if bad.size:
+            raise NumericalError(f"predict_all: class probabilities of document {bad.min()} are not finite "
+                                 f"({bad.size} of the {stop - start} in its batch)")
         out[idx] = probs
     return out
 

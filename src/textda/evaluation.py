@@ -6,24 +6,25 @@ test is a one-tailed unpaired Welch t-test (H1: mean(a) > mean(b)) with
 Welch-Satterthwaite degrees of freedom and fixed conventions for
 zero-variance samples.
 
-Filter analysis walks every window position of a corpus through the trained
-encoder (eval mode) and reports, for the strongest filters of each class, the
-trigrams with the highest post-ReLU activation. Padding positions render as
-"*"; identical trigrams are deduplicated keeping their maximum activation.
+Filter analysis scores each distinct window of the corpora once through the
+trained encoder's convolution (eval mode) and reports, for the strongest
+filters of each class, the trigrams with the highest post-ReLU activation.
+Padding positions render as "*"; identical trigrams are deduplicated keeping
+their maximum activation.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import LABELS, PAD_INDEX, Corpus, Vocab, pad_batch
 from .ensemble import predict_all
-from .errors import ConfigError, DataError
-from .model import ModelParams, window_activations
+from .errors import ConfigError, DataError, NumericalError
+from .model import ModelParams, packed_windows
 
 __all__ = [
     "accuracy",
@@ -117,14 +118,13 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate_corpus(params: ModelParams, vocab: Vocab, corpus: Corpus,
-                    max_doc_len: int, eval_batch: int = 256) -> EvalReport:
+def evaluate_corpus(params: ModelParams, vocab: Vocab, corpus: Corpus, max_doc_len: int) -> EvalReport:
     """Eval-mode predictions for a labeled corpus, scored with both metrics."""
     if len(corpus) == 0:
         raise DataError("cannot evaluate an empty corpus")
     golds = corpus.label_indices()
     enc = [vocab.encode(d.tokens, max_doc_len) for d in corpus]
-    preds = predict_all(params, enc, eval_batch).argmax(axis=1)
+    preds = predict_all(params, enc).argmax(axis=1)
     stats = per_class_f1(golds, preds)
     return EvalReport(
         n_docs=len(corpus),
@@ -218,56 +218,56 @@ def filter_analysis(
     k_filters: int = 10,
     k_trigrams: int = 5,
     max_doc_len: int = 400,
-    eval_batch: int = 256,
 ) -> FilterReport:
     """Top activating trigrams for each class's strongest filters.
 
     Deterministic and invariant to document order: hits are deduplicated by
     token triple keeping the maximum activation, and ranked by (activation
-    descending, triple ascending).
+    descending, triple ascending). A window's activation depends on its
+    token ids alone, so each distinct id window is scored once.
     """
     if k_trigrams < 1:
         raise ConfigError(f"k_trigrams must be at least 1, got {k_trigrams}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
-    names = list(vocab.itos)
-    names[PAD_INDEX] = "*"
-    # rendered triple -> one row: the wanted filters' maximum activations, then a
-    # column per corpus that turns 0 once the triple occurs in it. Rows start at
-    # -inf; max(-inf, x) is x, and post-ReLU values hold no -0.0, so np.maximum
-    # keeps max()'s bits
-    best: defaultdict[tuple[str, ...], np.ndarray] = defaultdict(np.full(len(wanted) + len(corpora), -np.inf).copy)
-
-    for k, corpus in enumerate(corpora):
+    windows = []
+    for corpus in corpora:
         enc = [vocab.encode(d.tokens, max_doc_len) for d in corpus]
-        seen = np.where(np.arange(len(corpora)) == k, 0.0, -np.inf)
-        for start in range(0, len(enc), eval_batch):
-            idx = np.arange(start, min(start + eval_batch, len(enc)))
-            mat, lengths = pad_batch(enc, idx)
-            idx_win, H = window_activations(params, mat, lengths)
-            rows = np.hstack([H[:, wanted], np.broadcast_to(seen, (len(H), len(corpora)))])
-            for win, row in zip(idx_win.tolist(), rows):
-                stored = best[tuple(names[w] for w in win)]
-                np.maximum(stored, row, out=stored)
+        windows.append(packed_windows(*pad_batch(enc, np.arange(len(enc))), params.window))
+    ids, id_of_window = np.unique(np.concatenate(windows), axis=0, return_inverse=True)
+    acts = np.maximum(ad.conv_rows(params.E, params.W, params.b, ids, wanted), 0.0)
 
-    # ranked by (activation descending, triple ascending): the triples are sorted
-    # once, and a stable argsort of a negated column keeps ties in that order
-    triples = sorted(best)
-    table = np.empty((len(triples), len(wanted) + len(corpora)))
-    for i, triple in enumerate(triples):
-        table[i] = best.pop(triple)  # each row is released as it is copied, so the table is held once
+    # id windows that render alike (padding and a literal "*") are one trigram; with
+    # the names ranked in string order, the distinct rank triples are the sorted trigrams
+    names = np.array(vocab.itos, dtype=object)
+    names[PAD_INDEX] = "*"
+    names, rank = np.unique(names, return_inverse=True)  # the distinct names, in string order
+    ranks, row_of_id = np.unique(rank[ids], axis=0, return_inverse=True)
+    row_of_id = row_of_id.reshape(-1)
+    # starting at -inf, the merge keeps the bits of the larger activation
+    table = np.full((len(ranks), len(wanted)), -np.inf)
+    np.maximum.at(table, row_of_id, acts)
+    corpus_of_window = np.repeat(np.arange(len(corpora)), [len(w) for w in windows])
+    present = np.zeros((len(ranks), len(corpora)), dtype=bool)
+    present[row_of_id[id_of_window.reshape(-1)], corpus_of_window] = True
 
-    def domains(i) -> str:
-        return "+".join(sorted({corpora[k].domain for k in np.flatnonzero(table[i, len(wanted):] == 0.0)}))
+    def triple(i) -> tuple[str, ...]:
+        return tuple(names[ranks[i]].tolist())
+
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"filter_analysis: activations of trigram {'-'.join(triple(bad[0]))} are not finite")
 
     report = FilterReport(k_filters=k_filters, k_trigrams=k_trigrams)
     for c, label in enumerate(LABELS):
         summaries = []
         for j in per_class[c]:
             col = wanted.index(j)
+            # a stable argsort keeps tied activations in triple order
             ranked = np.argsort(-table[:, col], kind="stable")[:k_trigrams]
             hits = [
-                TrigramHit(tokens=triples[i], activation=float(table[i, col]), domains=domains(i))
+                TrigramHit(tokens=triple(i), activation=float(table[i, col]),
+                           domains="+".join(sorted({corpora[k].domain for k in np.flatnonzero(present[i])})))
                 for i in ranked
             ]
             summaries.append(FilterSummary(filter=j, class_weight=float(params.F_w[c, j]), trigrams=hits))

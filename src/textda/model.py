@@ -9,7 +9,8 @@ bit for bit, and the ReLU and its backward touch [B, h] instead of
 directly; only forward_eval applies the softmax, to report class
 probabilities. The encoding keeps xi and the window ids idx_win, not the
 per-position activations: filter analysis, which traces filters back to
-the trigrams that fire them, gets those from window_activations.
+the trigrams that fire them, scores the distinct windows of packed_windows
+with autodiff.conv_rows.
 
 The encoder works on packed rows: of the padded [B, P] id matrix it keeps
 only the windows of each document's own positions, [n_valid, l] in
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import LABELS, PAD_INDEX
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "ModelParams",
@@ -45,7 +46,7 @@ __all__ = [
     "encode_batch",
     "classify",
     "forward_eval",
-    "window_activations",
+    "packed_windows",
     "apply_max_norm",
     "save_checkpoint",
     "load_checkpoint",
@@ -144,7 +145,7 @@ class EncodedBatch:
     idx_win: np.ndarray      # [n_valid, l] token indices of the valid positions' windows
 
 
-def _packed_windows(mat: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
+def packed_windows(mat: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
     """The windows [n_valid, l] of each document's own positions, document-major."""
     valid = np.arange(mat.shape[1]) < lengths[:, None]
     # ids past a document's length read as padding, so its windows see only its own tokens
@@ -159,7 +160,7 @@ def encode_batch(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
-    idx_win = _packed_windows(mat, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
+    idx_win = packed_windows(mat, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
     pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [B, h]
     xi = ad.dropout(ad.relu(pooled), dropout_rate, rng)
     return EncodedBatch(xi=xi, idx_win=idx_win)
@@ -176,34 +177,13 @@ def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> t
     nothing: the pass cannot be differentiated and pooling keeps only the
     maxima. A row depends on its batch mates only through the batch's set
     of distinct tokens, so reordering a batch's documents leaves every
-    row's bits as they were. Raises
-    NumericalError naming the first row whose probabilities are not finite
-    (finite but huge parameters overflow), since argmax reads a NaN row as
-    class 0."""
+    row's bits as they were. Finite but huge parameters overflow to
+    non-finite rows; ensemble.predict_all, the scoring entry point, refuses
+    them."""
     tape = ad.NoGradTape()
     leaves = params.leaves(tape)
     enc = encode_batch(tape, leaves, mat, lengths)
-    probs = ad.softmax(classify(tape, leaves, enc.xi)).data
-    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
-    if bad.size:
-        raise NumericalError(f"forward_eval: class probabilities of batch row {bad[0]} are not finite "
-                             f"({bad.size} of {len(probs)} rows)")
-    return probs, enc
-
-
-def window_activations(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The window ids [n_valid, l] of every valid position and its post-ReLU
-    activations [n_valid, h], bit-equal to the values the encoder pools.
-    The one [n_valid, h] array the package builds, for filter analysis.
-    Raises NumericalError naming the first batch row with a non-finite
-    activation."""
-    idx_win = _packed_windows(mat, lengths, params.window)
-    H = np.maximum(ad.conv_rows(params.E, params.W, params.b, idx_win), 0.0)
-    bad = np.flatnonzero(~np.isfinite(H).all(axis=1))
-    if bad.size:
-        row = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))  # the packed row's document
-        raise NumericalError(f"window_activations: activations of batch row {row} are not finite")
-    return idx_win, H
+    return ad.softmax(classify(tape, leaves, enc.xi)).data, enc
 
 
 def apply_max_norm(rows: np.ndarray, max_norm: float = 3.0) -> None:

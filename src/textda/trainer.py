@@ -125,8 +125,8 @@ def select_model(history: History) -> int:
     return int(np.argmin(errors)) + 1
 
 
-def _dev_error(params: ModelParams, enc_dev, dev_labels: np.ndarray, eval_batch: int) -> float:
-    probs = predict_all(params, enc_dev, eval_batch)
+def _dev_error(params: ModelParams, enc_dev, dev_labels: np.ndarray) -> float:
+    probs = predict_all(params, enc_dev)
     preds = probs.argmax(axis=1)
     return float((preds != dev_labels).mean())
 
@@ -249,10 +249,10 @@ def train(
 
         epoch_row = total_loss(*map(float, sums / iters), weights, w_t)
 
-        dev_error = _dev_error(params, enc_dev, dev_labels, config.eval_batch)
+        dev_error = _dev_error(params, enc_dev, dev_labels)
 
         if need_ensemble:
-            fresh = predict_all(params, enc_union, config.eval_batch)
+            fresh = predict_all(params, enc_union)
             ensemble.update(fresh)
             z_tilde = ensemble.to_targets()
             if dump_ensemble_dir is not None:
@@ -343,8 +343,7 @@ def run_seed(
         embeddings_path, vocab, config.embedding_dim, named_rng(config.seed, "embeddings"))
     params, history = train(config, vocab, embeddings, train_split, target, dev,
                             source_unlabeled=source_unlabeled, dump_ensemble_dir=dump_ensemble_dir)
-    report = None if test is None else evaluate_corpus(params, vocab, test, config.max_doc_len,
-                                                       config.eval_batch)
+    report = None if test is None else evaluate_corpus(params, vocab, test, config.max_doc_len)
     return RunResult(config.seed, params, history, found, report)
 
 

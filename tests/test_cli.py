@@ -179,6 +179,49 @@ def test_empty_corpus_exits_2_and_names_path(tmp_path, synth_dir, trained_dir, c
         assert "Traceback" not in err
 
 
+NOT_UTF8 = {"0xff": b"\xff", "latin-1": "é".encode("latin-1")}
+
+
+@pytest.mark.parametrize("boundary, mutation", [
+    *[(boundary, mutation) for boundary in ("corpus", "embeddings", "vocab", "config") for mutation in NOT_UTF8],
+    ("config", "epochs = 0"),
+])
+def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir, trained_dir, capsys,
+                                                             boundary, mutation):
+    conf = tmp_path / "run.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("good" + " 0.1" * 6 + "\n", encoding="utf-8")
+    test, vocab = synth_dir / "target_test.jsonl", trained_dir / "vocab.txt"
+    original = {"corpus": test, "embeddings": embeddings, "vocab": vocab, "config": conf}[boundary]
+    lines = original.read_bytes().splitlines(keepends=True)
+    if mutation == "epochs = 0":
+        lines = [b"epochs = 0\n" if line.startswith(b"epochs") else line for line in lines]
+    else:  # line 2 holds a word that is not UTF-8
+        word = b"caf" + NOT_UTF8[mutation]
+        lines.insert(1, {"corpus": b'{"label": "positive", "text": "' + word + b'"}\n',
+                         "embeddings": word + b" 0.1" * 6 + b"\n",
+                         "vocab": word + b"\n",
+                         "config": b"# " + word + b"\n"}[boundary])
+    bad = tmp_path / f"bad_{original.name}"
+    bad.write_bytes(b"".join(lines))
+    inputs = {"corpus": test, "embeddings": embeddings, "vocab": vocab, "config": conf, boundary: bad}
+    if boundary in ("corpus", "vocab"):
+        argv = ["evaluate", "--checkpoint", str(trained_dir / "model.ckpt"),
+                "--vocab", str(inputs["vocab"]), "--test", str(inputs["corpus"])]
+    else:
+        argv = ["train", "--config", str(inputs["config"]), "--out", str(tmp_path / "o"),
+                "--source", str(synth_dir / "source_labeled.jsonl"),
+                "--target", str(synth_dir / "target_unlabeled.jsonl"), "--embeddings", str(inputs["embeddings"])]
+    assert main(argv) == (1 if boundary == "config" else 2)
+    err = capsys.readouterr().err
+    if mutation == "epochs = 0":
+        assert f"{bad}: epochs must be >= 1" in err
+    else:
+        assert f"{bad}: line 2: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_train_bad_config_exits_1(tmp_path, synth_dir, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("epochs = -3\n", encoding="utf-8")
@@ -283,7 +326,7 @@ def test_evaluate_rejects_overflowing_checkpoint_with_exit_3(trained_dir, synth_
         ])
     assert code == 3
     captured = capsys.readouterr()
-    assert "batch row 0 are not finite" in captured.err
+    assert "document 0 are not finite" in captured.err
     assert "accuracy" not in captured.out
 
 
@@ -480,7 +523,7 @@ def test_train_non_finite_config_value_exits_1(tmp_path, synth_dir, capsys):
 
 @pytest.mark.parametrize("line", ["distance_loss = mmd-rbf", "bootstrap_from_epoch1 = true",
                                   "rmsprop_rho = 0.9", "rmsprop_eps = 1e-8", "l1_eps = 1e-6",
-                                  "max_norm = 3.0", "balance_source = true"])
+                                  "max_norm = 3.0", "balance_source = true", "eval_batch = 256"])
 def test_train_rejects_removed_config_keys(tmp_path, synth_dir, capsys, line):
     conf = tmp_path / "old.conf"
     conf.write_text(TINY_CONF + line + "\n", encoding="utf-8")

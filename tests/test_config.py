@@ -67,7 +67,7 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
         variant="MMD-baseline", lambda1=1.5, lambda2=0.25,
         lambda3=2.5, alpha=0.3, learning_rate=1e-3, epochs=7, batch_size=11, seed=13,
         window=5, hidden=17, embedding_dim=19, dropout_rate=0.1,
-        vocab_size=123, n_dev=9, max_doc_len=77, eval_batch=31,
+        vocab_size=123, n_dev=9, max_doc_len=77,
         mmd_sigma=mmd_sigma,
     )
     back = TrainConfig.from_strings({k: str(v) for k, v in config.to_dict().items()})
@@ -77,10 +77,10 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
 
 
 @pytest.mark.parametrize("key", ["distance_loss", "bootstrap_from_epoch1", "rmsprop_rho", "rmsprop_eps",
-                                 "l1_eps", "max_norm", "balance_source"])
+                                 "l1_eps", "max_norm", "balance_source", "eval_batch"])
 def test_removed_settings_are_unknown_keys(key):
-    # J's distance follows the variant; the optimizer and L1 epsilons and the max norm are the
-    # functions' own defaults; the source batches are always class-balanced
+    # J's distance follows the variant; the optimizer and L1 epsilons, the max norm and the
+    # scoring batch are the functions' own defaults; the source batches are always class-balanced
     with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: [{key!r}]")):
         TrainConfig.from_strings({key: "1"})
 

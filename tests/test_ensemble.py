@@ -131,11 +131,12 @@ def test_predict_all_rejects_non_finite_probabilities():
                          rng=named_rng(7, "init"))
     params.W[:] = 1.0
     docs = [np.array([2, 3, 4]), np.array([5, 6])]
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="batch row 0 are not finite"):
+    # sorted by length, document 1 is scored first; the error names document 0
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="document 0 are not finite"):
         predict_all(params, docs, eval_batch=2)
 
 
-def test_predict_all_names_a_non_finite_document_by_its_unsorted_batch_row():
+def test_predict_all_names_a_non_finite_document_by_its_corpus_index():
     # token 9's huge embedding overflows only the windows that hold it
     E = named_rng(7, "docs").uniform(-0.25, 0.25, size=(15, 4))
     E[9] = 1e308
@@ -144,5 +145,6 @@ def test_predict_all_names_a_non_finite_document_by_its_unsorted_batch_row():
     docs = [np.array([1, 2]), np.array([3]), np.array([4, 5, 6]),
             np.array([9, 2, 3, 4, 5]), np.array([1, 2]), np.array([3])]
     # document 3 is row 0 of the second batch, and row 2 once sorted by length
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"batch row 0 are not finite \(1 of 3"):
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match=r"document 3 are not finite \(1 of the 3 in its batch"):
         predict_all(params, docs, eval_batch=3)

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from textda.data import Corpus, Document, Vocab
-from textda.errors import ConfigError, DataError
+from textda.errors import ConfigError, DataError, NumericalError
 from textda.evaluation import (
     EvalReport,
     accuracy,
@@ -210,6 +210,15 @@ def test_filter_analysis_rejects_k_filters_out_of_range():
             filter_analysis(params, vocab, [corpus], k_filters=k, k_trigrams=1)
 
 
+def test_filter_analysis_names_a_trigram_with_a_non_finite_activation():
+    vocab, params = _toy_setup()
+    params.E[vocab.stoi["movie"]] = np.nan
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    # the first of the sorted trigrams that read "movie"
+    with pytest.raises(NumericalError, match="trigram good-great-movie are not finite"):
+        filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=1)
+
+
 def test_render_filter_report_sections():
     vocab, params = _toy_setup()
     corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
@@ -247,12 +256,12 @@ def _corpus(domain, token_lists):
     return Corpus([Document(tuple(t), "neutral", None, domain) for t in token_lists], domain)
 
 
-def _assert_matches_brute_force(params, vocab, corpora, k_trigrams, max_doc_len, eval_batch):
+def _assert_matches_brute_force(params, vocab, corpora, k_trigrams, max_doc_len):
     """filter_analysis over every filter equals the brute-force oracle;
     returns the rendered hits."""
     n_filters = params.W.shape[0]
     report = filter_analysis(params, vocab, corpora, k_filters=n_filters, k_trigrams=k_trigrams,
-                             max_doc_len=max_doc_len, eval_batch=eval_batch)
+                             max_doc_len=max_doc_len)
     expected = _brute_force_filter_tops(params, vocab, corpora, range(n_filters), k_trigrams, max_doc_len)
     hits = []
     for summaries in report.classes.values():
@@ -283,8 +292,18 @@ def test_filter_analysis_matches_brute_force_on_ragged_corpus():
                         ["good", "movie", "plot", "dull", "fine", "bad", "movie", "great", "good"]]),
     ]
     rendered = [hit.rendered for hit in _assert_matches_brute_force(
-        params, vocab, corpora, k_trigrams=4, max_doc_len=8, eval_batch=2)]
+        params, vocab, corpora, k_trigrams=4, max_doc_len=8)]
     assert any(r.startswith("*-") for r in rendered) and any(r.endswith("-*") for r in rendered)
+
+    # windows repeated within a document, across documents and across corpora
+    corpora = [
+        _corpus("src", [["good", "movie", "plot", "good", "movie", "plot"], ["good", "movie", "plot"],
+                        ["dull", "fine", "dull", "fine"]]),
+        _corpus("tgt", [["fine", "dull", "fine"], ["good", "movie", "plot"], ["great", "great", "great"]]),
+    ]
+    hits = _assert_matches_brute_force(params, vocab, corpora, k_trigrams=12, max_doc_len=8)
+    assert {hit.domains for hit in hits if hit.tokens == ("good", "movie", "plot")} == {"src+tgt"}
+    assert {hit.domains for hit in hits if hit.tokens == ("dull", "fine", "dull")} == {"src"}
 
     # a literal "*" token renders like padding: the (*, good, movie) window of
     # a tgt document and the padded (<pad>, good, movie) window of a src
@@ -305,8 +324,7 @@ def test_filter_analysis_matches_brute_force_on_ragged_corpus():
     star_act = np.maximum(params.W @ np.concatenate([star, tail]) + params.b, 0.0)
     pad_act = np.maximum(params.W @ np.concatenate([np.zeros(2), tail]) + params.b, 0.0)
     assert (star_act != pad_act).any()
-    merged = [hit for hit in _assert_matches_brute_force(params, vocab, corpora, k_trigrams=3,
-                                                         max_doc_len=8, eval_batch=1)
+    merged = [hit for hit in _assert_matches_brute_force(params, vocab, corpora, k_trigrams=3, max_doc_len=8)
               if hit.tokens == ("*", "good", "movie")]
     assert merged and all(hit.domains == "src+tgt" for hit in merged)
 

@@ -17,8 +17,8 @@ from textda.model import (
     forward_eval,
     init_params,
     load_checkpoint,
+    packed_windows,
     save_checkpoint,
-    window_activations,
 )
 from textda.rng import named_rng
 
@@ -39,6 +39,13 @@ def _encode(params, mat, lengths):
     tape = ad.Tape()
     leaves = params.leaves(tape)
     return encode_batch(tape, leaves, np.asarray(mat), np.asarray(lengths))
+
+
+def _activations(params, mat, lengths):
+    """The packed window ids and their post-ReLU activations, as filter
+    analysis scores them."""
+    idx_win = packed_windows(np.asarray(mat), np.asarray(lengths), params.window)
+    return idx_win, np.maximum(ad.conv_rows(params.E, params.W, params.b, idx_win), 0.0)
 
 
 def _winning_rows(params, mat, lengths):
@@ -80,7 +87,7 @@ def test_build_windows_same_padding():
 def test_encode_hand_trace_a_b_c_b():
     # tokens a b c b -> window sums [0+1+2, 1+2+3, 2+3+2, 3+2+0] = [3, 6, 7, 5]
     enc = _encode(_toy_params(), [[2, 3, 4, 3]], [4])
-    _, H = window_activations(_toy_params(), np.array([[2, 3, 4, 3]]), np.array([4]))
+    _, H = _activations(_toy_params(), [[2, 3, 4, 3]], [4])
     assert np.allclose(H.reshape(4), [3.0, 6.0, 7.0, 5.0])
     assert enc.xi.data.item() == 7.0
     assert _winning_rows(_toy_params(), [[2, 3, 4, 3]], [4]) == [2]
@@ -89,7 +96,7 @@ def test_encode_hand_trace_a_b_c_b():
 def test_encode_hand_trace_a_b_c_c():
     # tokens a b c c -> window sums [3, 6, 8, 6]; max 8 at position 2
     enc = _encode(_toy_params(), [[2, 3, 4, 4]], [4])
-    _, H = window_activations(_toy_params(), np.array([[2, 3, 4, 4]]), np.array([4]))
+    _, H = _activations(_toy_params(), [[2, 3, 4, 4]], [4])
     assert np.allclose(H.reshape(4), [3.0, 6.0, 8.0, 6.0])
     assert enc.xi.data.item() == 8.0
     assert _winning_rows(_toy_params(), [[2, 3, 4, 4]], [4]) == [2]
@@ -102,7 +109,7 @@ def test_pooling_masks_padding_and_breaks_ties_low():
     assert enc.xi.data[1].item() == 4.0
     # the padded positions are never convolved, so they cannot win the max
     assert enc.xi.data[0].item() == 7.0
-    idx_win, H = window_activations(_toy_params(), np.array(mat), np.array(lengths))
+    idx_win, H = _activations(_toy_params(), mat, lengths)
     assert H.shape == (6, 1) and np.array_equal(idx_win, enc.idx_win)
     assert H[4, 0] == H[5, 0] == 4.0
     # doc 1's gradient reaches its first position (row 4) only, not the tied row 5
@@ -132,7 +139,7 @@ def test_forward_eval_is_deterministic():
     p2, enc2 = forward_eval(params, mat, lengths)
     assert np.array_equal(p1, p2)
     assert np.array_equal(enc1.xi.data, enc2.xi.data)
-    assert np.array_equal(window_activations(params, mat, lengths)[1], window_activations(params, mat, lengths)[1])
+    assert np.array_equal(_activations(params, mat, lengths)[1], _activations(params, mat, lengths)[1])
     assert np.allclose(p1.sum(axis=1), 1.0)
 
 

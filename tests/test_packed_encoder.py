@@ -10,6 +10,7 @@ import pytest
 import textda.autodiff as ad
 from reference_ops import conv_windows, mul, vsum
 from textda.data import PAD_INDEX
+from textda.ensemble import predict_all
 from textda.errors import NumericalError, ShapeError
 from textda.losses import source_cross_entropy
 from textda.model import (
@@ -19,7 +20,7 @@ from textda.model import (
     encode_batch,
     forward_eval,
     init_params,
-    window_activations,
+    packed_windows,
 )
 from textda.rng import named_rng
 
@@ -54,6 +55,13 @@ def _ragged_batch():
     for k, doc in enumerate(docs):
         mat[k, : len(doc)] = doc
     return mat, lengths
+
+
+def _activations(params: ModelParams, mat, lengths):
+    """Post-ReLU activations [n_valid, h] of the packed windows, as filter
+    analysis scores them."""
+    idx_win = packed_windows(mat, lengths, params.window)
+    return np.maximum(ad.conv_rows(params.E, params.W, params.b, idx_win), 0.0)
 
 
 def _padded_reference(params: ModelParams, mat, lengths):
@@ -110,7 +118,7 @@ def test_forward_eval_matches_padded_reference_on_ragged_batch():
         assert np.abs(leaves[name].grad - want).max() <= 1e-12, name
     # the repeated trigram ties at a positive activation; the lower position wins
     assert enc.xi.data[1, 0] > 1.0 and ref_arg[1, 0] == 2
-    assert window_activations(params, mat, lengths)[1].shape == (lengths.sum(), HIDDEN)
+    assert _activations(params, mat, lengths).shape == (lengths.sum(), HIDDEN)
     assert enc.idx_win.shape == (lengths.sum(), WINDOW)
 
 
@@ -165,14 +173,14 @@ def test_forward_only_pooling_matches_the_recording_tape_bit_for_bit():
     assert enc.xi.data[1, 0] > 1.0  # the positive tie
 
 
-def test_forward_eval_still_rejects_a_nan_embedding():
+def test_predict_all_still_rejects_a_nan_embedding():
     params = _params()
     params.E[5] = np.nan
     mat, lengths = _ragged_batch()
-    with pytest.raises(NumericalError, match="batch row 1 are not finite"):
-        forward_eval(params, mat, lengths)
-    with pytest.raises(NumericalError, match="batch row 1 are not finite"):
-        window_activations(params, mat, lengths)
+    # documents 1 and 2 read token 5; sorted by length, document 2 is scored first
+    docs = [row[:n] for row, n in zip(mat, lengths)]
+    with pytest.raises(NumericalError, match=r"document 1 are not finite \(2 of the 4 in its batch\)"):
+        predict_all(params, docs)
 
 
 def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
@@ -212,7 +220,7 @@ def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, ra
         assert np.array_equal(grads_new[name], grads_old[name]), name
     if tape_cls is ad.Tape:
         assert grads_new["W"][0].any() and not grads_new["W"][1].any() and grads_new["b"][1] == 0.0
-    assert np.array_equal(window_activations(params, mat, lengths)[1], H.data)
+    assert np.array_equal(_activations(params, mat, lengths), H.data)
     assert not xi_new[:, 1].any()
 
 
@@ -300,18 +308,21 @@ def test_forward_only_blocks_of_wide_filters_match_the_recording_path_bit_for_bi
     fast = params.leaves(ad.NoGradTape())
     maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
     assert np.array_equal(ad.conv_rows(params.E, params.W, params.b, idx_win), Z.data)
+    # a few filters, as filter analysis asks for them, in blocks of another size
+    filters = [299, 0, 150]
+    assert np.array_equal(ad.conv_rows(params.E, params.W, params.b, idx_win, filters), Z.data[:, filters])
     assert np.array_equal(maxima_fast.data, maxima.data)
     assert np.array_equal(forward_eval(params, mat, lengths)[0], want_probs)
 
 
-def test_forward_eval_names_a_nan_row_past_the_first_block():
+def test_predict_all_names_a_nan_document_past_the_first_block():
     params = _params()
     params.E[V - 1] = np.nan
     mat, lengths = _batch([7] * 100)
     mat[mat == V - 1] = 1
     mat[80, 3] = V - 1  # document 80 alone reads the NaN row, in the third block
-    with pytest.raises(NumericalError, match="batch row 80 are not finite"):
-        forward_eval(params, mat, lengths)
+    with pytest.raises(NumericalError, match="document 80 are not finite"):
+        predict_all(params, list(mat))
 
 
 def test_forward_only_encode_checks_ids_and_lengths_as_the_recording_path_does():
