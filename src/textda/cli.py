@@ -239,10 +239,8 @@ def cmd_analyze_filters(args) -> int:
     text = render_filter_report(report)
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "filters.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        (out / "filters.txt").write_text(text, encoding="utf-8")
+        _write_json(Path(args.out) / "filters.json", dataclasses.asdict(report))
+        (Path(args.out) / "filters.txt").write_text(text, encoding="utf-8")
     return 0
 
 

@@ -15,13 +15,12 @@ their maximum activation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import LABELS, PAD_INDEX, Corpus, Vocab, pad_batch
+from .data import LABELS, PAD_INDEX, Corpus, Vocab
 from .ensemble import predict_all
 from .errors import ConfigError, DataError, NumericalError
 from .model import ModelParams, packed_windows
@@ -199,9 +198,6 @@ class FilterReport:  # the report dataclasses' field names are filters.json's ke
     k_trigrams: int
     classes: dict = field(default_factory=dict)  # label -> list[FilterSummary]
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 def top_filters_per_class(F_w: np.ndarray, k: int) -> dict[int, list[int]]:
     """Filter indices with the largest output weight per class, descending
@@ -230,11 +226,10 @@ def filter_analysis(
         raise ConfigError(f"k_trigrams must be at least 1, got {k_trigrams}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
-    windows = []
-    for corpus in corpora:
-        enc = [vocab.encode(d.tokens, max_doc_len) for d in corpus]
-        windows.append(packed_windows(*pad_batch(enc, np.arange(len(enc))), params.window))
-    ids, id_of_window = np.unique(np.concatenate(windows), axis=0, return_inverse=True)
+    docs = [vocab.encode(d.tokens, max_doc_len) for corpus in corpora for d in corpus]
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    windows = packed_windows(np.concatenate(docs), lengths, params.window)
+    ids, id_of_window = np.unique(windows, axis=0, return_inverse=True)
     acts = np.maximum(ad.conv_rows(params.E, params.W, params.b, ids, wanted), 0.0)
 
     # id windows that render alike (padding and a literal "*") are one trigram; with
@@ -247,7 +242,7 @@ def filter_analysis(
     # starting at -inf, the merge keeps the bits of the larger activation
     table = np.full((len(ranks), len(wanted)), -np.inf)
     np.maximum.at(table, row_of_id, acts)
-    corpus_of_window = np.repeat(np.arange(len(corpora)), [len(w) for w in windows])
+    corpus_of_window = np.repeat(np.repeat(np.arange(len(corpora)), [len(corpus) for corpus in corpora]), lengths)
     present = np.zeros((len(ranks), len(corpora)), dtype=bool)
     present[row_of_id[id_of_window.reshape(-1)], corpus_of_window] = True
 

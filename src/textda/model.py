@@ -12,11 +12,12 @@ per-position activations: filter analysis, which traces filters back to
 the trigrams that fire them, scores the distinct windows of packed_windows
 with autodiff.conv_rows.
 
-The encoder works on packed rows: of the padded [B, P] id matrix it keeps
-only the windows of each document's own positions, [n_valid, l] in
-document-major order, so the convolution never touches a padding position,
-and max-over-time pools each document's contiguous segment of rows. Padding
-ids still fill the window slots past a document's edges ("same" padding).
+The encoder works on packed rows: it takes each document's own ids out of
+the padded [B, P] id matrix, one document after another, and packed_windows
+gathers their windows, [n_valid, l] in document-major order, with one index
+array, so the convolution never touches a padding position, and
+max-over-time pools each document's contiguous segment of rows. Padding ids
+fill only the window slots past a document's edges ("same" padding).
 The convolution and the pooling are one op (autodiff.conv_max_pool), which
 projects each distinct token of the batch once per window slot by one GEMM,
 adds up each window's l slot projections a block of rows at a time and
@@ -36,13 +37,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import LABELS, PAD_INDEX
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 
 __all__ = [
     "ModelParams",
     "EncodedBatch",
     "init_params",
-    "build_windows",
     "encode_batch",
     "classify",
     "forward_eval",
@@ -124,32 +124,27 @@ def init_params(embeddings: np.ndarray, window: int, hidden: int, rng: np.random
     return ModelParams(E=E, W=W, b=np.zeros(hidden), F_w=F_w, F_b=np.zeros(len(LABELS)), window=window)
 
 
-def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
-    """Window token-index array [B, P, l] with "same" padding, so position i
-    covers tokens i-(l-1)/2 .. i+(l-1)/2 (out-of-range slots are PAD)."""
-    if window < 1 or window % 2 == 0:
-        raise ConfigError(f"window must be odd and >= 1, got {window}")
-    B, P = mat.shape
-    half = (window - 1) // 2
-    padded = np.full((B, P + 2 * half), PAD_INDEX, dtype=np.int64)
-    padded[:, half : half + P] = mat
-    idx_win = np.empty((B, P, window), dtype=np.int64)
-    for j in range(window):
-        idx_win[:, :, j] = padded[:, j : j + P]
-    return idx_win
-
-
 @dataclass
 class EncodedBatch:
     xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout at a rate above 0)
     idx_win: np.ndarray      # [n_valid, l] token indices of the valid positions' windows
 
 
-def packed_windows(mat: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
-    """The windows [n_valid, l] of each document's own positions, document-major."""
-    valid = np.arange(mat.shape[1]) < lengths[:, None]
-    # ids past a document's length read as padding, so its windows see only its own tokens
-    return build_windows(np.where(valid, mat, PAD_INDEX), window)[valid]
+def packed_windows(ids: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
+    """The windows [n, l] of packed ids, each document's own ids in turn
+    (lengths[k] of them for document k): position i covers ids i-(l-1)/2 ..
+    i+(l-1)/2 of its document, and slots past the document's edges are PAD
+    ("same" padding)."""
+    if window < 1 or window % 2 == 0:
+        raise ConfigError(f"window must be odd and >= 1, got {window}")
+    if lengths.sum() != ids.size:
+        raise ShapeError(f"packed_windows: lengths sum to {lengths.sum()}, but there are {ids.size} ids")
+    half = window // 2
+    # each document's ids with half padding ids on either side, one document after another
+    at = np.arange(ids.size) + half * (2 * np.repeat(np.arange(len(lengths)), lengths) + 1)
+    flat = np.full(ids.size + 2 * half * len(lengths), PAD_INDEX, dtype=np.int64)
+    flat[at] = ids
+    return flat[at[:, None] + np.arange(-half, half + 1)]
 
 
 def encode_batch(
@@ -160,7 +155,8 @@ def encode_batch(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
-    idx_win = packed_windows(mat, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
+    ids = mat[np.arange(mat.shape[1]) < lengths[:, None]]
+    idx_win = packed_windows(ids, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
     pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [B, h]
     xi = ad.dropout(ad.relu(pooled), dropout_rate, rng)
     return EncodedBatch(xi=xi, idx_win=idx_win)

@@ -1,16 +1,35 @@
-"""Tape ops that only tests use: the encoder's convolution as its own op,
-with a [n, h] output, and two reductions for building test losses.
+"""Ops that only tests use: the padded window builder, the encoder's
+convolution as its own tape op, with a [n, h] output, and two reductions
+for building test losses.
 
-conv_windows followed by textda.autodiff.max_over_time_batch is the
-unfused chain that autodiff.conv_max_pool replaces; tests compare the fused
-op's maxima and gradients against it.
+build_windows(mat, l)[valid] is the padded formulation that
+textda.model.packed_windows replaces; tests compare the packed windows
+against it. conv_windows followed by textda.autodiff.max_over_time_batch is
+the unfused chain that autodiff.conv_max_pool replaces; tests compare the
+fused op's maxima and gradients against it.
 """
 
 import numpy as np
 import scipy.sparse
 
 from textda.autodiff import Tensor, _same_tape, accumulate
-from textda.errors import NumericalError, ShapeError
+from textda.data import PAD_INDEX
+from textda.errors import ConfigError, NumericalError, ShapeError
+
+
+def build_windows(mat: np.ndarray, window: int) -> np.ndarray:
+    """Window token-index array [B, P, l] with "same" padding, so position i
+    covers tokens i-(l-1)/2 .. i+(l-1)/2 (out-of-range slots are PAD)."""
+    if window < 1 or window % 2 == 0:
+        raise ConfigError(f"window must be odd and >= 1, got {window}")
+    B, P = mat.shape
+    half = (window - 1) // 2
+    padded = np.full((B, P + 2 * half), PAD_INDEX, dtype=np.int64)
+    padded[:, half : half + P] = mat
+    idx_win = np.empty((B, P, window), dtype=np.int64)
+    for j in range(window):
+        idx_win[:, :, j] = padded[:, j : j + P]
+    return idx_win
 
 
 def conv_windows(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray) -> Tensor:

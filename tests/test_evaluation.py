@@ -1,6 +1,8 @@
 """Metrics, Welch t-test, and filter trigram inspection."""
 
 import json
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from textda.evaluation import (
     top_filters_per_class,
     ttest_one_tailed,
 )
-from textda.model import ModelParams
+from textda.model import ModelParams, init_params
 
 
 # -------------------------------------------------------------------- metrics
@@ -191,7 +193,7 @@ def test_filter_analysis_is_document_order_invariant():
     ]
     a = filter_analysis(params, vocab, [Corpus(docs, "d")], k_filters=1, k_trigrams=3)
     b = filter_analysis(params, vocab, [Corpus(docs[::-1], "d")], k_filters=1, k_trigrams=3)
-    assert a.to_json() == b.to_json()
+    assert json.dumps(asdict(a), indent=2, sort_keys=True) == json.dumps(asdict(b), indent=2, sort_keys=True)
 
 
 def test_filter_analysis_rejects_k_trigrams_below_one():
@@ -377,4 +379,29 @@ def test_filters_json_matches_the_reference_layout_byte_for_byte():
     assert acts[("good", "movie", "plot")] == acts[("good", "movie", "good")]
     assert {hit.domains for hit in fs.trigrams} == {"src", "tgt", "src+tgt"}
     assert any(hit.tokens[0] == "*" and hit.domains == "src+tgt" for hit in fs.trigrams)
-    assert report.to_json() == json.dumps(_reference_filters_dict(report), indent=2, sort_keys=True)
+    assert json.dumps(asdict(report), indent=2, sort_keys=True) == json.dumps(
+        _reference_filters_dict(report), indent=2, sort_keys=True)
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_filter_analysis_memory_follows_the_windows_not_the_longest_document():
+    # two corpora of 40,400 windows each; one of them has a 400-token document
+    # among ten-token ones, which must not size what filter analysis holds
+    rng = np.random.default_rng(5)
+    vocab = Vocab(itos=["<pad>", "<unk>"] + [f"w{i}" for i in range(398)])
+    params = init_params(rng.uniform(-0.25, 0.25, size=(len(vocab), 24)), window=3, hidden=96, rng=rng)
+
+    def corpus(lengths):
+        return _corpus("d", [[vocab.itos[i] for i in rng.integers(2, len(vocab), size=n)] for n in lengths])
+
+    long_tail, even = corpus([10] * 4000 + [400]), corpus([10] * 4040)
+    peaks = [_peak_traced_bytes(lambda: filter_analysis(params, vocab, [c], k_filters=10)) for c in (long_tail, even)]
+    assert peaks[0] <= 1.5 * peaks[1], f"peak {peaks[0] / 1e6:.1f} MB against {peaks[1] / 1e6:.1f} MB"

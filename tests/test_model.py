@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import textda.autodiff as ad
-from reference_ops import mul, vsum
-from textda.errors import ConfigError, DataError, NumericalError
+from reference_ops import build_windows, mul, vsum
+from textda.data import PAD_INDEX
+from textda.errors import ConfigError, DataError, NumericalError, ShapeError
 from textda.model import (
     ModelParams,
     apply_max_norm,
-    build_windows,
     classify,
     encode_batch,
     forward_eval,
@@ -44,7 +44,8 @@ def _encode(params, mat, lengths):
 def _activations(params, mat, lengths):
     """The packed window ids and their post-ReLU activations, as filter
     analysis scores them."""
-    idx_win = packed_windows(np.asarray(mat), np.asarray(lengths), params.window)
+    mat, lengths = np.asarray(mat), np.asarray(lengths)
+    idx_win = packed_windows(mat[np.arange(mat.shape[1]) < lengths[:, None]], lengths, params.window)
     return idx_win, np.maximum(ad.conv_rows(params.E, params.W, params.b, idx_win), 0.0)
 
 
@@ -70,15 +71,34 @@ def _winning_rows(params, mat, lengths):
 # -------------------------------------------------------------------- windows
 
 
-def test_build_windows_same_padding():
-    idx = build_windows(np.array([[5, 6, 7]]), window=3)
-    assert np.array_equal(idx, [[[0, 5, 6], [5, 6, 7], [6, 7, 0]]])
-    idx = build_windows(np.array([[5, 6]]), window=1)
-    assert np.array_equal(idx, [[[5], [6]]])
-    idx = build_windows(np.array([[5]]), window=5)
-    assert np.array_equal(idx, [[[0, 0, 5, 0, 0]]])
+def test_packed_windows_same_padding():
+    idx = packed_windows(np.array([5, 6, 7]), np.array([3]), window=3)
+    assert np.array_equal(idx, [[0, 5, 6], [5, 6, 7], [6, 7, 0]])
+    idx = packed_windows(np.array([5, 6]), np.array([2]), window=1)
+    assert np.array_equal(idx, [[5], [6]])
+    idx = packed_windows(np.array([5]), np.array([1]), window=5)
+    assert np.array_equal(idx, [[0, 0, 5, 0, 0]])
     with pytest.raises(ConfigError):
-        build_windows(np.array([[1]]), window=2)
+        packed_windows(np.array([1]), np.array([1]), window=2)
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_packed_windows_equal_the_padded_windows_of_each_document(window):
+    rng = np.random.default_rng(window)
+    for _ in range(50):
+        # length-1 documents and documents shorter than half a window among longer ones
+        lengths = rng.integers(1, 12, size=rng.integers(1, 8))
+        lengths[rng.integers(len(lengths))] = 1
+        mat = np.full((len(lengths), lengths.max()), PAD_INDEX, dtype=np.int64)
+        valid = np.arange(mat.shape[1]) < lengths[:, None]
+        mat[valid] = rng.integers(1, 50, size=lengths.sum())
+        assert np.array_equal(packed_windows(mat[valid], lengths, window), build_windows(mat, window)[valid])
+
+
+def test_packed_windows_refuse_lengths_that_do_not_cover_the_ids():
+    for lengths in ([2], [2, 2], [4]):
+        with pytest.raises(ShapeError, match="lengths sum to"):
+            packed_windows(np.array([5, 6, 7]), np.array(lengths), window=3)
 
 
 # ----------------------------------------------------------- hand-traced conv

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import textda.autodiff as ad
-from reference_ops import conv_windows, mul, vsum
+from reference_ops import build_windows, conv_windows, mul, vsum
 from textda.data import PAD_INDEX
 from textda.ensemble import predict_all
 from textda.errors import NumericalError, ShapeError
 from textda.losses import source_cross_entropy
 from textda.model import (
     ModelParams,
-    build_windows,
     classify,
     encode_batch,
     forward_eval,
@@ -60,7 +59,7 @@ def _ragged_batch():
 def _activations(params: ModelParams, mat, lengths):
     """Post-ReLU activations [n_valid, h] of the packed windows, as filter
     analysis scores them."""
-    idx_win = packed_windows(mat, lengths, params.window)
+    idx_win = packed_windows(mat[np.arange(mat.shape[1]) < lengths[:, None]], lengths, params.window)
     return np.maximum(ad.conv_rows(params.E, params.W, params.b, idx_win), 0.0)
 
 
@@ -186,8 +185,7 @@ def test_predict_all_still_rejects_a_nan_embedding():
 def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
     """The encoder with the ReLU before the pooling: conv_windows, relu on
     every valid position, max_over_time_batch, dropout."""
-    valid = np.arange(mat.shape[1]) < lengths[:, None]
-    idx_win = build_windows(np.where(valid, mat, PAD_INDEX), WINDOW)[valid]
+    idx_win = _windows(mat, lengths)
     H = ad.relu(conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win))
     return ad.dropout(ad.max_over_time_batch(H, lengths), rate, rng), H
 
