@@ -287,31 +287,30 @@ def batch_mean(X: Tensor) -> Tensor:
     return out
 
 
-def embed_windows(E: Tensor, idx_win: np.ndarray) -> Tensor:
+def embed_windows(E: Tensor, windows: np.ndarray) -> Tensor:
     """Gather and concatenate embedding rows for every window.
 
-    idx_win is an integer array [..., l] of windows (the encoder passes its
-    packed [n_valid, l] windows); the result is [n_windows, l * d] with each
-    row the concatenation of the l embedding vectors of one window, in the
-    row-major order of idx_win's leading axes. Backward sums the rows'
-    gradients per (token, column) with one bincount, so repeated tokens
-    accumulate correctly. The encoder projects distinct tokens instead
+    windows is an integer array [..., l] of token ids (the encoder's are
+    packed, [n_valid, l]); the result is [n_windows, l * d] with each row the
+    concatenation of the l embedding vectors of one window, in the row-major
+    order of the leading axes. Backward sums the rows' gradients per (token,
+    column) with one bincount, so repeated tokens accumulate correctly. The encoder projects distinct tokens instead
     (conv_max_pool); this op stays for the benchmark's tracer, which wraps
     it by name, and as the tests' oracle for the window rows.
     """
-    idx_win = np.asarray(idx_win)
-    if idx_win.ndim < 2:
-        raise ShapeError(f"embed_windows: window index array must be [..., l], got shape {idx_win.shape}")
+    windows = np.asarray(windows)
+    if windows.ndim < 2:
+        raise ShapeError(f"embed_windows: window index array must be [..., l], got shape {windows.shape}")
     V, d = E.data.shape
-    if idx_win.size and (idx_win.min() < 0 or idx_win.max() >= V):
+    if windows.size and (windows.min() < 0 or windows.max() >= V):
         raise NumericalError(
             f"embed_windows: token index out of range [0, {V}) "
-            f"(min {idx_win.min()}, max {idx_win.max()})"
+            f"(min {windows.min()}, max {windows.max()})"
         )
-    out = E.tape.leaf(E.data[idx_win].reshape(-1, idx_win.shape[-1] * d))
+    out = E.tape.leaf(E.data[windows].reshape(-1, windows.shape[-1] * d))
 
     def back():
-        flat = (idx_win.reshape(-1, 1) * d + np.arange(d)).ravel()
+        flat = (windows.reshape(-1, 1) * d + np.arange(d)).ravel()
         accumulate(E, np.bincount(flat, weights=out.grad.ravel(), minlength=V * d).reshape(V, d))
 
     E.tape.record(back)
@@ -330,7 +329,7 @@ def _block_rows(h: int) -> int:
     return min(CONV_BLOCK_ROWS, max(1, CONV_BLOCK_VALUES // h))
 
 
-def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray, op: str, filters=slice(None)):
+def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, op: str, filters=slice(None)):
     """Check the convolution's inputs and project the distinct tokens.
 
     A window row is its l embedding rows side by side, so x W^T is
@@ -343,15 +342,15 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarr
     pre-activations of window rows start..stop-1 into out, for the given
     filters (all by default), taken from Q after the GEMM, since a GEMM
     over fewer rows of W can round differently."""
-    idx_win = np.asarray(idx_win)
-    if idx_win.ndim < 2 or idx_win.shape[-1] < 1:
-        raise ShapeError(f"{op}: window index array must be [..., l], got shape {idx_win.shape}")
+    windows = np.asarray(windows)
+    if windows.ndim < 2 or windows.shape[-1] < 1:
+        raise ShapeError(f"{op}: window index array must be [..., l], got shape {windows.shape}")
     V, d = E.shape
-    l = idx_win.shape[-1]
+    l = windows.shape[-1]
     if W.ndim != 2 or b.ndim != 1 or W.shape != (b.shape[0], l * d):
         raise ShapeError(f"{op}: W {W.shape} and b {b.shape} do not fit windows of {l} rows of E {E.shape}")
     h = W.shape[0]
-    flat = idx_win.reshape(-1)
+    flat = windows.reshape(-1)
     if flat.size and (flat.min() < 0 or flat.max() >= V):
         raise NumericalError(f"{op}: token index out of range [0, {V}) (min {flat.min()}, max {flat.max()})")
     mark = np.zeros(V, dtype=bool)
@@ -385,20 +384,20 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarr
     return slots, uniq, EU, M, fill
 
 
-def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, idx_win: np.ndarray, filters=slice(None)) -> np.ndarray:
+def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, filters=slice(None)) -> np.ndarray:
     """The pre-activations [n, h'] of every window, x W^T + b, for the
     given filters (all h by default), filled as conv_max_pool fills its
     blocks, so bit-equal to the values it pools. Plain arrays, no tape: for
     filter analysis, which scores each distinct window of its corpora once."""
-    slots, _, _, _, fill = _conv_forward(E, W, b, idx_win, "conv_rows", filters)
+    slots, _, _, _, fill = _conv_forward(E, W, b, windows, "conv_rows", filters)
     Z = np.empty((slots.shape[0], b[filters].size))
     fill(Z, 0, Z.shape[0])
     return Z
 
 
-def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray, lengths: np.ndarray) -> Tensor:
+def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths: np.ndarray) -> Tensor:
     """Per-document column maxima [n_docs, h] of the convolution of packed
-    windows, max_over_time_batch(affine(embed_windows(E, idx_win), W, b),
+    windows, max_over_time_batch(affine(embed_windows(E, windows), W, b),
     lengths), holding no [n, h] array on either tape.
 
     The forward fills one reused buffer a block at a time (_conv_forward)
@@ -418,7 +417,7 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, idx_win: np.ndarray, lengths:
     in its order, so the bits are the same.
     """
     tape = _same_tape(E, W, b)
-    slots, uniq, EU, M, fill = _conv_forward(E.data, W.data, b.data, idx_win, "conv_max_pool")
+    slots, uniq, EU, M, fill = _conv_forward(E.data, W.data, b.data, windows, "conv_max_pool")
     lens = _packed_lengths(lengths, slots.shape, "conv_max_pool", "windows")
     starts = np.cumsum(lens) - lens
     lens = lens.tolist()

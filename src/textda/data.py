@@ -106,9 +106,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.docs)
 
-    def __getitem__(self, i) -> Document:
-        return self.docs[i]
-
     def label_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in LABELS}
         for doc in self.docs:
@@ -263,21 +260,21 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     a fastText .vec file, and so is a first line of exactly two integers
     whose second is dim (the "count dim" header of word2vec and fastText
     files). Blank lines are skipped; any other line that does not parse is a
-    DataError naming the file and line, and so is a file that matches no
-    vocabulary token. path=None keeps the random initialization. Returns
-    (matrix, number of vocab tokens found).
+    DataError naming the file and line, and so is a vocabulary token's second
+    line (a repeat is refused, as in vocab and config files) and a file that
+    matches no vocabulary token. path=None keeps the random initialization.
+    Returns (matrix, number of vocab tokens found).
     """
     if dim < 1:
         raise ConfigError(f"embedding dim must be >= 1, got {dim}")
     E = rng.uniform(-0.25, 0.25, size=(len(vocab), dim))
     E[PAD_INDEX] = 0.0
-    found = 0
     if path is None:
-        return E, found
+        return E, 0
     p = Path(path)
     if not p.is_file():
         raise DataError(f"embedding file not found: {p}")
-    seen: set[int] = set()
+    first_line: dict[int, int] = {}  # vocab index -> line of its vector
     for lineno, line in read_lines(p):
         if not line.strip():
             continue
@@ -288,21 +285,22 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
         if len(parts) < dim + 1:
             raise DataError(f"{p}: line {lineno}: expected {dim} values after the token, got "
                             f"{len(parts) - 1} (fields are separated by single spaces)")
-        idx = vocab.stoi.get(" ".join(parts[:-dim]))
+        token = " ".join(parts[:-dim])
+        idx = vocab.stoi.get(token)
         if idx is None or idx == PAD_INDEX:
             continue
+        if idx in first_line:
+            raise DataError(f"{p}: line {lineno}: duplicate token {token!r} (first on line {first_line[idx]})")
+        first_line[idx] = lineno
         try:
             E[idx] = [float(v) for v in parts[-dim:]]
         except ValueError as e:
             raise DataError(f"{p}: line {lineno}: non-numeric embedding value") from e
         if not np.isfinite(E[idx]).all():
             raise DataError(f"{p}: line {lineno}: non-finite embedding value")
-        if idx not in seen:
-            seen.add(idx)
-            found += 1
-    if not found:
+    if not first_line:
         raise DataError(f"{p}: no line matches a vocabulary token (are its vectors {dim}-d?)")
-    return E, found
+    return E, len(first_line)
 
 
 def split_dev(corpus: Corpus, n_dev: int, rng: np.random.Generator) -> tuple[Corpus, Corpus]:

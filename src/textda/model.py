@@ -7,10 +7,10 @@ it is monotone and selects without rounding, so relu(max z) == max relu(z)
 bit for bit, and the ReLU and its backward touch [B, h] instead of
 [n_valid, h]. classify: the logit head F_w xi + F_b, which the losses take
 directly; only forward_eval applies the softmax, to report class
-probabilities. The encoding keeps xi and the window ids idx_win, not the
+probabilities. The encoding keeps only xi, not the windows or the
 per-position activations: filter analysis, which traces filters back to
-the trigrams that fire them, scores the distinct windows of packed_windows
-with autodiff.conv_rows.
+the trigrams that fire them, builds its own windows with packed_windows and
+scores the distinct ones with autodiff.conv_rows.
 
 The encoder works on packed rows: it takes each document's own ids out of
 the padded [B, P] id matrix, one document after another, and packed_windows
@@ -126,8 +126,7 @@ def init_params(embeddings: np.ndarray, window: int, hidden: int, rng: np.random
 
 @dataclass
 class EncodedBatch:
-    xi: ad.Tensor            # [B, h] pooled features, after the ReLU (and dropout at a rate above 0)
-    idx_win: np.ndarray      # [n_valid, l] token indices of the valid positions' windows
+    xi: ad.Tensor  # [B, h] pooled features, after the ReLU (and dropout at a rate above 0)
 
 
 def packed_windows(ids: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
@@ -156,10 +155,9 @@ def encode_batch(
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
     ids = mat[np.arange(mat.shape[1]) < lengths[:, None]]
-    idx_win = packed_windows(ids, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
-    pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], idx_win, lengths)  # [B, h]
-    xi = ad.dropout(ad.relu(pooled), dropout_rate, rng)
-    return EncodedBatch(xi=xi, idx_win=idx_win)
+    windows = packed_windows(ids, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
+    pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], windows, lengths)  # [B, h]
+    return EncodedBatch(xi=ad.dropout(ad.relu(pooled), dropout_rate, rng))
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:

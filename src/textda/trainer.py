@@ -39,7 +39,7 @@ from .data import (
     split_dev,
 )
 from .ensemble import EnsembleState, predict_all
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, NumericalError
 from .evaluation import EvalReport, evaluate_corpus
 from .losses import (
     LossBreakdown,
@@ -70,7 +70,6 @@ __all__ = [
     "RunResult",
     "union_pools",
     "write_history_csv",
-    "parse_history_csv",
     "CSV_COLUMNS",
 ]
 
@@ -274,28 +273,6 @@ def write_history_csv(history: History, path) -> None:
     for m in history.epochs:
         lines.append(",".join(map(repr, dataclasses.astuple(m))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def parse_history_csv(path) -> History:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ConfigError(f"{path}: unexpected history header")
-    history = History()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise DataError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
-        try:
-            values = [float(v) for v in parts[1:]]
-            history.epochs.append(EpochMetrics(int(parts[0]), *values))
-        except ValueError as e:
-            raise DataError(f"{path}: line {lineno}: non-numeric field ({e})") from e
-        for name, v in zip(CSV_COLUMNS[1:], values):
-            if not np.isfinite(v):
-                raise DataError(f"{path}: line {lineno}: non-finite {name} ({v})")
-    if history.epochs:
-        history.best_epoch = select_model(history)
-    return history
 
 
 @dataclass

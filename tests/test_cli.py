@@ -12,7 +12,6 @@ from textda.data import Vocab, load_corpus
 from textda.errors import NumericalError
 from textda.model import load_checkpoint, save_checkpoint
 from textda.synth import SyntheticSpec
-from textda.trainer import parse_history_csv
 
 TINY_CONF = """\
 lambda1 = 1.0
@@ -90,8 +89,8 @@ def test_synth_without_size_flags_uses_the_spec_defaults(tmp_path, monkeypatch):
 def test_train_single_run_artifacts(trained_dir, synth_dir):
     assert (trained_dir / "model.ckpt").is_file()
     assert (trained_dir / "vocab.txt").is_file()
-    history = parse_history_csv(trained_dir / "history.csv")
-    assert len(history.epochs) == 2
+    header, *rows = (trained_dir / "history.csv").read_text(encoding="utf-8").splitlines()
+    assert header.startswith("epoch,") and len(rows) == 2
     report = json.loads((trained_dir / "report.json").read_text(encoding="utf-8"))
     assert report["command"] == "train"
     # the echoed config reproduces the run configuration exactly
@@ -109,19 +108,27 @@ def test_train_single_run_artifacts(trained_dir, synth_dir):
 def test_train_multi_run_layout(tmp_path, synth_dir):
     conf = tmp_path / "tiny.conf"
     conf.write_text(TINY_CONF, encoding="utf-8")
+    extra = tmp_path / "source_unlabeled.jsonl"
+    extra.write_text("".join((synth_dir / "source_labeled.jsonl").read_text(encoding="utf-8")
+                             .splitlines(keepends=True)[:20]), encoding="utf-8")
     out = tmp_path / "multi"
     code = main([
-        "train", "--config", str(conf), "--out", str(out), "--seed", "7", "--runs", "2",
+        "train", "--config", str(conf), "--out", str(out), "--seed", "7", "--runs", "2", "--dump-ensemble",
         "--source", str(synth_dir / "source_labeled.jsonl"),
         "--target", str(synth_dir / "target_unlabeled.jsonl"),
+        "--source-unlabeled", str(extra),
     ])
     assert code == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert [r["seed"] for r in report["runs"]] == [7, 8]
     assert report["aggregate"] is None  # no test corpus given
+    n_union = (60 - 12) + 60 + 20  # source minus n_dev, target, unlabeled source
     for sub in ("run00", "run01"):
         assert (out / sub / "model.ckpt").is_file()
         assert (out / sub / "history.csv").is_file()
+        dumps = sorted((out / sub).glob("ensemble_epoch*.npy"))
+        assert [p.name for p in dumps] == ["ensemble_epoch001.npy", "ensemble_epoch002.npy"]
+        assert all(np.load(p).shape == (n_union, 3) for p in dumps)
     assert (out / "vocab.txt").is_file()
 
 
@@ -185,6 +192,7 @@ NOT_UTF8 = {"0xff": b"\xff", "latin-1": "é".encode("latin-1")}
 @pytest.mark.parametrize("boundary, mutation", [
     *[(boundary, mutation) for boundary in ("corpus", "embeddings", "vocab", "config") for mutation in NOT_UTF8],
     ("config", "epochs = 0"),
+    ("embeddings", "duplicate"),
 ])
 def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir, trained_dir, capsys,
                                                              boundary, mutation):
@@ -195,8 +203,11 @@ def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir
     test, vocab = synth_dir / "target_test.jsonl", trained_dir / "vocab.txt"
     original = {"corpus": test, "embeddings": embeddings, "vocab": vocab, "config": conf}[boundary]
     lines = original.read_bytes().splitlines(keepends=True)
+    token = Vocab.load(vocab).itos[2]
     if mutation == "epochs = 0":
         lines = [b"epochs = 0\n" if line.startswith(b"epochs") else line for line in lines]
+    elif mutation == "duplicate":  # line 2 gives a vocabulary token a second vector
+        lines = [token.encode() + b" 0.1" * 6 + b"\n", token.encode() + b" 0.2" * 6 + b"\n"]
     else:  # line 2 holds a word that is not UTF-8
         word = b"caf" + NOT_UTF8[mutation]
         lines.insert(1, {"corpus": b'{"label": "positive", "text": "' + word + b'"}\n',
@@ -217,6 +228,8 @@ def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir
     err = capsys.readouterr().err
     if mutation == "epochs = 0":
         assert f"{bad}: epochs must be >= 1" in err
+    elif mutation == "duplicate":
+        assert f"{bad}: line 2: duplicate token {token!r} (first on line 1)" in err
     else:
         assert f"{bad}: line 2: not valid UTF-8" in err
     assert "Traceback" not in err

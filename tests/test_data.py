@@ -98,8 +98,8 @@ def test_load_corpus_mixed_rating_and_label_lines(tmp_path):
     corpus = load_corpus(path, domain="books", scheme="amazon5")
     assert len(corpus) == 3
     assert [d.label for d in corpus] == ["positive", "negative", "neutral"]
-    assert corpus[0].tokens == ("really", "great", "stuff")
-    assert corpus[0].rating == 5.0 and corpus[2].rating is None
+    assert corpus.docs[0].tokens == ("really", "great", "stuff")
+    assert corpus.docs[0].rating == 5.0 and corpus.docs[2].rating is None
     assert corpus.label_counts() == {"negative": 1, "neutral": 1, "positive": 1}
     assert np.array_equal(corpus.label_indices(), [2, 0, 1])
 

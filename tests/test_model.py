@@ -55,6 +55,7 @@ def _winning_rows(params, mat, lengths):
     per token, document k's feature gives W the gradient x_r, the embeddings
     of its winning window r side by side, so the rows whose x equal W's
     gradient are the rows that gradient went through."""
+    windows = params.E[_activations(params, mat, lengths)[0], 0]  # [n_valid, l]
     rows = []
     for k in range(len(lengths)):
         tape = ad.Tape()
@@ -63,7 +64,6 @@ def _winning_rows(params, mat, lengths):
         pick = np.zeros(enc.xi.shape)
         pick[k] = 1.0
         tape.backward(vsum(mul(enc.xi, tape.leaf(pick))))
-        windows = params.E[enc.idx_win, 0]  # [n_valid, l]
         rows.extend(np.flatnonzero((windows == leaves["W"].grad[0]).all(axis=1)).tolist())
     return rows
 
@@ -129,8 +129,8 @@ def test_pooling_masks_padding_and_breaks_ties_low():
     assert enc.xi.data[1].item() == 4.0
     # the padded positions are never convolved, so they cannot win the max
     assert enc.xi.data[0].item() == 7.0
-    idx_win, H = _activations(_toy_params(), mat, lengths)
-    assert H.shape == (6, 1) and np.array_equal(idx_win, enc.idx_win)
+    _, H = _activations(_toy_params(), mat, lengths)
+    assert H.shape == (6, 1) and np.array_equal(enc.xi.data, [H[:4].max(axis=0), H[4:].max(axis=0)])
     assert H[4, 0] == H[5, 0] == 4.0
     # doc 1's gradient reaches its first position (row 4) only, not the tied row 5
     assert _winning_rows(_toy_params(), mat, lengths) == [2, 4]
@@ -328,9 +328,9 @@ def test_forward_eval_records_nothing_and_frees_its_encoding():
         probs, enc = forward_eval(params, mat, lengths)
         with pytest.raises(NumericalError):
             enc.xi.tape.backward(vsum(enc.xi))
-        probes = [weakref.ref(enc.xi), weakref.ref(enc.idx_win)]
+        probe = weakref.ref(enc.xi)
         del enc
-        assert all(probe() is None for probe in probes)
+        assert probe() is None
     finally:
         gc.enable()
     assert np.allclose(probs.sum(axis=1), 1.0)

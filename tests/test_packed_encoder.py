@@ -113,12 +113,11 @@ def test_forward_eval_matches_padded_reference_on_ragged_batch():
     starts = np.cumsum(lengths) - lengths
     g = np.zeros((lengths.sum(), HIDDEN))
     g[starts[:, None] + ref_arg, np.arange(HIDDEN)] = rec.xi.data > 0.0
-    for name, want in _dense_conv_grads(params, rec.idx_win, g).items():
+    for name, want in _dense_conv_grads(params, _windows(mat, lengths), g).items():
         assert np.abs(leaves[name].grad - want).max() <= 1e-12, name
     # the repeated trigram ties at a positive activation; the lower position wins
     assert enc.xi.data[1, 0] > 1.0 and ref_arg[1, 0] == 2
     assert _activations(params, mat, lengths).shape == (lengths.sum(), HIDDEN)
-    assert enc.idx_win.shape == (lengths.sum(), WINDOW)
 
 
 def test_ids_past_a_length_change_neither_features_nor_gradients():
@@ -223,17 +222,17 @@ def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, ra
 
 
 def test_forward_eval_frees_the_pre_activations_with_its_encoding():
-    # the encoding holds the pooled features and the window ids, no
-    # [n_valid, h] array, and freeing it frees both
+    # the encoding holds only the pooled features, no [n_valid, h] array and
+    # no windows, and freeing it frees them
     mat, lengths = _ragged_batch()
     gc.disable()
     try:
         _, enc = forward_eval(_params(), mat, lengths)
-        assert sorted(vars(enc)) == ["idx_win", "xi"]
-        assert enc.xi.data.shape == (len(lengths), HIDDEN) and enc.idx_win.shape == (lengths.sum(), WINDOW)
-        probes = [weakref.ref(enc.xi), weakref.ref(enc.idx_win)]
+        assert sorted(vars(enc)) == ["xi"]
+        assert enc.xi.data.shape == (len(lengths), HIDDEN)
+        probe = weakref.ref(enc.xi)
         del enc
-        assert all(probe() is None for probe in probes)
+        assert probe() is None
     finally:
         gc.enable()
 

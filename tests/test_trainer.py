@@ -1,5 +1,6 @@
 """Training loop behavior: optimizer, history, variants, determinism."""
 
+import csv
 import dataclasses
 import math
 
@@ -17,7 +18,7 @@ from textda.data import (
     pad_batch,
     split_dev,
 )
-from textda.errors import ConfigError, DataError, NumericalError
+from textda.errors import ConfigError, NumericalError
 from textda.losses import feature_adaptation_loss, mmd_rbf, rampup_weight
 from textda.model import encode_batch, init_params
 from textda.rng import named_rng
@@ -28,7 +29,6 @@ from textda.trainer import (
     History,
     RMSProp,
     objective,
-    parse_history_csv,
     run_multi_seed,
     select_model,
     train,
@@ -115,34 +115,12 @@ def test_history_csv_round_trip_exact(tmp_path):
     history.epochs.append(EpochMetrics(2, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
     path = tmp_path / "history.csv"
     write_history_csv(history, path)
-    back = parse_history_csv(path)
-    assert len(back.epochs) == 2
-    for a, b in zip(history.epochs, back.epochs):
-        for name in CSV_COLUMNS:
-            assert getattr(a, name) == getattr(b, name)
-
-
-def test_parse_history_rejects_bad_header(tmp_path):
-    path = tmp_path / "history.csv"
-    path.write_text("epoch,L\n1,0.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        parse_history_csv(path)
-
-
-@pytest.mark.parametrize("row,problem", [
-    ("1,0.1,0.2,0.3,0.4,0.5,0.6,0.7", "expected 9 fields, got 8"),
-    ("1,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "expected 9 fields, got 10"),
-    ("1,0.1,0.2,oops,0.4,0.5,0.6,0.7,0.8", "non-numeric"),
-    ("one,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8", "non-numeric"),
-    ("2,0.1,0.2,0.3,0.4,0.5,0.6,nan,0.8", "non-finite dev_error"),  # argmin would pick it
-    ("2,0.1,inf,0.3,0.4,0.5,0.6,0.7,0.8", "non-finite J"),
-])
-def test_parse_history_rejects_bad_rows(tmp_path, row, problem):
-    path = tmp_path / "history.csv"
-    good = "1,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
-    path.write_text(",".join(CSV_COLUMNS) + f"\n{good}\n{row}\n", encoding="utf-8")
-    with pytest.raises(DataError, match=rf"history\.csv: line 3: {problem}"):
-        parse_history_csv(path)
+    header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    assert tuple(header) == CSV_COLUMNS and len(rows) == 2
+    for m, row in zip(history.epochs, rows):
+        assert len(row) == len(CSV_COLUMNS) and int(row[0]) == m.epoch
+        for name, field in zip(CSV_COLUMNS[1:], row[1:]):
+            assert float(field) == getattr(m, name)
 
 
 # ------------------------------------------------------------------ objective
@@ -248,7 +226,7 @@ def test_target_labels_are_never_read():
         assert arr.tobytes() == params2.arrays()[name].tobytes()
 
 
-def test_union_pool_includes_unlabeled_source():
+def test_union_pool_includes_unlabeled_source(tmp_path):
     source, target, _ = _tiny_data()
     config = TrainConfig(variant="DAS", **TINY)
     vocab = build_vocab([source, target], config.vocab_size)
@@ -257,8 +235,10 @@ def test_union_pool_includes_unlabeled_source():
         None, vocab, config.embedding_dim, named_rng(config.seed, "embeddings"))
     extra = Corpus(list(source.docs[:20]), source.domain)
     params, history = train(config, vocab, embeddings, train_split, target, dev,
-                            source_unlabeled=extra)
+                            source_unlabeled=extra, dump_ensemble_dir=tmp_path)
     assert len(history.epochs) == config.epochs
+    Z = np.load(tmp_path / f"ensemble_epoch{config.epochs:03d}.npy")
+    assert Z.shape == (len(train_split) + len(target) + len(extra), 3)
 
 
 def test_ensemble_dump_writes_epoch_files(tmp_path):
