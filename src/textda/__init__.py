@@ -28,7 +28,6 @@ from .evaluation import (
     filter_analysis,
     macro_f1,
     render_filter_report,
-    ttest_one_tailed,
 )
 from .losses import (
     LossBreakdown,

@@ -55,14 +55,16 @@ RATING_SCHEMES = ("amazon5", "imdb10")
 
 def read_lines(path: Path, error: type[TextdaError] = DataError):
     """Yield (line number, text) of each line of a UTF-8 file, decoded on its
-    own, so bytes that are not UTF-8 are refused naming the file and line."""
+    own, so bytes that are not UTF-8 are refused naming the file and line.
+    A byte-order mark opening the file is dropped, as the utf-8-sig codec does."""
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                yield lineno, raw.decode("utf-8")
+                text = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise error(f"{path}: line {lineno}: not valid UTF-8 "
                             f"(byte {raw[e.start]:#04x} at offset {e.start}: {e.reason})") from e
+            yield lineno, text.removeprefix("\ufeff") if lineno == 1 else text
 
 
 def tokenize(text: str) -> list[str]:
@@ -92,7 +94,6 @@ class Document:
     tokens: tuple[str, ...]
     label: str | None
     rating: float | None
-    domain: str
 
 
 @dataclass
@@ -160,7 +161,7 @@ def load_corpus(path, domain: str, scheme: str | None = None) -> Corpus:
         tokens = tuple(tokenize(rec["text"]))
         if not tokens:
             raise DataError(f"{p}: line {lineno}: document has no tokens")
-        docs.append(Document(tokens=tokens, label=label, rating=rating, domain=domain))
+        docs.append(Document(tokens=tokens, label=label, rating=rating))
     if not docs:
         raise DataError(f"{p}: corpus has no documents")
     return Corpus(docs=docs, domain=domain)

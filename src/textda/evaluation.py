@@ -1,10 +1,7 @@
-"""Metrics, significance testing, and filter inspection.
+"""Metrics and filter inspection.
 
 Macro-F1 averages per-class F1 over the classes that actually appear in the
-gold labels; any 0/0 ratio along the way is defined as 0. The significance
-test is a one-tailed unpaired Welch t-test (H1: mean(a) > mean(b)) with
-Welch-Satterthwaite degrees of freedom and fixed conventions for
-zero-variance samples.
+gold labels; any 0/0 ratio along the way is defined as 0.
 
 Filter analysis scores each distinct window of the corpora once through the
 trained encoder's convolution (eval mode) and reports, for the strongest
@@ -32,8 +29,6 @@ __all__ = [
     "per_class_f1",
     "EvalReport",
     "evaluate_corpus",
-    "TTestResult",
-    "ttest_one_tailed",
     "TrigramHit",
     "FilterSummary",
     "FilterReport",
@@ -132,46 +127,6 @@ def evaluate_corpus(params: ModelParams, vocab: Vocab, corpus: Corpus, max_doc_l
         per_class={label: stats[i] for i, label in enumerate(LABELS)},
         confusion=confusion_matrix(golds, preds).tolist(),
     )
-
-
-@dataclass
-class TTestResult:
-    t_stat: float
-    dof: float
-    p_value: float
-
-
-def ttest_one_tailed(a, b) -> TTestResult:
-    """Welch's unpaired t-test of H1: mean(a) > mean(b).
-
-    Zero-variance conventions: both samples constant with equal means gives
-    p = 0.5; constant with unequal means gives p = 0.0 (a above b) or 1.0.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size < 2 or b.size < 2:
-        raise ConfigError("ttest_one_tailed: each sample needs at least 2 observations")
-    ma, mb = a.mean(), b.mean()
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    if va == 0.0 and vb == 0.0:
-        if ma == mb:
-            return TTestResult(t_stat=0.0, dof=float(a.size + b.size - 2), p_value=0.5)
-        sign = np.inf if ma > mb else -np.inf
-        return TTestResult(t_stat=float(sign), dof=float(a.size + b.size - 2),
-                           p_value=0.0 if ma > mb else 1.0)
-    sa, sb = va / a.size, vb / b.size
-    se2 = sa + sb
-    t_stat = (ma - mb) / np.sqrt(se2)
-    dof = se2 * se2 / (
-        (sa * sa / (a.size - 1) if va > 0 else 0.0)
-        + (sb * sb / (b.size - 1) if vb > 0 else 0.0)
-    )
-    # imported here, not with the module: scipy.stats takes about a second to
-    # load, and nothing else in textda uses it
-    from scipy.stats import t as student_t
-
-    p = float(student_t.sf(t_stat, dof))
-    return TTestResult(t_stat=float(t_stat), dof=float(dof), p_value=p)
 
 
 @dataclass

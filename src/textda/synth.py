@@ -91,7 +91,7 @@ def _make_corpus(spec: SyntheticSpec, rng: np.random.Generator, domain: str,
             else:
                 pool = filler[domain]
             tokens.append(pool[int(rng.integers(len(pool)))])
-        docs.append(Document(tokens=tuple(tokens), label=label, rating=None, domain=tag))
+        docs.append(Document(tokens=tuple(tokens), label=label, rating=None))
     return Corpus(docs=docs, domain=tag)
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 import textda.autodiff as ad
 from textda.cli import main
@@ -28,7 +29,7 @@ from textda.data import (
     split_dev,
 )
 from textda.ensemble import EnsembleState, predict_all
-from textda.evaluation import evaluate_corpus, filter_analysis, ttest_one_tailed
+from textda.evaluation import evaluate_corpus, filter_analysis
 from textda.losses import entropy_min_loss, mmd_rbf, rampup_weight, symmetric_kl
 from textda.model import ModelParams, init_params, load_checkpoint
 from textda.rng import named_rng
@@ -201,7 +202,7 @@ def test_criterion_4_synthetic_adaptation_ordering(tmp_path, capsys):
                                  embeddings_path=emb_path)
         acc[variant] = np.array([r.accuracy for r in results])
     elapsed = time.monotonic() - t0
-    p = ttest_one_tailed(acc["DAS"], acc["NaiveNN"]).p_value
+    p = scipy_stats.ttest_ind(acc["DAS"], acc["NaiveNN"], equal_var=False, alternative="greater").pvalue
     margin_naive = acc["DAS"].mean() - acc["NaiveNN"].mean()
     margin_fann = acc["DAS"].mean() - acc["FANN"].mean()
     checks = [
@@ -327,9 +328,9 @@ def test_criterion_8_filter_analysis_recovers_planted_trigram(capsys):
     vocab = Vocab(itos=["<pad>", "<unk>", "calm", "dull", "stellar", "superb",
                         "wow", "meh", "blah"])
     docs = [
-        Document(("calm", "dull", "meh", "blah"), "neutral", None, "d"),
-        Document(("dull", "blah", "stellar", "superb", "wow", "meh"), "positive", None, "d"),
-        Document(("meh", "calm", "blah", "dull"), "neutral", None, "d"),
+        Document(("calm", "dull", "meh", "blah"), "neutral", None),
+        Document(("dull", "blah", "stellar", "superb", "wow", "meh"), "positive", None),
+        Document(("meh", "calm", "blah", "dull"), "neutral", None),
     ]
     corpus = Corpus(docs, "d")
     rng = named_rng(8, "init")

@@ -24,6 +24,7 @@ from textda.data import (
     split_dev,
     tokenize,
 )
+from textda.config import parse_config_file
 from textda.errors import ConfigError, DataError
 from textda.rng import named_rng
 
@@ -143,8 +144,8 @@ def test_load_corpus_missing_file_names_path(tmp_path):
 
 def test_save_then_load_round_trip(tmp_path):
     docs = [
-        Document(tokens=("good", "value"), label="positive", rating=4.0, domain="d"),
-        Document(tokens=("meh", "!"), label="neutral", rating=None, domain="d"),
+        Document(tokens=("good", "value"), label="positive", rating=4.0),
+        Document(tokens=("meh", "!"), label="neutral", rating=None),
     ]
     path = tmp_path / "out.jsonl"
     save_corpus(Corpus(docs, "d"), path)
@@ -155,7 +156,7 @@ def test_save_then_load_round_trip(tmp_path):
 
 
 def test_label_indices_requires_labels():
-    corpus = Corpus([Document(("x",), None, None, "d")], "d")
+    corpus = Corpus([Document(("x",), None, None)], "d")
     with pytest.raises(DataError):
         corpus.label_indices()
 
@@ -164,7 +165,7 @@ def test_label_indices_requires_labels():
 
 
 def _corpus_of(texts, domain="d"):
-    return Corpus([Document(tuple(tokenize(t)), "neutral", None, domain) for t in texts], domain)
+    return Corpus([Document(tuple(tokenize(t)), "neutral", None) for t in texts], domain)
 
 
 def test_build_vocab_frequency_order_and_tie_break():
@@ -306,11 +307,37 @@ def test_embeddings_reject_a_file_that_matches_no_vocabulary_token(tmp_path):
         _load_vecs(tmp_path / "vecs.txt", "alpha 1.0 2.0 3.0\n")
 
 
+def _embeddings_of(path):
+    E, found = load_pretrained_embeddings(path, build_vocab([_corpus_of(["alpha beta"])], size=10),
+                                          dim=2, rng=named_rng(0, "embeddings"))
+    return E.tolist(), found
+
+
+# every reader of a text file, with a file it accepts
+READERS = {
+    "corpus": ('{"label": "positive", "text": "good value"}\n{"label": "neutral", "text": "meh"}\n',
+               lambda path: load_corpus(path, domain="d")),
+    "vocab": ("<pad>\n<unk>\nalpha\n", Vocab.load),
+    "config": ("epochs = 3\nhidden = 8\n", parse_config_file),
+    "embeddings": ("alpha 1.0 2.0\nbeta 3.0 4.0\n", _embeddings_of),
+    "embeddings-header": ("2 2\nalpha 1.0 2.0\nbeta 3.0 4.0\n", _embeddings_of),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_a_byte_order_mark_opening_a_file_is_not_read_as_text(tmp_path, reader):
+    text, load = READERS[reader]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")  # the same text after the bytes EF BB BF
+    assert load(marked) == load(plain)
+
+
 # ----------------------------------------------------------------- dev splits
 
 
 def test_split_dev_sizes_disjoint_and_order_preserved():
-    docs = [Document((f"t{i}",), "neutral", None, "d") for i in range(20)]
+    docs = [Document((f"t{i}",), "neutral", None) for i in range(20)]
     train, dev = split_dev(Corpus(docs, "d"), n_dev=6, rng=named_rng(1, "split"))
     assert len(train) == 14 and len(dev) == 6
     train_tokens = [d.tokens[0] for d in train]

@@ -1,4 +1,4 @@
-"""Metrics, Welch t-test, and filter trigram inspection."""
+"""Metrics and filter trigram inspection."""
 
 import json
 import tracemalloc
@@ -6,7 +6,6 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from textda.data import Corpus, Document, Vocab
 from textda.errors import ConfigError, DataError, NumericalError
@@ -20,7 +19,6 @@ from textda.evaluation import (
     per_class_f1,
     render_filter_report,
     top_filters_per_class,
-    ttest_one_tailed,
 )
 from textda.model import ModelParams, init_params
 
@@ -76,42 +74,6 @@ def test_perfect_predictions_score_one():
     assert macro_f1(golds, golds) == 1.0
 
 
-# ------------------------------------------------------------------- t-test
-
-
-def test_ttest_matches_scipy_welch_one_tailed():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        a = rng.normal(1.0, 0.5, size=8)
-        b = rng.normal(0.5, 0.8, size=6)
-        ours = ttest_one_tailed(a, b)
-        ref = scipy_stats.ttest_ind(a, b, equal_var=False, alternative="greater")
-        assert abs(ours.t_stat - ref.statistic) < 1e-12
-        assert abs(ours.p_value - ref.pvalue) < 1e-12
-
-
-def test_ttest_zero_variance_conventions():
-    equal = ttest_one_tailed([0.5, 0.5], [0.5, 0.5])
-    assert equal.p_value == 0.5 and equal.t_stat == 0.0
-    above = ttest_one_tailed([0.9, 0.9], [0.1, 0.1])
-    assert above.p_value == 0.0 and above.t_stat == np.inf
-    below = ttest_one_tailed([0.1, 0.1], [0.9, 0.9])
-    assert below.p_value == 1.0
-
-
-def test_ttest_p_falls_as_separation_grows():
-    rng = np.random.default_rng(1)
-    b = rng.normal(0.0, 1.0, size=10)
-    noise = rng.normal(0.0, 1.0, size=10)
-    ps = [ttest_one_tailed(noise + shift, b).p_value for shift in (0.0, 0.5, 1.5, 3.0)]
-    assert all(q < p for p, q in zip(ps, ps[1:]))
-
-
-def test_ttest_requires_two_observations_each():
-    with pytest.raises(ConfigError):
-        ttest_one_tailed([1.0], [0.0, 0.1])
-
-
 # ----------------------------------------------------------- corpus evaluation
 
 
@@ -132,9 +94,9 @@ def _toy_setup():
 def test_evaluate_corpus_consistency():
     vocab, params = _toy_setup()
     docs = [
-        Document(("good", "great", "movie"), "positive", None, "d"),
-        Document(("bad", "bad", "movie"), "negative", None, "d"),
-        Document(("movie",), "neutral", None, "d"),
+        Document(("good", "great", "movie"), "positive", None),
+        Document(("bad", "bad", "movie"), "negative", None),
+        Document(("movie",), "neutral", None),
     ]
     report = evaluate_corpus(params, vocab, Corpus(docs, "d"), max_doc_len=10)
     assert isinstance(report, EvalReport)
@@ -170,8 +132,8 @@ def test_top_filters_per_class_ordering_and_ties():
 
 def test_filter_analysis_finds_strongest_trigram_and_merges_domains():
     vocab, params = _toy_setup()
-    src = Corpus([Document(("good", "great", "movie"), "positive", None, "src")], "src")
-    tgt = Corpus([Document(("good", "great", "movie", "bad"), "positive", None, "tgt")], "tgt")
+    src = Corpus([Document(("good", "great", "movie"), "positive", None)], "src")
+    tgt = Corpus([Document(("good", "great", "movie", "bad"), "positive", None)], "tgt")
     report = filter_analysis(params, vocab, [src, tgt], k_filters=1, k_trigrams=5)
     hits = report.classes["positive"][0].trigrams
     # window sums: *-good-great 4.0, good-great-movie 4.5, great-movie-* 3.5
@@ -187,9 +149,9 @@ def test_filter_analysis_finds_strongest_trigram_and_merges_domains():
 def test_filter_analysis_is_document_order_invariant():
     vocab, params = _toy_setup()
     docs = [
-        Document(("good", "great", "movie"), "positive", None, "d"),
-        Document(("bad", "movie"), "negative", None, "d"),
-        Document(("great", "great"), "positive", None, "d"),
+        Document(("good", "great", "movie"), "positive", None),
+        Document(("bad", "movie"), "negative", None),
+        Document(("great", "great"), "positive", None),
     ]
     a = filter_analysis(params, vocab, [Corpus(docs, "d")], k_filters=1, k_trigrams=3)
     b = filter_analysis(params, vocab, [Corpus(docs[::-1], "d")], k_filters=1, k_trigrams=3)
@@ -198,7 +160,7 @@ def test_filter_analysis_is_document_order_invariant():
 
 def test_filter_analysis_rejects_k_trigrams_below_one():
     vocab, params = _toy_setup()
-    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None)], "d")
     for k in (0, -1):
         with pytest.raises(ConfigError, match="k_trigrams"):
             filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=k)
@@ -206,7 +168,7 @@ def test_filter_analysis_rejects_k_trigrams_below_one():
 
 def test_filter_analysis_rejects_k_filters_out_of_range():
     vocab, params = _toy_setup()  # one filter
-    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None)], "d")
     for k in (0, 2):
         with pytest.raises(ConfigError, match=rf"k_filters must be in \[1, 1\], got {k}"):
             filter_analysis(params, vocab, [corpus], k_filters=k, k_trigrams=1)
@@ -215,7 +177,7 @@ def test_filter_analysis_rejects_k_filters_out_of_range():
 def test_filter_analysis_names_a_trigram_with_a_non_finite_activation():
     vocab, params = _toy_setup()
     params.E[vocab.stoi["movie"]] = np.nan
-    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None)], "d")
     # the first of the sorted trigrams that read "movie"
     with pytest.raises(NumericalError, match="trigram good-great-movie are not finite"):
         filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=1)
@@ -223,7 +185,7 @@ def test_filter_analysis_names_a_trigram_with_a_non_finite_activation():
 
 def test_render_filter_report_sections():
     vocab, params = _toy_setup()
-    corpus = Corpus([Document(("good", "great", "movie"), "positive", None, "d")], "d")
+    corpus = Corpus([Document(("good", "great", "movie"), "positive", None)], "d")
     report = filter_analysis(params, vocab, [corpus], k_filters=1, k_trigrams=2)
     text = render_filter_report(report)
     assert "class: positive" in text
@@ -255,7 +217,7 @@ def _brute_force_filter_tops(params, vocab, corpora, filters, k_trigrams, max_do
 
 
 def _corpus(domain, token_lists):
-    return Corpus([Document(tuple(t), "neutral", None, domain) for t in token_lists], domain)
+    return Corpus([Document(tuple(t), "neutral", None) for t in token_lists], domain)
 
 
 def _assert_matches_brute_force(params, vocab, corpora, k_trigrams, max_doc_len):

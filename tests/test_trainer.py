@@ -216,7 +216,7 @@ def test_same_seed_runs_are_identical():
 def test_target_labels_are_never_read():
     source, target, _ = _tiny_data()
     stripped = Corpus(
-        [Document(d.tokens, None, None, d.domain) for d in target.docs],
+        [Document(d.tokens, None, None) for d in target.docs],
         target.domain,
     )
     config = TrainConfig(variant="DAS", **TINY)
