@@ -42,6 +42,7 @@ __all__ = [
     "dropout",
     "l1_normalize",
     "batch_mean",
+    "split_rows",
     "embed_windows",
     "conv_rows",
     "conv_max_pool",
@@ -287,6 +288,23 @@ def batch_mean(X: Tensor) -> Tensor:
     return out
 
 
+def split_rows(x: Tensor, sizes) -> list[Tensor]:
+    """Consecutive row blocks of x, sizes[k] rows for part k, which must
+    cover x's rows. The backward concatenates the parts' gradients (zeros
+    for a part no loss touched) into x's, so one op batches rows that
+    different losses read."""
+    sizes = [int(n) for n in sizes]
+    if not sizes or min(sizes) < 1 or x.data.ndim < 1 or sum(sizes) != x.data.shape[0]:
+        raise ShapeError(f"split_rows: parts of {sizes} rows do not cover x {x.data.shape}")
+    parts = [x.tape.leaf(part) for part in np.split(x.data, np.cumsum(sizes)[:-1])]
+
+    def back():
+        accumulate(x, np.concatenate([part.grad for part in parts]))
+
+    x.tape.record(back)
+    return parts
+
+
 def embed_windows(E: Tensor, windows: np.ndarray) -> Tensor:
     """Gather and concatenate embedding rows for every window.
 
@@ -336,9 +354,9 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarr
     sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
     the U distinct tokens is projected once per slot, Q[u*l + j] =
     E[u] W_j^T, by one GEMM. In the encoder's windows every id is some
-    position's own token or padding, so U <= n + 1. Returns slots [n, l]
-    (the row of Q that each window slot reads), uniq, E[uniq], M (W's slot
-    blocks side by side) and fill(out, start, stop), which writes the
+    position's own token or padding, so U <= n + 1. Returns ranks [n, l]
+    (the row of uniq that each window slot reads), uniq, E[uniq], M (W's
+    slot blocks side by side) and fill(out, start, stop), which writes the
     pre-activations of window rows start..stop-1 into out, for the given
     filters (all by default), taken from Q after the GEMM, since a GEMM
     over fewer rows of W can round differently."""
@@ -358,13 +376,13 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarr
     uniq = np.flatnonzero(mark)
     rank = np.empty(V, dtype=np.int64)
     rank[uniq] = np.arange(uniq.size)
-    slots = rank[flat].reshape(-1, l) * l + np.arange(l)
+    ranks = rank[flat].reshape(-1, l)
     EU = E[uniq]
     M = W.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
     Q, b = (EU @ M).reshape(-1, h)[:, filters], b[filters]
-    ids = np.ascontiguousarray(slots.T)  # one contiguous run of Q rows per slot
+    ids = np.ascontiguousarray((ranks * l + np.arange(l)).T)  # one contiguous run of Q rows per slot
     block = _block_rows(b.size)
-    part = np.empty((min(slots.shape[0], block), b.size))
+    part = np.empty((min(ranks.shape[0], block), b.size))
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         # Slot 0's projections are gathered straight into out, each later
@@ -381,7 +399,7 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarr
                 rows += part[:m]
             rows += b
 
-    return slots, uniq, EU, M, fill
+    return ranks, uniq, EU, M, fill
 
 
 def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, filters=slice(None)) -> np.ndarray:
@@ -389,8 +407,8 @@ def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, 
     given filters (all h by default), filled as conv_max_pool fills its
     blocks, so bit-equal to the values it pools. Plain arrays, no tape: for
     filter analysis, which scores each distinct window of its corpora once."""
-    slots, _, _, _, fill = _conv_forward(E, W, b, windows, "conv_rows", filters)
-    Z = np.empty((slots.shape[0], b[filters].size))
+    ranks, _, _, _, fill = _conv_forward(E, W, b, windows, "conv_rows", filters)
+    Z = np.empty((ranks.shape[0], b[filters].size))
     fill(Z, 0, Z.shape[0])
     return Z
 
@@ -409,21 +427,26 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
     and gathers the maxima there. Max selects without rounding, so both
     tapes give the same bits, and a NaN row gives its document a NaN maximum.
 
-    The backward goes through the winning windows only: one bincount of the
-    maxima's gradient gv sums, in document order, G[u, j*h + f] over the
-    documents whose winning window for filter f reads token u in slot j;
-    then one GEMM gives dW, one the touched rows of dE, and db = gv.sum(0).
-    These are the nonzero terms of the incidence product over all n rows,
-    in its order, so the bits are the same.
+    The backward goes through the winning windows only. G [U, l*h] holds in
+    G[u, j*h + f] the sum, in document order, of the maxima's gradient gv
+    over the documents whose winning window for filter f reads token u in
+    slot j; one bincount per slot j (bins u*h + f, weights gv) fills its
+    column block. Then one GEMM gives dW, one the touched rows of dE, and
+    db = gv.sum(0). These are the nonzero terms of the incidence product
+    over all n rows, in its order, so the bits are the same. The per-slot
+    bincounts keep the backward's temporaries at [n_docs, h] and [U, h]:
+    one bincount over [n_docs, h, l] bins, with gv repeated l times, made
+    temporaries large enough that the allocator returned them to the
+    system and faulted them in again on every step.
     """
     tape = _same_tape(E, W, b)
-    slots, uniq, EU, M, fill = _conv_forward(E.data, W.data, b.data, windows, "conv_max_pool")
-    lens = _packed_lengths(lengths, slots.shape, "conv_max_pool", "windows")
+    ranks, uniq, EU, M, fill = _conv_forward(E.data, W.data, b.data, windows, "conv_max_pool")
+    lens = _packed_lengths(lengths, ranks.shape, "conv_max_pool", "windows")
     starts = np.cumsum(lens) - lens
     lens = lens.tolist()
     n_docs, h = len(lens), W.data.shape[0]
     block = _block_rows(h)
-    buf = np.empty((min(slots.shape[0], max(block, max(lens))), h))
+    buf = np.empty((min(ranks.shape[0], max(block, max(lens))), h))
     maxima = np.empty((n_docs, h))
     record = not isinstance(tape, NoGradTape)
     if record:
@@ -458,11 +481,13 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
 
     def back():
         gv = out.grad
-        l, d = slots.shape[1], E.data.shape[1]
-        # bin (u*l + j)*h + f: token u in slot j of filter f's winning window
-        bins = slots[winners] * h + cols[:, None]  # [n_docs, h, l]
-        G = np.bincount(bins.ravel(), weights=np.repeat(gv.ravel(), l),
-                        minlength=uniq.size * l * h).reshape(-1, l * h)
+        weights = gv.ravel()
+        U, l, d = uniq.size, ranks.shape[1], E.data.shape[1]
+        G = np.empty((U, l * h))
+        for j in range(l):
+            # bin u*h + f: token u in slot j of filter f's winning window
+            bins = ranks[:, j][winners] * h + cols  # [n_docs, h]
+            G[:, j * h : (j + 1) * h] = np.bincount(bins.ravel(), weights=weights, minlength=U * h).reshape(U, h)
         accumulate(W, (EU.T @ G).reshape(d, l, h).transpose(2, 1, 0).reshape(h, l * d))
         accumulate(b, gv.sum(axis=0))
         dE = np.zeros_like(E.data)

@@ -179,7 +179,7 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances [len(A), len(B)] between rows, clipped at 0."""
     a2 = (A * A).sum(axis=1)[:, None]
     b2 = (B * B).sum(axis=1)[None, :]
-    return np.maximum(a2 + b2 - 2.0 * A @ B.T, 0.0)
+    return np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
 
 
 def median_heuristic_sigma(xs: np.ndarray, xt: np.ndarray) -> float:

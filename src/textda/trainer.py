@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, split_rows
 from .config import TrainConfig
 from .data import (
     LABELS,
@@ -144,19 +144,26 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray
     "Omega"). `batch` indexes the encoded source, target and union `pools`,
     the one-hot source `labels` and the ensemble's one-hot `targets`.
     Zero-weight terms, and Omega without targets, are skipped: their tensor
-    is None and they log 0.0. Encoding runs source, target, union: the order
-    of the dropout draws."""
+    is None and they log 0.0. The documents the active terms read are
+    encoded as one batch, source, then target (for J or Gamma), then union
+    (for Omega), and split_rows hands each loss its rows. One dropout draw
+    over that batch gives the masks that one draw per part would, in the
+    same order."""
     enc_s, enc_t, enc_u = pools
+    use_t = weights.lambda1 > 0.0 or weights.lambda2 > 0.0
+    use_u = weights.lambda3 > 0.0 and targets is not None
+    parts = [(enc_s, batch.source_idx)]
+    parts += [(enc_t, batch.target_idx)] if use_t else []
+    parts += [(enc_u, batch.union_idx)] if use_u else []
+    docs = [pool[i] for pool, idx in parts for i in idx.tolist()]
+    mat, lengths = pad_batch(docs, np.arange(len(docs)))
+    xi = encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
+    xi_s, *xi_rest = split_rows(xi, [len(idx) for _, idx in parts])
 
-    def encode(docs, idx):
-        mat, lengths = pad_batch(docs, idx)
-        return encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
-
-    xi_s = encode(enc_s, batch.source_idx)
     L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
     J = Gamma = Omega = None
-    if weights.lambda1 > 0.0 or weights.lambda2 > 0.0:
-        xi_t = encode(enc_t, batch.target_idx)
+    if use_t:
+        xi_t = xi_rest[0]
         if weights.lambda1 > 0.0:
             if config.variant == "MMD-baseline":
                 sigma = config.mmd_sigma
@@ -167,9 +174,8 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray
                 J = feature_adaptation_loss(xi_s, xi_t)
         if weights.lambda2 > 0.0:
             Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
-    if weights.lambda3 > 0.0 and targets is not None:
-        xi_u = encode(enc_u, batch.union_idx)
-        Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
+    if use_u:
+        Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_rest[-1]))
     total, breakdown = compose_total(L, J, Gamma, Omega, weights, w_t)
     return total, breakdown, {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
 

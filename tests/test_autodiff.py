@@ -369,6 +369,20 @@ def test_add_of_a_tensor_with_itself_and_unshared_buffers():
     assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
 
 
+def test_split_rows_hands_out_row_blocks_and_concatenates_their_gradients():
+    tape = ad.Tape()
+    x = leaf(tape, np.arange(12.0).reshape(6, 2))
+    first, middle, last = ad.split_rows(x, [1, 3, 2])
+    assert np.array_equal(first.data, x.data[:1]) and np.array_equal(middle.data, x.data[1:4])
+    assert np.array_equal(last.data, x.data[4:])
+    # the middle part reaches no loss, so its rows get exact zeros
+    tape.backward(ad.add(vsum(ad.scale(first, 2.0)), vsum(ad.scale(last, 3.0))))
+    assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 3.0], [3.0, 3.0]])
+    for sizes in ([2, 3], [6, 0], []):
+        with pytest.raises(ShapeError):
+            ad.split_rows(x, sizes)
+
+
 def test_consumed_tape_is_freed_by_reference_counting():
     import gc
     import weakref

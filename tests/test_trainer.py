@@ -3,10 +3,15 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from textda import autodiff as ad
 from textda.autodiff import Tape
 from textda.config import TrainConfig
 from textda.data import (
@@ -19,8 +24,17 @@ from textda.data import (
     split_dev,
 )
 from textda.errors import ConfigError, NumericalError
-from textda.losses import feature_adaptation_loss, mmd_rbf, rampup_weight
-from textda.model import encode_batch, init_params
+from textda.losses import (
+    bootstrap_loss,
+    compose_total,
+    entropy_min_loss,
+    feature_adaptation_loss,
+    median_heuristic_sigma,
+    mmd_rbf,
+    rampup_weight,
+    source_cross_entropy,
+)
+from textda.model import classify, encode_batch, init_params
 from textda.rng import named_rng
 from textda.synth import SyntheticSpec, generate_synthetic
 from textda.trainer import (
@@ -149,6 +163,135 @@ def test_objective_takes_J_distance_from_the_variant(variant):
     kl = float(feature_adaptation_loss(xi_s, xi_t).data)
     assert mmd != kl
     assert float(terms["J"].data) == breakdown.J == (mmd if variant == "MMD-baseline" else kl)
+
+
+class _RecordedDraws:
+    """A Generator stand-in for dropout that keeps every uniform draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, shape):
+        self.draws.append(self._rng.random(shape))
+        return self.draws[-1]
+
+
+def _objective_per_part(tape, leaves, pools, batch, labels, targets, weights, w_t, config, rng):
+    """The objective with one encode per part (source, target, union), in
+    that order: the reference that objective's single encode must match."""
+    enc_s, enc_t, enc_u = pools
+
+    def encode(docs, idx):
+        return encode_batch(tape, leaves, *pad_batch(docs, idx), config.dropout_rate, rng).xi
+
+    xi_s = encode(enc_s, batch.source_idx)
+    L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
+    J = Gamma = Omega = None
+    if weights.lambda1 > 0.0 or weights.lambda2 > 0.0:
+        xi_t = encode(enc_t, batch.target_idx)
+        if weights.lambda1 > 0.0:
+            if config.variant == "MMD-baseline":
+                J = mmd_rbf(xi_s, xi_t, median_heuristic_sigma(xi_s.data, xi_t.data))
+            else:
+                J = feature_adaptation_loss(xi_s, xi_t)
+        if weights.lambda2 > 0.0:
+            Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
+    if weights.lambda3 > 0.0 and targets is not None:
+        xi_u = encode(enc_u, batch.union_idx)
+        Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
+    total = compose_total(L, J, Gamma, Omega, weights, w_t)[0]
+    return total, {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
+
+
+@pytest.mark.parametrize("variant, with_targets, n_parts", [
+    ("NaiveNN", True, 1), ("DAS", False, 2), ("DAS", True, 3), ("FANN", False, 2), ("MMD-baseline", False, 2),
+])
+def test_objective_encodes_all_parts_at_once_like_one_encode_per_part(monkeypatch, variant, with_targets, n_parts):
+    config = TrainConfig(variant=variant, **TINY)  # dropout 0.5
+    source, target, _ = _tiny_data()
+    vocab = build_vocab([source, target], config.vocab_size)
+    enc_s, enc_t = ([vocab.encode(d.tokens, config.max_doc_len) for d in c] for c in (source, target))
+    pools = [enc_s, enc_t, enc_s + enc_t]
+    embeddings, _ = load_pretrained_embeddings(None, vocab, config.embedding_dim, named_rng(0, "e"))
+    params = init_params(embeddings, config.window, config.hidden, named_rng(0, "init"))
+    batch = BatchTriple(np.arange(10), np.arange(5, 15), np.arange(40, 50))
+    onehot = np.eye(3)[source.label_indices()]
+    targets = np.eye(3)[np.arange(len(pools[2])) % 3] if with_targets else None
+    weights = config.effective_weights()
+
+    def run(fn):
+        tape = Tape()
+        leaves = params.leaves(tape)
+        rng = _RecordedDraws(7)
+        total, *rest = fn(tape, leaves, pools, batch, onehot, targets, weights, 0.5, config, rng)
+        tape.backward(total)
+        return rest[-1], {name: leaf.grad for name, leaf in leaves.items()}, rng.draws
+
+    calls = []
+    real = ad.conv_max_pool
+    monkeypatch.setattr(ad, "conv_max_pool", lambda *a: calls.append(1) or real(*a))
+    terms, grads, draws = run(objective)
+    assert len(calls) == 1 and len(draws) == 1
+    calls.clear()
+    ref_terms, ref_grads, ref_draws = run(_objective_per_part)
+    assert len(calls) == len(ref_draws) == n_parts
+
+    # one [B_total, h] draw drops exactly the positions the per-part draws drop
+    assert np.array_equal(draws[0] < config.dropout_rate, np.concatenate(ref_draws) < config.dropout_rate)
+    for name, ref in ref_terms.items():
+        assert (terms[name] is None) == (ref is None), name
+        if ref is not None:
+            assert abs(float(terms[name].data) - float(ref.data)) <= 1e-12 * abs(float(ref.data)), name
+    for name, ref in ref_grads.items():
+        assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+TRAIN_TWICE = """
+import resource, sys
+from textda.config import TrainConfig
+from textda.data import build_vocab, load_pretrained_embeddings, split_dev
+from textda.rng import named_rng
+from textda.synth import SyntheticSpec, generate_synthetic
+from textda.trainer import train
+
+# the benchmark's desk-das shape: d=24, h=96, V=502, B=50, three epochs
+corpora = generate_synthetic(SyntheticSpec(n_train=2000, n_test=10, shift=0.7, len_min=8, len_max=30,
+                                           filler_per_domain=250, seed=1))
+config = TrainConfig(variant="DAS", lambda1=10.0, lambda2=0.1, lambda3=3.0, alpha=0.5, epochs=3,
+                     batch_size=50, hidden=96, embedding_dim=24, vocab_size=500, n_dev=250,
+                     dropout_rate=0.3, learning_rate=1e-3, seed=1)
+source, target = corpora["source_labeled"], corpora["target_unlabeled"]
+vocab = build_vocab([source, target], config.vocab_size)
+train_split, dev = split_dev(source, config.n_dev, named_rng(1, "split"))
+embeddings, _ = load_pretrained_embeddings(None, vocab, config.embedding_dim, named_rng(1, "embeddings"))
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(config, vocab, embeddings, train_split, target, dev)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+# Minor page faults of a second desk-das train() call. How many a call
+# takes depends on the heap's layout, which the code around the calls
+# changes: in this script and variants of it the per-slot bincounts of
+# conv_max_pool's backward took 42-22,698, one encode per part 558-10,753,
+# and one bincount over [n_docs, h, l] bins for the whole merged batch
+# 139,427-151,215 (its temporaries are large enough that the allocator hands
+# them back to the system and faults them in again on every step). The
+# bound sits between them, more than 2x from either side.
+SECOND_TRAIN_MAX_FAULTS = 50_000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts are measured on Linux")
+def test_training_steps_do_not_refault_the_heap():
+    env = {**os.environ, "PYTHONPATH": str(Path(ad.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", TRAIN_TWICE], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    faults = int(done.stdout.split()[-1])
+    assert faults <= SECOND_TRAIN_MAX_FAULTS, f"second train() call took {faults} minor page faults"
 
 
 # -------------------------------------------------------------- training runs
