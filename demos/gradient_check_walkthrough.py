@@ -67,7 +67,7 @@ for name, fn in [
     ("entropy", term("Gamma")),
     ("ensemble bootstrap", term("Omega")),
 ]:
-    report = ad.grad_check(fn, params, h=1e-5, tol=1e-4)
+    report = ad.grad_check(fn, params)
     print(f"{name:20s} {report.summary()}")
     if not report.passed:
         failed.append(name)

@@ -71,10 +71,6 @@ class Tensor:
             self._grad = np.zeros_like(self.data)
         return self._grad
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add gradient g into t.grad. g must be a fresh array that nothing else
@@ -253,16 +249,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return out
 
 
-def l1_normalize(v: Tensor, eps: float = 1e-6) -> Tensor:
-    """(v + eps) / sum(v + eps) for a nonnegative vector."""
+L1_EPS = 1e-6  # l1_normalize's smoothing: keeps every entry, and so J's logarithms, positive
+
+
+def l1_normalize(v: Tensor) -> Tensor:
+    """(v + L1_EPS) / sum(v + L1_EPS) for a nonnegative vector."""
     if v.data.ndim != 1:
         raise ShapeError(f"l1_normalize: need a vector, got shape {v.data.shape}")
     if v.data.min() < 0.0:
         raise NumericalError("l1_normalize: negative entry (input is expected to be post-relu)")
-    u = v.data + eps
+    u = v.data + L1_EPS
     s = u.sum()
-    if s <= 0.0:
-        raise NumericalError("l1_normalize: zero mass; use eps > 0 or a nonzero vector")
     y = u / s
     out = v.tape.leaf(y)
 
@@ -523,19 +520,23 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
+GRAD_CHECK_H, GRAD_CHECK_TOL = 1e-5, 1e-4  # grad_check's step h and tolerance tol
+# grad_check's allowance for rounding, in units of eps * max(|f+|, |f-|) / h; on seeds 0-99
+# of `textda gradcheck` clean checks need at most 47, W gradients off by 1e-3 exceed 1.3e5
+ROUNDING_ALLOWANCE = 256.0
+
+
 @dataclass
 class GradCheckReport:
     passed: bool
     max_rel_error: float
-    tol: float
-    h: float
     worst_param: str = ""
     worst_index: int = -1
     per_param: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        lines = [f"gradient check: {verdict} (max rel error {self.max_rel_error:.3e}, tol {self.tol:.1e})"]
+        lines = [f"gradient check: {verdict} (max rel error {self.max_rel_error:.3e}, tol {GRAD_CHECK_TOL:.1e})"]
         for name, err in sorted(self.per_param.items()):
             lines.append(f"  {name:12s} max rel error {err:.3e}")
         if not self.passed:
@@ -543,17 +544,13 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-# grad_check's allowance for rounding, in units of eps * max(|f+|, |f-|) / h; on seeds 0-99
-# of `textda gradcheck` clean checks need at most 47, W gradients off by 1e-3 exceed 1.3e5
-ROUNDING_ALLOWANCE = 256.0
-
-
-def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(loss_fn, params: dict) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
     loss_fn(tape, leaves) must build and return a scalar Tensor from the
-    dict of leaf tensors; it must be deterministic (no dropout). A coordinate
-    with tape gradient a and difference quotient n = (f+ - f-) / 2h passes when
+    dict of leaf tensors; it must be deterministic (no dropout). With h =
+    GRAD_CHECK_H and tol = GRAD_CHECK_TOL, a coordinate with tape gradient a
+    and difference quotient n = (f+ - f-) / 2h passes when
     |a - n| <= tol * max(|a|, |n|) + r, where r = ROUNDING_ALLOWANCE * eps *
     max(|f+|, |f-|) / h bounds n's rounding, all n holds where the true gradient
     is 0. Its error, |a - n| / (max(|a|, |n|) + r / tol), is at most tol then.
@@ -577,20 +574,20 @@ def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4) -> Gra
     out.tape.backward(out)
     analytic = {name: leaves[name].grad.copy() for name in work}
 
-    report = GradCheckReport(passed=True, max_rel_error=0.0, tol=tol, h=h)
-    floor_per_loss = ROUNDING_ALLOWANCE * np.finfo(np.float64).eps / (h * tol)  # r / tol per unit of |f|
+    report = GradCheckReport(passed=True, max_rel_error=0.0)
+    floor_per_loss = ROUNDING_ALLOWANCE * np.finfo(np.float64).eps / (GRAD_CHECK_H * GRAD_CHECK_TOL)  # r / tol per |f|
     for name, arr in work.items():
         flat = arr.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRAD_CHECK_H
             f_plus = evaluate()
-            flat[i] = orig - h
+            flat[i] = orig - GRAD_CHECK_H
             f_minus = evaluate()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_H)
             diff = abs(a_flat[i] - numeric)
             floor = floor_per_loss * max(abs(f_plus), abs(f_minus))
             rel = float(diff / (max(abs(a_flat[i]), abs(numeric)) + floor)) if diff else 0.0
@@ -600,5 +597,5 @@ def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4) -> Gra
                 report.worst_param = name
                 report.worst_index = i
         report.per_param[name] = worst
-    report.passed = report.max_rel_error <= tol
+    report.passed = report.max_rel_error <= GRAD_CHECK_TOL
     return report

@@ -156,12 +156,13 @@ def cmd_train(args) -> int:
 
     report = {
         "command": "train",
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "data": {
             "source": str(args.source),
             "target": str(args.target),
             "source_unlabeled": str(args.source_unlabeled) if args.source_unlabeled else None,
             "test": str(args.test) if args.test else None,
+            "embeddings": str(args.embeddings) if args.embeddings else None,
             "scheme": args.scheme,
             "n_source": len(source),
             "n_target": len(target),
@@ -312,7 +313,7 @@ def cmd_gradcheck(args) -> int:
             failed.append(component)
         print(line)
     if args.out:
-        payload = {"command": "gradcheck", "tol": report.tol, "h": report.h,
+        payload = {"command": "gradcheck", "tol": ad.GRAD_CHECK_TOL, "h": ad.GRAD_CHECK_H,
                    "passed": not failed, "components": results}
         _write_json(Path(args.out) / "gradcheck.json", payload)
     if failed:

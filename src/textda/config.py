@@ -72,9 +72,6 @@ class TrainConfig:
         """Configured lambdas after the variant's zero-forcing."""
         return LossWeights.for_variant(self.variant, self.lambda1, self.lambda2, self.lambda3)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, mapping: dict) -> "TrainConfig":
         known = {f.name for f in dataclasses.fields(cls)}

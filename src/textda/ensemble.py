@@ -20,11 +20,13 @@ from .model import ModelParams, forward_eval
 
 __all__ = ["EnsembleState", "predict_all"]
 
+EVAL_BATCH = 256  # documents per forward_eval call in predict_all
 
-def predict_all(params: ModelParams, encoded_docs, eval_batch: int = 256) -> np.ndarray:
+
+def predict_all(params: ModelParams, encoded_docs) -> np.ndarray:
     """Eval-mode class distributions for every document, in corpus order.
 
-    Documents are scored in contiguous batches of eval_batch; each batch
+    Documents are scored in contiguous batches of EVAL_BATCH; each batch
     reaches forward_eval stably sorted by length, so its pooling meets long
     runs of equal lengths, and each row is written back to its document's
     place. Sorting within a batch, not across the corpus, keeps each batch's
@@ -32,13 +34,11 @@ def predict_all(params: ModelParams, encoded_docs, eval_batch: int = 256) -> np.
     of the unsorted batch. Raises NumericalError naming the first document,
     by corpus index, whose probabilities are not finite (finite but huge
     parameters overflow), since argmax reads a NaN row as class 0."""
-    if eval_batch < 1:
-        raise ConfigError(f"eval_batch must be >= 1, got {eval_batch}")
     n = len(encoded_docs)
     doc_lengths = np.fromiter((len(doc) for doc in encoded_docs), dtype=np.int64, count=n)
     out = np.empty((n, params.n_classes), dtype=np.float64)
-    for start in range(0, n, eval_batch):
-        stop = min(start + eval_batch, n)
+    for start in range(0, n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, n)
         idx = start + np.argsort(doc_lengths[start:stop], kind="stable")
         probs, _ = forward_eval(params, *pad_batch(encoded_docs, idx))
         bad = idx[~np.isfinite(probs).all(axis=1)]

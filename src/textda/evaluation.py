@@ -166,8 +166,8 @@ def filter_analysis(
     params: ModelParams,
     vocab: Vocab,
     corpora: list[Corpus],
-    k_filters: int = 10,
-    k_trigrams: int = 5,
+    k_filters: int,
+    k_trigrams: int,
     max_doc_len: int = 400,
 ) -> FilterReport:
     """Top activating trigrams for each class's strongest filters.

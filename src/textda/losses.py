@@ -166,12 +166,12 @@ def symmetric_kl(p: Tensor, q: Tensor) -> Tensor:
     return out
 
 
-def feature_adaptation_loss(xi_s: Tensor, xi_t: Tensor, eps: float = 1e-6) -> Tensor:
+def feature_adaptation_loss(xi_s: Tensor, xi_t: Tensor) -> Tensor:
     """Symmetric KL between the L1-normalized mean feature vectors of the
     source and target minibatches (computed on the same post-dropout features
     the classifier consumes)."""
-    g_s = l1_normalize(batch_mean(xi_s), eps)
-    g_t = l1_normalize(batch_mean(xi_t), eps)
+    g_s = l1_normalize(batch_mean(xi_s))
+    g_t = l1_normalize(batch_mean(xi_t))
     return symmetric_kl(g_s, g_t)
 
 

@@ -180,14 +180,15 @@ def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> t
     return ad.softmax(classify(tape, leaves, enc.xi)).data, enc
 
 
-def apply_max_norm(rows: np.ndarray, max_norm: float = 3.0) -> None:
-    """Project each row onto the L2 ball of radius max_norm (the paper's 3.0), in place."""
-    if not (max_norm > 0.0):
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
+MAX_NORM = 3.0  # the paper's max-norm radius for the classifier's rows
+
+
+def apply_max_norm(rows: np.ndarray) -> None:
+    """Project each row onto the L2 ball of radius MAX_NORM, in place."""
     norms = np.sqrt((rows * rows).sum(axis=1))
-    over = norms > max_norm
+    over = norms > MAX_NORM
     if over.any():
-        rows[over] *= (max_norm / norms[over])[:, None]
+        rows[over] *= (MAX_NORM / norms[over])[:, None]
 
 
 def save_checkpoint(params: ModelParams, vocab_hash: str, path) -> None:

@@ -98,22 +98,25 @@ class History:
     best_epoch: int = 0  # 1-based; 0 until training finishes
 
 
+RMSPROP_RHO, RMSPROP_EPS = 0.9, 1e-8  # RMSProp's decay rho and denominator smoothing eps
+
+
 class RMSProp:
     """s <- rho s + (1 - rho) g^2;  theta <- theta - lr g / (sqrt(s) + eps)."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], lr: float, rho: float = 0.9, eps: float = 1e-8):
-        if lr <= 0 or not (0.0 <= rho < 1.0) or eps <= 0:
-            raise ConfigError(f"bad RMSProp settings lr={lr}, rho={rho}, eps={eps}")
-        self.lr, self.rho, self.eps = lr, rho, eps
+    def __init__(self, arrays: dict[str, np.ndarray], lr: float):
+        if lr <= 0:
+            raise ConfigError(f"RMSProp learning rate must be positive, got {lr}")
+        self.lr = lr
         self.s = {name: np.zeros_like(arr) for name, arr in arrays.items()}
 
     def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         for name, arr in arrays.items():
             g = grads[name]
             s = self.s[name]
-            s *= self.rho
-            s += (1.0 - self.rho) * g * g
-            arr -= self.lr * g / (np.sqrt(s) + self.eps)
+            s *= RMSPROP_RHO
+            s += (1.0 - RMSPROP_RHO) * g * g
+            arr -= self.lr * g / (np.sqrt(s) + RMSPROP_EPS)
 
 
 def select_model(history: History) -> int:

@@ -127,14 +127,12 @@ def test_dropout_rate_validation():
 def test_l1_normalize_value_and_validation():
     tape = ad.Tape()
     v = leaf(tape, [1.0, 3.0])
-    out = ad.l1_normalize(v, eps=0.0)
+    out = ad.l1_normalize(v)
     assert np.allclose(out.data, [0.25, 0.75])
-    out2 = ad.l1_normalize(leaf(tape, [0.0, 0.0]), eps=1e-6)
+    out2 = ad.l1_normalize(leaf(tape, [0.0, 0.0]))
     assert np.allclose(out2.data, [0.5, 0.5])
     with pytest.raises(NumericalError):
         ad.l1_normalize(leaf(tape, [-0.1, 1.0]))
-    with pytest.raises(NumericalError):
-        ad.l1_normalize(leaf(tape, [0.0, 0.0]), eps=0.0)
 
 
 def test_embed_windows_gathers_and_rejects_bad_index():
@@ -198,7 +196,7 @@ def test_grad_check_sum_of_squares():
     x = tape.leaf(np.array([1.0, 2.0]))
     tape.backward(vsum(mul(x, x)))
     assert np.allclose(x.grad, [2.0, 4.0])
-    report = ad.grad_check(loss, {"theta": np.array([1.0, 2.0])}, h=1e-5, tol=1e-4)
+    report = ad.grad_check(loss, {"theta": np.array([1.0, 2.0])})
     assert report.passed
     assert report.max_rel_error < 1e-6
 
@@ -213,7 +211,7 @@ def test_grad_check_through_relu_affine_chain():
         "W": np.array([[0.2, -0.4, 0.6], [0.9, 0.1, -0.3]]),
         "b": np.array([0.05, -0.02]),
     }
-    report = ad.grad_check(loss, params, h=1e-5, tol=1e-4)
+    report = ad.grad_check(loss, params)
     assert report.passed
 
 
@@ -223,7 +221,7 @@ def test_grad_check_detects_corruption():
         tape.record(lambda: x.grad.__iadd__(0.5))  # bogus extra gradient
         return vsum(mul(x, x))
 
-    report = ad.grad_check(bad_loss, {"x": np.array([1.0, 2.0])}, h=1e-5, tol=1e-4)
+    report = ad.grad_check(bad_loss, {"x": np.array([1.0, 2.0])})
     assert not report.passed
     assert report.worst_param == "x"
 
@@ -240,7 +238,7 @@ def test_embed_windows_backward_matches_add_at_reference():
     terms, ref = [], np.zeros((V, d))
     for idx in idxs:
         out = ad.embed_windows(E, idx)
-        w = rng.normal(size=out.shape)
+        w = rng.normal(size=out.data.shape)
         terms.append(vsum(mul(out, leaf(tape, w))))
         np.add.at(ref, idx, w.reshape(*idx.shape, d))
     tape.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
@@ -256,7 +254,7 @@ def test_max_over_time_batch_backward_equals_add_at_reference():
     data[0:2, 0] = 9.0  # a tie inside document 0
     H = leaf(tape, data)
     out = ad.max_over_time_batch(H, lengths)
-    g = rng.normal(size=out.shape)
+    g = rng.normal(size=out.data.shape)
     tape.backward(vsum(mul(out, leaf(tape, g))))
     arg = np.stack([data[s : s + n].argmax(axis=0) for s, n in zip(starts, lengths)])
     ref = np.zeros_like(data)
@@ -452,7 +450,7 @@ def test_conv_windows_passes_grad_check():
         return vsum(mul(H, H))
 
     params = {"E": rng.normal(size=(5, 2)), "W": rng.normal(size=(3, 6)), "b": rng.normal(size=3)}
-    report = ad.grad_check(loss, params, h=1e-5, tol=1e-4)
+    report = ad.grad_check(loss, params)
     assert report.passed, report.summary()
 
 

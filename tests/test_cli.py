@@ -97,12 +97,32 @@ def test_train_single_run_artifacts(trained_dir, synth_dir):
     echoed = TrainConfig.from_dict(report["config"])
     assert echoed.epochs == 2 and echoed.lambda1 == 1.0 and echoed.seed == 0
     assert report["data"]["n_source"] == 60
+    assert report["data"]["embeddings"] is None
     assert report["data"]["vocab_hash"] == Vocab.load(trained_dir / "vocab.txt").content_hash()
     (run,) = report["runs"]
     assert run["seed"] == 0
     assert run["pretrained_tokens_found"] == 0
     assert 0.0 <= run["test"]["accuracy"] <= 1.0
     assert report["aggregate"]["accuracy_mean"] == run["test"]["accuracy"]
+
+
+def test_train_report_records_the_embeddings_path(tmp_path, synth_dir):
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    first = (synth_dir / "source_labeled.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    word = json.loads(first)["text"].split()[0]
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text(word + " 0.1" * 6 + "\n", encoding="utf-8")
+    out = tmp_path / "model"
+    code = main([
+        "train", "--config", str(conf), "--out", str(out), "--embeddings", str(embeddings),
+        "--source", str(synth_dir / "source_labeled.jsonl"),
+        "--target", str(synth_dir / "target_unlabeled.jsonl"),
+    ])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["data"]["embeddings"] == str(embeddings)
+    assert report["runs"][0]["pretrained_tokens_found"] == 1
 
 
 def test_train_multi_run_layout(tmp_path, synth_dir):
@@ -442,6 +462,7 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
         assert f"{component:6s} PASS" in text
     payload = json.loads((out / "gradcheck.json").read_text(encoding="utf-8"))
     assert payload["passed"] is True
+    assert payload["tol"] == 1e-4 and payload["h"] == 1e-5
     assert payload["components"]["total"]["max_rel_error"] < 1e-4
 
 

@@ -37,7 +37,7 @@ def test_validation_rejects_bad_values():
 
 def test_dict_round_trip_and_unknown_keys():
     config = TrainConfig(lambda1=5.0, epochs=18, seed=42)
-    back = TrainConfig.from_dict(config.to_dict())
+    back = TrainConfig.from_dict(dataclasses.asdict(config))
     assert back == config
     with pytest.raises(ConfigError, match="unknown config keys"):
         TrainConfig.from_dict({"lambda9": 1.0})
@@ -70,10 +70,10 @@ def test_from_strings_round_trips_every_field(mmd_sigma):
         vocab_size=123, n_dev=9, max_doc_len=77,
         mmd_sigma=mmd_sigma,
     )
-    back = TrainConfig.from_strings({k: str(v) for k, v in config.to_dict().items()})
+    back = TrainConfig.from_strings({k: str(v) for k, v in dataclasses.asdict(config).items()})
     assert back == config
-    changed = {k for k, v in config.to_dict().items() if v != getattr(TrainConfig(), k)}
-    assert changed | {"mmd_sigma"} == set(config.to_dict())
+    changed = {k for k, v in dataclasses.asdict(config).items() if v != getattr(TrainConfig(), k)}
+    assert changed | {"mmd_sigma"} == set(dataclasses.asdict(config))
 
 
 @pytest.mark.parametrize("key", ["distance_loss", "bootstrap_from_epoch1", "rmsprop_rho", "rmsprop_eps",

@@ -73,7 +73,7 @@ def test_first_update_targets_equal_model_argmax():
     assert np.array_equal(state.to_targets().argmax(axis=1), P.argmax(axis=1))
 
 
-def test_predict_all_chunking_matches_single_pass():
+def test_predict_all_chunking_matches_single_pass(monkeypatch):
     rng = named_rng(7, "embeddings")
     params = init_params(rng.uniform(-0.25, 0.25, size=(15, 4)),
                          window=3, hidden=6, rng=named_rng(7, "init"))
@@ -84,14 +84,13 @@ def test_predict_all_chunking_matches_single_pass():
         np.array([13, 14, 2, 3, 4]),
         np.array([5]),
     ]
-    chunked = predict_all(params, docs, eval_batch=2)
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 2)
+    chunked = predict_all(params, docs)
     assert chunked.shape == (5, 3)
     # per-chunk padding must not change any document's prediction
     for i, doc in enumerate(docs):
         single, _ = forward_eval(params, doc[None, :], np.array([len(doc)]))
         assert np.max(np.abs(chunked[i] - single[0])) < 1e-12
-    with pytest.raises(ConfigError):
-        predict_all(params, docs, eval_batch=0)
 
 
 def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkeypatch):
@@ -102,6 +101,7 @@ def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkey
     lengths = rng.integers(1, 6, size=45).tolist()
     docs = [rng.integers(1, 15, size=n) for n in lengths]
     eval_batch = 20
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", eval_batch)
     calls = []
 
     def spy(*args, **kwargs):
@@ -110,7 +110,7 @@ def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkey
         return forward_eval(*args)
 
     monkeypatch.setattr(textda.ensemble, "forward_eval", spy)
-    probs = predict_all(params, docs, eval_batch)
+    probs = predict_all(params, docs)
     assert len(calls) == 3
     for start, (mat, batch_lengths) in zip(range(0, len(docs), eval_batch), calls):
         idx = np.arange(start, min(start + eval_batch, len(docs)))
@@ -124,7 +124,7 @@ def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkey
         assert np.array_equal(probs[idx], unsorted)
 
 
-def test_predict_all_rejects_non_finite_probabilities():
+def test_predict_all_rejects_non_finite_probabilities(monkeypatch):
     # finite but huge parameters: the convolution overflows to inf and
     # softmax turns the rows to NaN
     params = init_params(np.full((15, 4), 1e308), window=3, hidden=6,
@@ -132,11 +132,12 @@ def test_predict_all_rejects_non_finite_probabilities():
     params.W[:] = 1.0
     docs = [np.array([2, 3, 4]), np.array([5, 6])]
     # sorted by length, document 1 is scored first; the error names document 0
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 2)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="document 0 are not finite"):
-        predict_all(params, docs, eval_batch=2)
+        predict_all(params, docs)
 
 
-def test_predict_all_names_a_non_finite_document_by_its_corpus_index():
+def test_predict_all_names_a_non_finite_document_by_its_corpus_index(monkeypatch):
     # token 9's huge embedding overflows only the windows that hold it
     E = named_rng(7, "docs").uniform(-0.25, 0.25, size=(15, 4))
     E[9] = 1e308
@@ -145,6 +146,7 @@ def test_predict_all_names_a_non_finite_document_by_its_corpus_index():
     docs = [np.array([1, 2]), np.array([3]), np.array([4, 5, 6]),
             np.array([9, 2, 3, 4, 5]), np.array([1, 2]), np.array([3])]
     # document 3 is row 0 of the second batch, and row 2 once sorted by length
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 3)
     with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                   match=r"document 3 are not finite \(1 of the 3 in its batch"):
-        predict_all(params, docs, eval_batch=3)
+        predict_all(params, docs)

@@ -365,5 +365,6 @@ def test_filter_analysis_memory_follows_the_windows_not_the_longest_document():
         return _corpus("d", [[vocab.itos[i] for i in rng.integers(2, len(vocab), size=n)] for n in lengths])
 
     long_tail, even = corpus([10] * 4000 + [400]), corpus([10] * 4040)
-    peaks = [_peak_traced_bytes(lambda: filter_analysis(params, vocab, [c], k_filters=10)) for c in (long_tail, even)]
+    peaks = [_peak_traced_bytes(lambda: filter_analysis(params, vocab, [c], k_filters=10, k_trigrams=5))
+             for c in (long_tail, even)]
     assert peaks[0] <= 1.5 * peaks[1], f"peak {peaks[0] / 1e6:.1f} MB against {peaks[1] / 1e6:.1f} MB"

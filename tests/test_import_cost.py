@@ -35,7 +35,7 @@ rng = np.random.default_rng(0)
 params = init_params(rng.normal(size=(9, 4)), window=3, hidden=5, rng=rng)
 mat, lengths = np.array([[1, 2, 3, 4], [5, 6, 0, 0]]), np.array([4, 2])
 forward_eval(params, mat, lengths)
-predict_all(params, [[1, 2, 3], [4, 5], [6, 7, 8, 2]], eval_batch=2)
+predict_all(params, [[1, 2, 3], [4, 5], [6, 7, 8, 2]])
 before = params.W.copy()
 tape = ad.Tape()
 leaves = params.leaves(tape)
