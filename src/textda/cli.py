@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: train, evaluate, analyze-filters, gradcheck, synth. Exit codes:
-0 success, 1 usage or configuration error, 2 data error, 3 numerical error.
+0 success, 1 usage, configuration or output error, 2 data error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ def _load_train_config(args) -> TrainConfig:
     return cfg
 
 
-def _require_files(*paths) -> None:
-    for p in paths:
-        if p is not None and not Path(p).is_file():
-            raise DataError(f"input file not found: {p}")
-
-
 def _load_model(checkpoint, vocab_path) -> tuple[ModelParams, Vocab]:
     """A checkpoint plus the vocabulary it was trained with (size and hash checked)."""
     params, header = load_checkpoint(checkpoint)
@@ -140,15 +134,13 @@ def cmd_train(args) -> int:
     cfg = _load_train_config(args)
     if args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
-    _require_files(args.source, args.target, args.source_unlabeled, args.test, args.embeddings)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     source = load_corpus(args.source, "source", args.scheme)
     target = load_corpus(args.target, "target", args.scheme)
     source_unlabeled = (
         load_corpus(args.source_unlabeled, "source", args.scheme) if args.source_unlabeled else None)
     test = load_corpus(args.test, "target", args.scheme) if args.test else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     vocab = build_vocab(union_pools(source, target, source_unlabeled), cfg.vocab_size)
     vocab.save(out / "vocab.txt")
@@ -213,7 +205,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_train_config(args)
-    _require_files(args.checkpoint, args.vocab, args.test)
     params, vocab = _load_model(args.checkpoint, args.vocab)
     test = load_corpus(args.test, "target", args.scheme)
     report = evaluate_corpus(params, vocab, test, cfg.max_doc_len)
@@ -227,14 +218,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze_filters(args) -> int:
     cfg = _load_train_config(args)
-    _require_files(args.checkpoint, args.vocab)
     params, vocab = _load_model(args.checkpoint, args.vocab)
     corpora = []
     for value in args.corpus:
         tag, sep, path = value.partition("=")
         if not sep:
             tag, path = Path(value).stem, value
-        _require_files(path)
         corpora.append(load_corpus(path, tag, args.scheme))
     report = filter_analysis(params, vocab, corpora, args.k_filters, args.k_trigrams, cfg.max_doc_len)
     text = render_filter_report(report)
@@ -345,6 +334,9 @@ def main(argv=None) -> int:
     except TextdaError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # a path the system refuses, such as an --out that is a file; e names it
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

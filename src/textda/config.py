@@ -107,8 +107,6 @@ def _coerce(key: str, annotation: str, raw: str):
 def parse_config_file(path) -> dict[str, str]:
     """Read `key = value` lines; blank lines and # comments are skipped."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
     out: dict[str, str] = {}
     for lineno, line in read_lines(p, ConfigError):
         stripped = line.strip()

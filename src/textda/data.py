@@ -56,7 +56,10 @@ RATING_SCHEMES = ("amazon5", "imdb10")
 def read_lines(path: Path, error: type[TextdaError] = DataError):
     """Yield (line number, text) of each line of a UTF-8 file, decoded on its
     own, so bytes that are not UTF-8 are refused naming the file and line.
-    A byte-order mark opening the file is dropped, as the utf-8-sig codec does."""
+    A byte-order mark opening the file is dropped, as the utf-8-sig codec does.
+    A path that is not a file is refused with `error`, naming the path."""
+    if not path.is_file():
+        raise error(f"{path}: file not found")
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -127,8 +130,6 @@ class Corpus:
 def load_corpus(path, domain: str, scheme: str | None = None) -> Corpus:
     """Read a JSONL corpus. Rating-bearing lines require `scheme`."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"corpus file not found: {p}")
     docs: list[Document] = []
     for lineno, line in read_lines(p):
         if not line.strip():
@@ -219,8 +220,6 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         p = Path(path)
-        if not p.is_file():
-            raise DataError(f"vocab file not found: {p}")
         itos = [line.rstrip("\r\n") for _, line in read_lines(p)]
         try:
             return cls(itos=itos)
@@ -273,8 +272,6 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     if path is None:
         return E, 0
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"embedding file not found: {p}")
     first_line: dict[int, int] = {}  # vocab index -> line of its vector
     for lineno, line in read_lines(p):
         if not line.strip():

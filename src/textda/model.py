@@ -214,7 +214,7 @@ def save_checkpoint(params: ModelParams, vocab_hash: str, path) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     p = Path(path)
     if not p.is_file():
-        raise DataError(f"checkpoint not found: {p}")
+        raise DataError(f"{p}: file not found")
     with p.open("rb") as fh:
         line = fh.readline()
     if not line.endswith(b"\n"):

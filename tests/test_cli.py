@@ -189,6 +189,7 @@ def test_train_missing_source_exits_2_and_names_path(tmp_path, synth_dir, capsys
     ])
     assert code == 2
     assert "absent.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_corpus_exits_2_and_names_path(tmp_path, synth_dir, trained_dir, capsys):
@@ -210,7 +211,8 @@ NOT_UTF8 = {"0xff": b"\xff", "latin-1": "é".encode("latin-1")}
 
 
 @pytest.mark.parametrize("boundary, mutation", [
-    *[(boundary, mutation) for boundary in ("corpus", "embeddings", "vocab", "config") for mutation in NOT_UTF8],
+    *[(boundary, mutation) for boundary in ("corpus", "embeddings", "vocab", "config")
+      for mutation in (*NOT_UTF8, "missing")],
     ("config", "epochs = 0"),
     ("embeddings", "duplicate"),
 ])
@@ -228,14 +230,15 @@ def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir
         lines = [b"epochs = 0\n" if line.startswith(b"epochs") else line for line in lines]
     elif mutation == "duplicate":  # line 2 gives a vocabulary token a second vector
         lines = [token.encode() + b" 0.1" * 6 + b"\n", token.encode() + b" 0.2" * 6 + b"\n"]
-    else:  # line 2 holds a word that is not UTF-8
+    elif mutation != "missing":  # line 2 holds a word that is not UTF-8
         word = b"caf" + NOT_UTF8[mutation]
         lines.insert(1, {"corpus": b'{"label": "positive", "text": "' + word + b'"}\n',
                          "embeddings": word + b" 0.1" * 6 + b"\n",
                          "vocab": word + b"\n",
                          "config": b"# " + word + b"\n"}[boundary])
     bad = tmp_path / f"bad_{original.name}"
-    bad.write_bytes(b"".join(lines))
+    if mutation != "missing":
+        bad.write_bytes(b"".join(lines))
     inputs = {"corpus": test, "embeddings": embeddings, "vocab": vocab, "config": conf, boundary: bad}
     if boundary in ("corpus", "vocab"):
         argv = ["evaluate", "--checkpoint", str(trained_dir / "model.ckpt"),
@@ -246,7 +249,9 @@ def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir
                 "--target", str(synth_dir / "target_unlabeled.jsonl"), "--embeddings", str(inputs["embeddings"])]
     assert main(argv) == (1 if boundary == "config" else 2)
     err = capsys.readouterr().err
-    if mutation == "epochs = 0":
+    if mutation == "missing":
+        assert f"{bad}: file not found" in err
+    elif mutation == "epochs = 0":
         assert f"{bad}: epochs must be >= 1" in err
     elif mutation == "duplicate":
         assert f"{bad}: line 2: duplicate token {token!r} (first on line 1)" in err
@@ -586,6 +591,27 @@ def test_subcommands_refuse_flags_they_never_read(tmp_path, trained_dir, synth_d
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
     assert not (tmp_path / "task").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "evaluate", "analyze-filters", "gradcheck"])
+def test_an_out_path_that_is_a_file_exits_1_naming_it(tmp_path, trained_dir, synth_dir, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    model = ["--checkpoint", str(trained_dir / "model.ckpt"), "--vocab", str(trained_dir / "vocab.txt")]
+    argv = {
+        "synth": ["--train-docs", "10", "--test-docs", "10"],
+        "train": ["--config", str(conf), "--source", str(synth_dir / "source_labeled.jsonl"),
+                  "--target", str(synth_dir / "target_unlabeled.jsonl")],
+        "evaluate": [*model, "--test", str(synth_dir / "target_test.jsonl")],
+        "analyze-filters": [*model, "--corpus", str(synth_dir / "source_labeled.jsonl"), "--k-filters", "2"],
+        "gradcheck": [],
+    }[command]
+    assert main([command, "--out", str(blocker), *argv]) == 1
+    err = capsys.readouterr().err
+    assert str(blocker) in err
+    assert "Traceback" not in err
 
 
 def test_train_non_finite_parameter_exits_3(tmp_path, synth_dir, capsys, monkeypatch):
