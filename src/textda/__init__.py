@@ -43,6 +43,6 @@ from .losses import (
 )
 from .model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from .synth import SyntheticSpec, generate_synthetic
-from .trainer import History, RunResult, run_multi_seed, run_seed, select_model, train
+from .trainer import History, RunResult, run_seed, select_model, train
 
 __version__ = "0.1.0"

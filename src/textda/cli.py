@@ -77,7 +77,6 @@ def build_parser() -> _Parser:
     p = subs.add_parser("gradcheck", help="finite-difference check of every loss component")
     _add_common(p, out_required=False)
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("synth", help="generate a synthetic domain-pair task")
@@ -234,7 +233,7 @@ def cmd_analyze_filters(args) -> int:
     return 0
 
 
-def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
+def _gradcheck_fixture(cfg: TrainConfig):
     """Toy problem (V=20, d=4, h=6, C=len(LABELS), 4-document batches) plus a builder
     for each loss component on it, all through the trainer's own objective
     with dropout off. "total" is the objective under the given config, with
@@ -272,8 +271,6 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
 
     def build(component):
         def fn(tape, leaves):
-            if corrupt:
-                tape.record(lambda: leaves["W"].grad.__iadd__(1e-3))
             if component == "total":
                 return objective(tape, leaves, pools, batch, y, z_tilde, weights, w_t, total_cfg, None)[0]
             config = mmd_cfg if component == "MMD" else terms_cfg
@@ -287,7 +284,7 @@ def _gradcheck_fixture(cfg: TrainConfig, corrupt: bool):
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_train_config(args)
-    params, build = _gradcheck_fixture(cfg, args.corrupt_gradient)
+    params, build = _gradcheck_fixture(cfg)
     results = {}
     failed = []
     for component in ("L", "J", "Gamma", "Omega", "MMD", "total"):

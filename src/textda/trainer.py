@@ -33,7 +33,6 @@ from .data import (
     BatchTriple,
     Corpus,
     Vocab,
-    build_vocab,
     load_pretrained_embeddings,
     pad_batch,
     split_dev,
@@ -66,7 +65,6 @@ __all__ = [
     "train",
     "select_model",
     "run_seed",
-    "run_multi_seed",
     "RunResult",
     "union_pools",
     "write_history_csv",
@@ -332,21 +330,3 @@ def run_seed(
     report = None if test is None else evaluate_corpus(params, vocab, test, config.max_doc_len)
     return RunResult(config.seed, params, history, found, report)
 
-
-def run_multi_seed(
-    config: TrainConfig,
-    source: Corpus,
-    target: Corpus,
-    test: Corpus,
-    n_runs: int,
-    embeddings_path=None,
-    source_unlabeled: Corpus | None = None,
-) -> list[RunResult]:
-    """Independent runs with seeds config.seed + 0 .. n_runs - 1 over one
-    shared vocabulary, each evaluated on `test`."""
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    vocab = build_vocab(union_pools(source, target, source_unlabeled), config.vocab_size)
-    return [run_seed(dataclasses.replace(config, seed=config.seed + k), vocab, source, target,
-                     test, embeddings_path, source_unlabeled)
-            for k in range(n_runs)]

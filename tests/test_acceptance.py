@@ -6,6 +6,7 @@ needs externally supplied corpora and runs only when TEXTDA_BENCHMARK_DIR is
 set.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from textda.losses import entropy_min_loss, mmd_rbf, rampup_weight, symmetric_kl
 from textda.model import ModelParams, init_params, load_checkpoint
 from textda.rng import named_rng
 from textda.synth import SyntheticSpec, generate_synthetic
-from textda.trainer import CSV_COLUMNS, run_multi_seed, train
+from textda.trainer import CSV_COLUMNS, run_seed, train, union_pools
 
 # Desk-scale experiment configuration for criteria 4 and 5. The task fixture
 # is pinned (shift, sizes, draw seed) so the experiment is reproducible; the
@@ -95,6 +96,15 @@ def _tiny_pair(seed=5):
                          len_min=6, len_max=12)
     corpora = generate_synthetic(spec)
     return corpora["source_labeled"], corpora["target_unlabeled"], corpora["target_test"]
+
+
+def _runs(config, source, target, test, n_runs, embeddings_path=None):
+    """Runs at seeds config.seed + 0 .. n_runs - 1 over one shared vocabulary,
+    each scored on `test`: the seed loop of `textda train --runs`."""
+    vocab = build_vocab(union_pools(source, target), config.vocab_size)
+    return [run_seed(dataclasses.replace(config, seed=config.seed + k), vocab, source, target,
+                     test, embeddings_path)
+            for k in range(n_runs)]
 
 
 def _train_tiny(config, source, target):
@@ -197,9 +207,8 @@ def test_criterion_4_synthetic_adaptation_ordering(tmp_path, capsys):
     _write_embedding_file(emb_path, vocab, emb)
     acc = {}
     for variant in ("NaiveNN", "FANN", "DAS"):
-        results = run_multi_seed(TrainConfig(variant=variant, **DESK),
-                                 source, target, test, n_runs=N_SEEDS,
-                                 embeddings_path=emb_path)
+        results = _runs(TrainConfig(variant=variant, **DESK), source, target, test,
+                        N_SEEDS, emb_path)
         acc[variant] = np.array([r.accuracy for r in results])
     elapsed = time.monotonic() - t0
     p = scipy_stats.ttest_ind(acc["DAS"], acc["NaiveNN"], equal_var=False, alternative="greater").pvalue
@@ -227,9 +236,8 @@ def test_criterion_5_entropy_alone_fails_at_full_shift(capsys):
     spec = SyntheticSpec(n_train=2000, n_test=1000, shift=1.0, seed=11)
     corpora = generate_synthetic(spec)
     config = TrainConfig(variant="DAS-EM", **{**DESK, "lambda1": 0.0, "epochs": 10})
-    results = run_multi_seed(config, corpora["source_labeled"],
-                             corpora["target_unlabeled"], corpora["target_test"],
-                             n_runs=N_SEEDS)
+    results = _runs(config, corpora["source_labeled"], corpora["target_unlabeled"],
+                    corpora["target_test"], N_SEEDS)
     accs = np.array([r.accuracy for r in results])
     chance = 1.0 / 3.0
     ok = accs.mean() <= chance + 0.10
@@ -402,8 +410,8 @@ def test_criterion_9_full_scale_benchmark(capsys):
         target = load_corpus(task_dir / "target_unlabeled.jsonl", "target")
         test = load_corpus(task_dir / "target_test.jsonl", "target")
         for variant, bucket in (("DAS", das_accs), ("NaiveNN", naive_accs)):
-            results = run_multi_seed(TrainConfig(variant=variant), source, target,
-                                     test, n_runs=1, embeddings_path=embeddings_path)
+            results = _runs(TrainConfig(variant=variant), source, target, test, 1,
+                            embeddings_path)
             bucket.append(results[0].accuracy)
     das_avg = 100.0 * float(np.mean(das_accs))
     naive_avg = 100.0 * float(np.mean(naive_accs))

@@ -495,8 +495,22 @@ def test_gradcheck_passes_under_the_ablation_variants(tmp_path, capsys, variant)
         assert f"{component:6s} PASS" in text
 
 
-def test_gradcheck_detects_corrupted_gradients(capsys):
-    code = main(["gradcheck", "--corrupt-gradient"])
+def _corrupt_w_gradient(monkeypatch):
+    """Make every gradcheck objective add 1e-3 to each W gradient coordinate.
+    The corruption is recorded before the real objective, so backward runs
+    it last, after W's gradient is complete."""
+    real = cli.objective
+
+    def corrupted(tape, leaves, *args):
+        tape.record(lambda: leaves["W"].grad.__iadd__(1e-3))
+        return real(tape, leaves, *args)
+
+    monkeypatch.setattr(cli, "objective", corrupted)
+
+
+def test_gradcheck_detects_corrupted_gradients(capsys, monkeypatch):
+    _corrupt_w_gradient(monkeypatch)
+    code = main(["gradcheck"])
     assert code == 3
     text = capsys.readouterr()
     assert "FAIL" in text.out
@@ -504,17 +518,19 @@ def test_gradcheck_detects_corrupted_gradients(capsys):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_gradcheck_passes_on_every_seed_and_fails_on_a_corrupted_gradient(capsys, seed):
+def test_gradcheck_passes_on_every_seed_and_fails_on_a_corrupted_gradient(capsys, monkeypatch, seed):
     # the fixture's MMD bias gradients are exactly 0 on most of these seeds,
     # where the difference quotient holds only rounding
     assert main(["gradcheck", "--seed", str(seed)]) == 0
-    assert main(["gradcheck", "--seed", str(seed), "--corrupt-gradient"]) == 3
+    _corrupt_w_gradient(monkeypatch)
+    assert main(["gradcheck", "--seed", str(seed)]) == 3
     capsys.readouterr()
 
 
-def test_gradcheck_names_each_failing_components_worst_coordinate(tmp_path, capsys):
+def test_gradcheck_names_each_failing_components_worst_coordinate(tmp_path, capsys, monkeypatch):
     # the corruption adds 1e-3 to every W gradient coordinate and to nothing else
-    assert main(["gradcheck", "--corrupt-gradient", "--out", str(tmp_path)]) == 3
+    _corrupt_w_gradient(monkeypatch)
+    assert main(["gradcheck", "--out", str(tmp_path)]) == 3
     fails = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     payload = json.loads((tmp_path / "gradcheck.json").read_text(encoding="utf-8"))
     assert fails and payload["passed"] is False
@@ -531,6 +547,7 @@ def test_missing_subcommand_or_flags_exit_1(capsys):
     assert main([]) == 1
     assert main(["train"]) == 1  # missing required flags
     assert main(["--bogus"]) == 1
+    assert main(["gradcheck", "--corrupt-gradient"]) == 1  # no test hook in the shipped CLI
     capsys.readouterr()
 
 

@@ -43,7 +43,6 @@ from textda.trainer import (
     History,
     RMSProp,
     objective,
-    run_multi_seed,
     select_model,
     train,
     write_history_csv,
@@ -400,19 +399,6 @@ def test_divergence_guard_names_epoch_and_component():
     config = TrainConfig(variant="DAS", **{**TINY, "learning_rate": 1e8, "epochs": 1})
     with pytest.raises(NumericalError, match="diverged at epoch 1"):
         _run(config)
-
-
-def test_run_multi_seed_assigns_distinct_seeds():
-    source, target, test = _tiny_data()
-    config = TrainConfig(variant="NaiveNN", **TINY)
-    results = run_multi_seed(config, source, target, test, n_runs=2)
-    assert [r.seed for r in results] == [0, 1]
-    for r in results:
-        assert 0.0 <= r.accuracy <= 1.0
-        assert 0.0 <= r.macro_f1 <= 1.0
-        assert 1 <= r.best_epoch <= config.epochs
-    with pytest.raises(ConfigError):
-        run_multi_seed(config, source, target, test, n_runs=0)
 
 
 def test_non_finite_parameter_after_step_names_epoch_iteration_and_parameter(monkeypatch):
