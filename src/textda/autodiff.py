@@ -11,7 +11,9 @@ losses need, each backward hand-derived and covered by grad_check (central
 finite differences) in the test suite. The encoder's convolution and
 max-over-time pooling are one op, conv_max_pool, which holds no array of
 every window position on either tape and whose backward goes through the
-winning windows only. embed_windows and max_over_time_batch, the unfused
+winning windows only; it fills its windows from a projection of their
+tokens (project), which a scoring pass builds once for all its batches.
+embed_windows and max_over_time_batch, the unfused
 steps, have no caller in the package; they stay because the benchmark's
 tracer (perfbench/tracer.py) wraps them by name.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,8 @@ __all__ = [
     "batch_mean",
     "split_rows",
     "embed_windows",
+    "Projection",
+    "project",
     "conv_rows",
     "conv_max_pool",
     "add",
@@ -344,42 +349,73 @@ def _block_rows(h: int) -> int:
     return min(CONV_BLOCK_ROWS, max(1, CONV_BLOCK_VALUES // h))
 
 
-def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, op: str, filters=slice(None)):
-    """Check the convolution's inputs and project the distinct tokens.
+class Projection(NamedTuple):
+    """Every slot projection of a set of distinct tokens (see project)."""
 
-    A window row is its l embedding rows side by side, so x W^T is
-    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W. Each of
-    the U distinct tokens is projected once per slot, Q[u*l + j] =
-    E[u] W_j^T, by one GEMM. In the encoder's windows every id is some
-    position's own token or padding, so U <= n + 1. Returns ranks [n, l]
-    (the row of uniq that each window slot reads), uniq, E[uniq], M (W's
-    slot blocks side by side) and fill(out, start, stop), which writes the
-    pre-activations of window rows start..stop-1 into out, for the given
-    filters (all by default), taken from Q after the GEMM, since a GEMM
-    over fewer rows of W can round differently."""
+    tokens: np.ndarray  # [U] the projected token ids, ascending
+    rank: np.ndarray  # [V] each token id's row in tokens, -1 for an id not projected
+    Q: np.ndarray  # [U*l, h]: Q[u*l + j] = E[tokens[u]] W_j^T
+
+
+def _check_conv(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, op: str) -> np.ndarray:
+    """windows as [n, l] after checking that W and b fit windows of its l
+    rows of E."""
     windows = np.asarray(windows)
     if windows.ndim < 2 or windows.shape[-1] < 1:
         raise ShapeError(f"{op}: window index array must be [..., l], got shape {windows.shape}")
-    V, d = E.shape
     l = windows.shape[-1]
-    if W.ndim != 2 or b.ndim != 1 or W.shape != (b.shape[0], l * d):
+    if W.ndim != 2 or b.ndim != 1 or W.shape != (b.shape[0], l * E.shape[1]):
         raise ShapeError(f"{op}: W {W.shape} and b {b.shape} do not fit windows of {l} rows of E {E.shape}")
-    h = W.shape[0]
-    flat = windows.reshape(-1)
+    return windows.reshape(-1, l)
+
+
+def _check_ids(ids: np.ndarray, V: int, op: str) -> np.ndarray:
+    flat = np.asarray(ids).reshape(-1)
     if flat.size and (flat.min() < 0 or flat.max() >= V):
         raise NumericalError(f"{op}: token index out of range [0, {V}) (min {flat.min()}, max {flat.max()})")
+    return flat
+
+
+def project(E: np.ndarray, W: np.ndarray, ids: np.ndarray, op: str = "project"):
+    """Project each distinct token of ids once per window slot, by one GEMM.
+
+    A window row is its l embedding rows side by side, so x W^T is
+    sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W [h, l*d].
+    Returns the Projection of the U distinct ids, plus E[tokens] and M (W's
+    slot blocks side by side, M[:, j*h:(j+1)*h] = W_j^T), which only a
+    backward needs. In the encoder's windows every id is some position's own
+    token or padding, so U <= n + 1. A GEMM's rounding can depend on the set
+    of rows it multiplies, so a projection's bits depend on its whole token
+    set, not only on the row a window reads."""
+    V, d = E.shape
+    h, l = W.shape[0], W.shape[1] // d
     mark = np.zeros(V, dtype=bool)
-    mark[flat] = True
-    uniq = np.flatnonzero(mark)
-    rank = np.empty(V, dtype=np.int64)
-    rank[uniq] = np.arange(uniq.size)
-    ranks = rank[flat].reshape(-1, l)
-    EU = E[uniq]
-    M = W.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)  # M[:, j*h:(j+1)*h] = W_j^T
-    Q, b = (EU @ M).reshape(-1, h)[:, filters], b[filters]
+    mark[_check_ids(ids, V, op)] = True
+    tokens = np.flatnonzero(mark)
+    rank = np.full(V, -1, dtype=np.int64)
+    rank[tokens] = np.arange(tokens.size)
+    EU = E[tokens]
+    M = W.reshape(h, l, d).transpose(2, 1, 0).reshape(d, l * h)
+    return Projection(tokens, rank, (EU @ M).reshape(-1, h)), EU, M
+
+
+def _filler(projection: Projection, windows: np.ndarray, b: np.ndarray, op: str, filters=slice(None)):
+    """ranks [n, l], each window slot's row of projection.tokens, and
+    fill(out, start, stop), which writes the pre-activations of window rows
+    start..stop-1 into out for the given filters (all by default): for
+    window i, the sum over slots j of Q[ranks[i, j]*l + j], plus b. The
+    filters' columns of Q are taken after the GEMM, since a GEMM over fewer
+    rows of W can round differently. Refuses an id the projection does not
+    hold: the fill gathers without an index check, so such an id would read
+    another token's row."""
+    ranks = projection.rank[_check_ids(windows, projection.rank.size, op)].reshape(windows.shape)
+    if ranks.size and ranks.min() < 0:
+        raise NumericalError(f"{op}: token {windows[ranks < 0][0]} has no row in the projection")
+    Q, b = projection.Q[:, filters], b[filters]
+    n, l = ranks.shape
     ids = np.ascontiguousarray((ranks * l + np.arange(l)).T)  # one contiguous run of Q rows per slot
     block = _block_rows(b.size)
-    part = np.empty((min(ranks.shape[0], block), b.size))
+    part = np.empty((min(n, block), b.size))
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         # Slot 0's projections are gathered straight into out, each later
@@ -396,31 +432,39 @@ def _conv_forward(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarr
                 rows += part[:m]
             rows += b
 
-    return ranks, uniq, EU, M, fill
+    return ranks, fill
 
 
 def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, filters=slice(None)) -> np.ndarray:
     """The pre-activations [n, h'] of every window, x W^T + b, for the
-    given filters (all h by default), filled as conv_max_pool fills its
-    blocks, so bit-equal to the values it pools. Plain arrays, no tape: for
+    given filters (all h by default), projected and filled as conv_max_pool
+    does, so bit-equal to the values it pools. Plain arrays, no tape: for
     filter analysis, which scores each distinct window of its corpora once."""
-    ranks, _, _, _, fill = _conv_forward(E, W, b, windows, "conv_rows", filters)
+    windows = _check_conv(E, W, b, windows, "conv_rows")
+    ranks, fill = _filler(project(E, W, windows, "conv_rows")[0], windows, b, "conv_rows", filters)
     Z = np.empty((ranks.shape[0], b[filters].size))
     fill(Z, 0, Z.shape[0])
     return Z
 
 
-def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths: np.ndarray) -> Tensor:
+def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths: np.ndarray,
+                  projection: Projection | None = None) -> Tensor:
     """Per-document column maxima [n_docs, h] of the convolution of packed
     windows, max_over_time_batch(affine(embed_windows(E, windows), W, b),
     lengths), holding no [n, h] array on either tape.
 
-    The forward fills one reused buffer a block at a time (_conv_forward)
-    and pools each block while it is in cache; a block is whole documents
-    of at most _block_rows(h) rows, or one longer document alone. A
-    NoGradTape takes one max per run of k equal-length documents, over a
-    [k, L, h] view (callers that sort a batch by length make runs longest);
-    a recording tape takes one argmax per document, the lowest row on ties,
+    The window rows are filled from a projection of their tokens (project):
+    by default that of the windows' own distinct tokens. A NoGradTape may be
+    given a projection built once for many calls, a scoring pass's, which
+    must hold every id of the windows; a recording tape projects its own,
+    since its backward's G is sized to them.
+
+    The forward fills one reused buffer a block at a time (_filler) and
+    pools each block while it is in cache; a block is whole documents of at
+    most _block_rows(h) rows, or one longer document alone. A NoGradTape
+    takes one max per run of k equal-length documents, over a [k, L, h]
+    view (callers that sort a batch by length make runs longest); a
+    recording tape takes one argmax per document, the lowest row on ties,
     and gathers the maxima there. Max selects without rounding, so both
     tapes give the same bits, and a NaN row gives its document a NaN maximum.
 
@@ -437,7 +481,13 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
     system and faulted them in again on every step.
     """
     tape = _same_tape(E, W, b)
-    ranks, uniq, EU, M, fill = _conv_forward(E.data, W.data, b.data, windows, "conv_max_pool")
+    record = not isinstance(tape, NoGradTape)
+    windows = _check_conv(E.data, W.data, b.data, windows, "conv_max_pool")
+    if projection is None:
+        projection, EU, M = project(E.data, W.data, windows, "conv_max_pool")
+    elif record:
+        raise NumericalError("conv_max_pool: a recording tape projects its own windows' tokens")
+    ranks, fill = _filler(projection, windows, b.data, "conv_max_pool")
     lens = _packed_lengths(lengths, ranks.shape, "conv_max_pool", "windows")
     starts = np.cumsum(lens) - lens
     lens = lens.tolist()
@@ -445,7 +495,6 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
     block = _block_rows(h)
     buf = np.empty((min(ranks.shape[0], max(block, max(lens))), h))
     maxima = np.empty((n_docs, h))
-    record = not isinstance(tape, NoGradTape)
     if record:
         winners = np.empty((n_docs, h), dtype=np.int64)  # each filter's winning row per document
         cols = np.arange(h)
@@ -475,11 +524,12 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
     out = tape.leaf(maxima)
     if not record:
         return out
+    tokens = projection.tokens  # the backward holds these, not Q
 
     def back():
         gv = out.grad
         weights = gv.ravel()
-        U, l, d = uniq.size, ranks.shape[1], E.data.shape[1]
+        U, l, d = tokens.size, ranks.shape[1], E.data.shape[1]
         G = np.empty((U, l * h))
         for j in range(l):
             # bin u*h + f: token u in slot j of filter f's winning window
@@ -488,7 +538,7 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
         accumulate(W, (EU.T @ G).reshape(d, l, h).transpose(2, 1, 0).reshape(h, l * d))
         accumulate(b, gv.sum(axis=0))
         dE = np.zeros_like(E.data)
-        dE[uniq] = G @ M.T
+        dE[tokens] = G @ M.T
         accumulate(E, dE)
 
     tape.record(back)

@@ -100,7 +100,8 @@ def _load_train_config(args) -> TrainConfig:
     try:
         cfg = TrainConfig.from_strings(mapping)
     except ConfigError as e:  # only a config file's values can be bad
-        raise ConfigError(f"{args.config}: {e}") from e
+        line = mapping.lines.get(e.field)
+        raise ConfigError(f"{args.config}: " + (f"line {line}: " if line else "") + str(e)) from e
     if getattr(args, "seed", None) is not None:  # evaluate and analyze-filters have no --seed
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg

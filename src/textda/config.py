@@ -47,26 +47,26 @@ class TrainConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigError(f"{f.name} must be finite, got {value!r}", f.name)
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}")
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}", "variant")
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0", name)
         if not (0.0 <= self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
+            raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}", "alpha")
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive", "learning_rate")
         for name in ("epochs", "batch_size", "hidden", "embedding_dim", "vocab_size",
                      "n_dev", "max_doc_len"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1", name)
         if self.window < 1 or self.window % 2 == 0:
-            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
+            raise ConfigError(f"window must be odd and >= 1, got {self.window}", "window")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}", "dropout_rate")
         if self.mmd_sigma is not None and self.mmd_sigma <= 0:
-            raise ConfigError("mmd_sigma must be positive (or unset for the median heuristic)")
+            raise ConfigError("mmd_sigma must be positive (or unset for the median heuristic)", "mmd_sigma")
 
     def effective_weights(self) -> LossWeights:
         """Configured lambdas after the variant's zero-forcing."""
@@ -77,7 +77,7 @@ class TrainConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(mapping) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}", min(unknown))
         return cls(**mapping)
 
     @classmethod
@@ -101,13 +101,21 @@ def _coerce(key: str, annotation: str, raw: str):
     try:
         return _PARSERS[annotation](raw)
     except ValueError as e:
-        raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from e
+        raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}", key) from e
 
 
-def parse_config_file(path) -> dict[str, str]:
+class ConfigLines(dict):
+    """A config file's raw values by key; .lines holds each key's line number."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: dict[str, int] = {}
+
+
+def parse_config_file(path) -> ConfigLines:
     """Read `key = value` lines; blank lines and # comments are skipped."""
     p = Path(path)
-    out: dict[str, str] = {}
+    out = ConfigLines()
     for lineno, line in read_lines(p, ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -119,4 +127,5 @@ def parse_config_file(path) -> dict[str, str]:
         if key in out:
             raise ConfigError(f"{p}: line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
+        out.lines[key] = lineno
     return out

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import pad_batch
+from . import autodiff as ad
+from .data import PAD_INDEX, pad_batch
 from .errors import ConfigError, NumericalError, ShapeError
-from .model import ModelParams, forward_eval
+from .model import ModelParams, ScoringPass, forward_eval
 
 __all__ = ["EnsembleState", "predict_all"]
 
@@ -26,21 +27,26 @@ EVAL_BATCH = 256  # documents per forward_eval call in predict_all
 def predict_all(params: ModelParams, encoded_docs) -> np.ndarray:
     """Eval-mode class distributions for every document, in corpus order.
 
-    Documents are scored in contiguous batches of EVAL_BATCH; each batch
-    reaches forward_eval stably sorted by length, so its pooling meets long
-    runs of equal lengths, and each row is written back to its document's
-    place. Sorting within a batch, not across the corpus, keeps each batch's
-    members, so its distinct tokens and every probability's bits are those
-    of the unsorted batch. Raises NumericalError naming the first document,
-    by corpus index, whose probabilities are not finite (finite but huge
+    The distinct tokens of all the documents, and the padding id, are
+    projected once, by one GEMM (autodiff.project); only that projection is
+    kept, not the embedding rows or W's slot blocks it was made from. Then
+    documents are scored in contiguous batches of EVAL_BATCH, each filled
+    and pooled from the projection; each batch reaches forward_eval stably
+    sorted by length, so its pooling meets long runs of equal lengths, and
+    each row is written back to its document's place. A probability's bits
+    depend on the pass's set of distinct tokens, not on its batch or the
+    order within it. Raises NumericalError naming the first document, by
+    corpus index, whose probabilities are not finite (finite but huge
     parameters overflow), since argmax reads a NaN row as class 0."""
     n = len(encoded_docs)
     doc_lengths = np.fromiter((len(doc) for doc in encoded_docs), dtype=np.int64, count=n)
+    tokens = np.concatenate([[PAD_INDEX], *encoded_docs])
+    model = ScoringPass(params, ad.project(params.E, params.W, tokens, "predict_all")[0])
     out = np.empty((n, params.n_classes), dtype=np.float64)
     for start in range(0, n, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, n)
         idx = start + np.argsort(doc_lengths[start:stop], kind="stable")
-        probs, _ = forward_eval(params, *pad_batch(encoded_docs, idx))
+        probs, _ = forward_eval(model, *pad_batch(encoded_docs, idx))
         bad = idx[~np.isfinite(probs).all(axis=1)]
         if bad.size:
             raise NumericalError(f"predict_all: class probabilities of document {bad.min()} are not finite "

@@ -12,7 +12,12 @@ class TextdaError(Exception):
 
 
 class ConfigError(TextdaError):
-    """Bad configuration value, unknown variant, malformed config file."""
+    """Bad configuration value, unknown variant, malformed config file.
+    field names the config key a bad value belongs to, if there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DataError(TextdaError):

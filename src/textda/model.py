@@ -19,10 +19,11 @@ array, so the convolution never touches a padding position, and
 max-over-time pools each document's contiguous segment of rows. Padding ids
 fill only the window slots past a document's edges ("same" padding).
 The convolution and the pooling are one op (autodiff.conv_max_pool), which
-projects each distinct token of the batch once per window slot by one GEMM,
-adds up each window's l slot projections a block of rows at a time and
-pools each block while it is in cache, so no [n_valid, h] array is built on
-either tape. A training pass keeps each document's winning rows, and its
+projects each distinct token of the batch once per window slot by one GEMM
+(a scoring pass projects its documents' tokens once for all its batches,
+ScoringPass), adds up each window's l slot projections a block of rows at a
+time and pools each block while it is in cache, so no [n_valid, h] array is
+built on either tape. A training pass keeps each document's winning rows, and its
 backward goes through those windows only. Training and scoring run on
 numpy alone.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "init_params",
     "encode_batch",
     "classify",
+    "ScoringPass",
     "forward_eval",
     "packed_windows",
     "apply_max_norm",
@@ -146,6 +149,15 @@ def packed_windows(ids: np.ndarray, lengths: np.ndarray, window: int) -> np.ndar
     return flat[at[:, None] + np.arange(-half, half + 1)]
 
 
+def _pooled(leaves: dict[str, ad.Tensor], mat: np.ndarray, lengths: np.ndarray,
+            projection: ad.Projection | None = None) -> ad.Tensor:
+    """Each document's column maxima [B, h] of its windows' convolution,
+    filled from projection if one is given (autodiff.conv_max_pool)."""
+    ids = mat[np.arange(mat.shape[1]) < lengths[:, None]]
+    windows = packed_windows(ids, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
+    return ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], windows, lengths, projection)
+
+
 def encode_batch(
     tape: ad.Tape,
     leaves: dict[str, ad.Tensor],
@@ -154,10 +166,7 @@ def encode_batch(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> EncodedBatch:
-    ids = mat[np.arange(mat.shape[1]) < lengths[:, None]]
-    windows = packed_windows(ids, lengths, leaves["W"].data.shape[1] // leaves["E"].data.shape[1])
-    pooled = ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], windows, lengths)  # [B, h]
-    return EncodedBatch(xi=ad.dropout(ad.relu(pooled), dropout_rate, rng))
+    return EncodedBatch(xi=ad.dropout(ad.relu(_pooled(leaves, mat, lengths)), dropout_rate, rng))
 
 
 def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
@@ -165,19 +174,33 @@ def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.T
     return ad.affine(xi, leaves["F_w"], leaves["F_b"])
 
 
-def forward_eval(params: ModelParams, mat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
+class ScoringPass(NamedTuple):
+    """A model with the projection (autodiff.project) of every token that a
+    scoring pass's documents read, padding included. ensemble.predict_all
+    builds one per pass, so each of its batches only fills and pools."""
+
+    params: ModelParams
+    projection: ad.Projection
+
+
+def forward_eval(model: ModelParams | ScoringPass, mat: np.ndarray,
+                 lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
     """Deterministic eval-mode forward pass (dropout off); returns the class
     probabilities as a plain array plus the encoding. Its tape records
     nothing: the pass cannot be differentiated and pooling keeps only the
-    maxima. A row depends on its batch mates only through the batch's set
-    of distinct tokens, so reordering a batch's documents leaves every
-    row's bits as they were. Finite but huge parameters overflow to
-    non-finite rows; ensemble.predict_all, the scoring entry point, refuses
-    them."""
+    maxima. Given a ModelParams, the batch's distinct tokens are projected
+    as a training encode projects them; given a ScoringPass, the windows
+    are filled from the pass's projection. A row depends on its batch mates
+    only through that set of projected tokens, the batch's or the pass's,
+    since a GEMM's rounding can depend on the rows it multiplies; so
+    reordering a batch's documents leaves every row's bits as they were.
+    Finite but huge parameters overflow to non-finite rows;
+    ensemble.predict_all, the scoring entry point, refuses them."""
+    params, projection = (model, None) if isinstance(model, ModelParams) else model
     tape = ad.NoGradTape()
     leaves = params.leaves(tape)
-    enc = encode_batch(tape, leaves, mat, lengths)
-    return ad.softmax(classify(tape, leaves, enc.xi)).data, enc
+    xi = ad.relu(_pooled(leaves, mat, lengths, projection))
+    return ad.softmax(classify(tape, leaves, xi)).data, EncodedBatch(xi=xi)
 
 
 MAX_NORM = 3.0  # the paper's max-norm radius for the classifier's rows

@@ -214,6 +214,7 @@ NOT_UTF8 = {"0xff": b"\xff", "latin-1": "é".encode("latin-1")}
     *[(boundary, mutation) for boundary in ("corpus", "embeddings", "vocab", "config")
       for mutation in (*NOT_UTF8, "missing")],
     ("config", "epochs = 0"),
+    ("config", "variant = nope"),
     ("embeddings", "duplicate"),
 ])
 def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir, trained_dir, capsys,
@@ -228,6 +229,8 @@ def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir
     token = Vocab.load(vocab).itos[2]
     if mutation == "epochs = 0":
         lines = [b"epochs = 0\n" if line.startswith(b"epochs") else line for line in lines]
+    elif mutation == "variant = nope":  # line 12, after the file's 11
+        lines.append(b"variant = nope\n")
     elif mutation == "duplicate":  # line 2 gives a vocabulary token a second vector
         lines = [token.encode() + b" 0.1" * 6 + b"\n", token.encode() + b" 0.2" * 6 + b"\n"]
     elif mutation != "missing":  # line 2 holds a word that is not UTF-8
@@ -252,7 +255,9 @@ def test_bad_input_exits_naming_the_file_without_a_traceback(tmp_path, synth_dir
     if mutation == "missing":
         assert f"{bad}: file not found" in err
     elif mutation == "epochs = 0":
-        assert f"{bad}: epochs must be >= 1" in err
+        assert f"{bad}: line 4: epochs must be >= 1" in err
+    elif mutation == "variant = nope":
+        assert f"{bad}: line 12: unknown variant 'nope'" in err
     elif mutation == "duplicate":
         assert f"{bad}: line 2: duplicate token {token!r} (first on line 1)" in err
     else:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import textda.ensemble
-from textda.data import pad_batch
+from textda import autodiff as ad
+from textda.data import LABELS, PAD_INDEX, pad_batch
 from textda.ensemble import EnsembleState, predict_all
 from textda.errors import ConfigError, NumericalError, ShapeError
-from textda.model import forward_eval, init_params
+from textda.model import ScoringPass, forward_eval, init_params
 from textda.rng import named_rng
 
 
@@ -150,3 +151,58 @@ def test_predict_all_names_a_non_finite_document_by_its_corpus_index(monkeypatch
     with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                   match=r"document 3 are not finite \(1 of the 3 in its batch"):
         predict_all(params, docs)
+
+
+def _scoring_case(width: int, n_docs: int, seed: int):
+    rng = named_rng(seed, "docs")
+    params = init_params(rng.uniform(-0.25, 0.25, size=(400, width)), window=3, hidden=width,
+                         rng=named_rng(seed, "init"))
+    docs = [rng.integers(1, 400, size=n) for n in rng.integers(1, 30, size=n_docs)]
+    return params, docs
+
+
+def test_predict_all_projects_the_pass_once(monkeypatch):
+    params, docs = _scoring_case(4, 45, seed=5)
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 20)
+    projections, batches = [], []
+    real_project, real_forward_eval = ad.project, textda.ensemble.forward_eval
+    monkeypatch.setattr(ad, "project", lambda *a: projections.append(a) or real_project(*a))
+    monkeypatch.setattr(textda.ensemble, "forward_eval", lambda *a: batches.append(a) or real_forward_eval(*a))
+    predict_all(params, docs)
+    assert len(batches) == 3 and len(projections) == 1
+    # the pass's distinct tokens and the padding id, each once
+    assert np.array_equal(batches[0][0].projection.tokens, np.unique(np.concatenate([[PAD_INDEX], *docs])))
+
+
+def test_predict_all_at_paper_width_matches_per_batch_scoring_and_repeats_its_bytes(monkeypatch):
+    # at d = h = 300 a GEMM's rounding can depend on the set of rows it multiplies
+    params, docs = _scoring_case(300, 60, seed=6)
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 25)
+    probs = predict_all(params, docs)
+    for start in range(0, len(docs), 25):
+        idx = np.arange(start, min(start + 25, len(docs)))
+        per_batch, _ = forward_eval(params, *pad_batch(docs, idx))
+        assert np.all(np.abs(probs[idx] - per_batch) <= 1e-12 * np.abs(per_batch))
+    assert predict_all(params, docs).tobytes() == probs.tobytes()
+
+
+def test_predict_all_of_no_documents_is_empty():
+    params, _ = _scoring_case(4, 1, seed=7)
+    assert predict_all(params, []).shape == (0, len(LABELS))
+
+
+def test_a_projection_missing_a_windows_token_is_refused():
+    params, docs = _scoring_case(4, 3, seed=8)
+    mat, lengths = pad_batch(docs, np.arange(3))
+    tokens = np.concatenate([[PAD_INDEX], *docs])
+    absent = int(docs[1][0])
+    projection = ad.project(params.E, params.W, tokens[tokens != absent])[0]
+    with pytest.raises(NumericalError, match=f"conv_max_pool: token {absent} has no row in the projection"):
+        forward_eval(ScoringPass(params, projection), mat, lengths)
+    # a recording tape projects its own windows' tokens
+    tape = ad.Tape()
+    leaves = params.leaves(tape)
+    windows = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(NumericalError, match="recording tape"):
+        ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], windows, np.array([2]),
+                         ad.project(params.E, params.W, windows)[0])
