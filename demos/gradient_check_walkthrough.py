@@ -18,7 +18,7 @@ from textda.config import TrainConfig
 from textda.data import BatchTriple
 from textda.losses import LossWeights
 from textda.rng import named_rng
-from textda.trainer import objective
+from textda.trainer import Pools, objective
 
 # a tiny model: 20 token types, 4-dim embeddings, 6 filters, 3 classes
 V, d, h, C, window = 20, 4, 6, 3, 3
@@ -33,13 +33,14 @@ params = {
     "F_b": rng.uniform(-0.1, 0.1, C),
 }
 
-# two 4-document batches standing in for a source and a target minibatch;
-# the target batch also serves as the union batch the ensemble term reads
-docs_s = [rng.integers(2, V, size=n) for n in (5, 3, 7, 4)]
-docs_t = [rng.integers(2, V, size=n) for n in (6, 4, 3, 5)]
+# two 4-document batches standing in for a source and a target minibatch,
+# packed one after another as the trainer packs its documents; the target
+# batch (from document 4 on) also serves as the union batch the ensemble
+# term reads
+lengths = np.array([5, 3, 7, 4, 6, 4, 3, 5])
+pools = Pools(np.concatenate([rng.integers(2, V, size=n) for n in lengths]), lengths, first=(0, 4, 4))
 y = np.eye(C)[rng.integers(0, C, 4)]        # gold labels, one-hot
 z = np.eye(C)[rng.integers(0, C, 4)]        # ensemble targets, one-hot
-pools = [docs_s, docs_t, docs_t]
 batch = BatchTriple(np.arange(4), np.arange(4), np.arange(4))
 all_on = LossWeights(1.0, 1.0, 1.0)
 

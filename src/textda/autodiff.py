@@ -376,21 +376,26 @@ def _check_ids(ids: np.ndarray, V: int, op: str) -> np.ndarray:
     return flat
 
 
-def project(E: np.ndarray, W: np.ndarray, ids: np.ndarray, op: str = "project"):
-    """Project each distinct token of ids once per window slot, by one GEMM.
+def project(E: np.ndarray, W: np.ndarray, ids: np.ndarray, op: str = "project", extra: int | None = None):
+    """Project each distinct token of ids, and the id extra if given, once
+    per window slot, by one GEMM.
 
     A window row is its l embedding rows side by side, so x W^T is
     sum_j E[w_j] W_j^T, W_j being the j-th block of d columns of W [h, l*d].
     Returns the Projection of the U distinct ids, plus E[tokens] and M (W's
     slot blocks side by side, M[:, j*h:(j+1)*h] = W_j^T), which only a
     backward needs. In the encoder's windows every id is some position's own
-    token or padding, so U <= n + 1. A GEMM's rounding can depend on the set
-    of rows it multiplies, so a projection's bits depend on its whole token
-    set, not only on the row a window reads."""
+    token or padding, so U <= n + 1; a scoring pass projects its documents'
+    packed ids with the padding id as extra, so no window of the pass lacks
+    a row. A GEMM's rounding can depend on the set of rows it multiplies, so
+    a projection's bits depend on its whole token set, not only on the row a
+    window reads."""
     V, d = E.shape
     h, l = W.shape[0], W.shape[1] // d
     mark = np.zeros(V, dtype=bool)
     mark[_check_ids(ids, V, op)] = True
+    if extra is not None:
+        mark[_check_ids(extra, V, op)] = True
     tokens = np.flatnonzero(mark)
     rank = np.full(V, -1, dtype=np.int64)
     rank[tokens] = np.arange(tokens.size)
@@ -399,30 +404,33 @@ def project(E: np.ndarray, W: np.ndarray, ids: np.ndarray, op: str = "project"):
     return Projection(tokens, rank, (EU @ M).reshape(-1, h)), EU, M
 
 
-def _filler(projection: Projection, windows: np.ndarray, b: np.ndarray, op: str, filters=slice(None)):
+def _filler(projection: Projection, windows: np.ndarray, op: str, filters=slice(None)):
     """ranks [n, l], each window slot's row of projection.tokens, and
-    fill(out, start, stop), which writes the pre-activations of window rows
-    start..stop-1 into out for the given filters (all by default): for
-    window i, the sum over slots j of Q[ranks[i, j]*l + j], plus b. The
-    filters' columns of Q are taken after the GEMM, since a GEMM over fewer
-    rows of W can round differently. Refuses an id the projection does not
-    hold: the fill gathers without an index check, so such an id would read
-    another token's row."""
+    fill(out, start, stop), which writes the pre-activations, bias not yet
+    added, of window rows start..stop-1 into out for the given filters (all
+    by default): for window i, z_i = the sum over slots j of
+    Q[ranks[i, j]*l + j]. The callers add b afterwards, conv_max_pool to the
+    [n_docs, h] maxima only; fl(z + b) is monotone in z, so the maximum of
+    fl(z_i + b) is fl(max z_i + b) bit for bit. The filters' columns of Q
+    are taken after the GEMM, since a GEMM over fewer rows of W can round
+    differently. Refuses an id the projection does not hold: the fill
+    gathers without an index check, so such an id would read another
+    token's row."""
     ranks = projection.rank[_check_ids(windows, projection.rank.size, op)].reshape(windows.shape)
     if ranks.size and ranks.min() < 0:
         raise NumericalError(f"{op}: token {windows[ranks < 0][0]} has no row in the projection")
-    Q, b = projection.Q[:, filters], b[filters]
+    Q = projection.Q[:, filters]
     n, l = ranks.shape
     ids = np.ascontiguousarray((ranks * l + np.arange(l)).T)  # one contiguous run of Q rows per slot
-    block = _block_rows(b.size)
-    part = np.empty((min(n, block), b.size))
+    block = _block_rows(Q.shape[1])
+    part = np.empty((min(n, block), Q.shape[1]))
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         # Slot 0's projections are gathered straight into out, each later
-        # slot's into part and added, then b: a CSR incidence product's
-        # additions, in its order, without the zero-filled output it starts
-        # from. mode="clip" skips the index check (the ids are checked
-        # above) and, unlike "raise", writes into out without a buffer.
+        # slot's into part and added: a CSR incidence product's additions,
+        # in its order, without the zero-filled output it starts from.
+        # mode="clip" skips the index check (the ids are checked above)
+        # and, unlike "raise", writes into out without a buffer.
         for lo in range(start, stop, block):
             m = min(block, stop - lo)
             rows = out[lo - start : lo - start + m]
@@ -430,20 +438,21 @@ def _filler(projection: Projection, windows: np.ndarray, b: np.ndarray, op: str,
             for slot in ids[1:, lo : lo + m]:
                 np.take(Q, slot, axis=0, out=part[:m], mode="clip")
                 rows += part[:m]
-            rows += b
 
     return ranks, fill
 
 
 def conv_rows(E: np.ndarray, W: np.ndarray, b: np.ndarray, windows: np.ndarray, filters=slice(None)) -> np.ndarray:
     """The pre-activations [n, h'] of every window, x W^T + b, for the
-    given filters (all h by default), projected and filled as conv_max_pool
-    does, so bit-equal to the values it pools. Plain arrays, no tape: for
+    given filters (all h by default): projected and filled as conv_max_pool
+    does, then b added to every row, so a document's column maxima are
+    bit-equal to those conv_max_pool returns. Plain arrays, no tape: for
     filter analysis, which scores each distinct window of its corpora once."""
     windows = _check_conv(E, W, b, windows, "conv_rows")
-    ranks, fill = _filler(project(E, W, windows, "conv_rows")[0], windows, b, "conv_rows", filters)
+    ranks, fill = _filler(project(E, W, windows, "conv_rows")[0], windows, "conv_rows", filters)
     Z = np.empty((ranks.shape[0], b[filters].size))
     fill(Z, 0, Z.shape[0])
+    Z += b[filters]
     return Z
 
 
@@ -459,14 +468,19 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
     must hold every id of the windows; a recording tape projects its own,
     since its backward's G is sized to them.
 
-    The forward fills one reused buffer a block at a time (_filler) and
-    pools each block while it is in cache; a block is whole documents of at
-    most _block_rows(h) rows, or one longer document alone. A NoGradTape
-    takes one max per run of k equal-length documents, over a [k, L, h]
-    view (callers that sort a batch by length make runs longest); a
-    recording tape takes one argmax per document, the lowest row on ties,
-    and gathers the maxima there. Max selects without rounding, so both
-    tapes give the same bits, and a NaN row gives its document a NaN maximum.
+    The forward fills one reused buffer a block at a time (_filler) with
+    the windows' z = x W^T, bias not added, and pools each block while it
+    is in cache; a block is whole documents of at most _block_rows(h) rows,
+    or one longer document alone. A NoGradTape takes one max per run of k
+    equal-length documents, over a [k, L, h] view (callers that sort a batch
+    by length make runs longest); a recording tape takes one argmax of z per
+    document, the lowest row on ties, and gathers the maxima there. Max
+    selects without rounding, so both tapes give the same bits, and a NaN
+    row gives its document a NaN maximum. Then b is added to the [n_docs, h]
+    maxima alone, not to every window row: rounding to nearest is monotone,
+    so fl(max z + b) is the maximum of fl(z_i + b) bit for bit. Only the
+    winning row can differ from an argmax of z + b, where z_i < z_j round to
+    the same z + b; the value is the same.
 
     The backward goes through the winning windows only. G [U, l*h] holds in
     G[u, j*h + f] the sum, in document order, of the maxima's gradient gv
@@ -487,7 +501,7 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
         projection, EU, M = project(E.data, W.data, windows, "conv_max_pool")
     elif record:
         raise NumericalError("conv_max_pool: a recording tape projects its own windows' tokens")
-    ranks, fill = _filler(projection, windows, b.data, "conv_max_pool")
+    ranks, fill = _filler(projection, windows, "conv_max_pool")
     lens = _packed_lengths(lengths, ranks.shape, "conv_max_pool", "windows")
     starts = np.cumsum(lens) - lens
     lens = lens.tolist()
@@ -521,6 +535,7 @@ def conv_max_pool(E: Tensor, W: Tensor, b: Tensor, windows: np.ndarray, lengths:
                 np.max(rows[s : s + k * L].reshape(k, L, h), axis=1, out=maxima[doc : doc + k])
                 doc, s = doc + k, s + k * L
         lo, start = hi, stop
+    maxima += b.data
     out = tape.leaf(maxima)
     if not record:
         return out

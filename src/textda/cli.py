@@ -24,7 +24,7 @@ from .losses import LossWeights, rampup_weight
 from .model import ModelParams, load_checkpoint, save_checkpoint
 from .rng import named_rng
 from .synth import SyntheticSpec, generate_synthetic
-from .trainer import objective, run_seed, union_pools, write_history_csv
+from .trainer import Pools, objective, run_seed, union_pools, write_history_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,10 +255,9 @@ def _gradcheck_fixture(cfg: TrainConfig):
         "F_b": rng.uniform(-0.1, 0.1, C),
     }
 
-    def docs(lengths):
-        return [rng.integers(2, V, size=n).astype(np.int64) for n in lengths]
-
-    pools = [docs([5, 3, 7, 4]), docs([6, 4, 3, 5]), docs([4, 5, 2, 6])]
+    # source, target and union pools of 4 documents each, one after another
+    lengths = np.array([5, 3, 7, 4, 6, 4, 3, 5, 4, 5, 2, 6])
+    pools = Pools(np.concatenate([rng.integers(2, V, size=n) for n in lengths]), lengths, first=(0, 4, 8))
     y = np.eye(C)[rng.integers(0, C, 4)]
     z_tilde = np.eye(C)[rng.integers(0, C, 4)]
     batch = BatchTriple(np.arange(4), np.arange(4), np.arange(4))

@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from hashlib import sha256
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -204,12 +205,18 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.itos)
 
-    def encode(self, tokens, max_len: int) -> np.ndarray:
-        """Token ids, unknowns mapped to UNK_INDEX, truncated to max_len."""
+    def encode(self, docs, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+        """Packed token ids of a sequence of token sequences, each truncated
+        to max_len, unknowns mapped to UNK_INDEX: (ids, lengths), int64,
+        document k's ids being the lengths[k] after those of the documents
+        before it. One pass over all the tokens, with no array per document."""
         if max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
-        ids = [self.stoi.get(t, UNK_INDEX) for t in tokens[:max_len]]
-        return np.asarray(ids, dtype=np.int64)
+        cut = [doc[:max_len] for doc in docs]
+        lengths = np.fromiter(map(len, cut), dtype=np.int64, count=len(cut))
+        ids = np.fromiter(map(self.stoi.get, chain.from_iterable(cut), repeat(UNK_INDEX)),
+                          dtype=np.int64, count=int(lengths.sum()))
+        return ids, lengths
 
     def content_hash(self) -> str:
         return sha256("\n".join(self.itos).encode("utf-8")).hexdigest()
@@ -262,7 +269,9 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     files). Blank lines are skipped; any other line that does not parse is a
     DataError naming the file and line, and so is a vocabulary token's second
     line (a repeat is refused, as in vocab and config files) and a file that
-    matches no vocabulary token. path=None keeps the random initialization.
+    matches no vocabulary token. A line after the first with exactly dim
+    spaces, whose token has none, is skipped unsplit when that token is not
+    in the vocabulary. path=None keeps the random initialization.
     Returns (matrix, number of vocab tokens found).
     """
     if dim < 1:
@@ -274,9 +283,13 @@ def load_pretrained_embeddings(path, vocab: Vocab, dim: int, rng: np.random.Gene
     p = Path(path)
     first_line: dict[int, int] = {}  # vocab index -> line of its vector
     for lineno, line in read_lines(p):
-        if not line.strip():
+        line = line.rstrip()
+        if not line:
             continue
-        parts = line.rstrip().split(" ")
+        if lineno > 1 and line.count(" ") == dim \
+                and vocab.stoi.get(line[: line.index(" ")], PAD_INDEX) == PAD_INDEX:
+            continue
+        parts = line.split(" ")
         if lineno == 1 and len(parts) == 2 and all(f.isascii() and f.isdigit() for f in parts) \
                 and int(parts[1]) == dim:
             continue
@@ -401,12 +414,15 @@ class BatchStream:
             yield BatchTriple(source_idx=source, target_idx=target, union_idx=union)
 
 
-def pad_batch(encoded_docs, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id arrays into a padded [B, n_max] matrix plus a
-    length vector."""
-    docs = [encoded_docs[i] for i in np.asarray(idx, dtype=np.int64)]
-    lengths = np.asarray([len(doc) for doc in docs], dtype=np.int64)
-    n_max = int(lengths.max())
-    mat = np.full((len(docs), n_max), PAD_INDEX, dtype=np.int64)
-    mat[np.arange(n_max) < lengths[:, None]] = np.concatenate(docs)
-    return mat, lengths
+def pad_batch(ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+              idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The documents idx of packed ids (document k is ids[starts[k] :
+    starts[k] + lengths[k]]) as a padded [B, n_max] id matrix, PAD_INDEX past
+    each document's end, plus their lengths."""
+    idx = np.asarray(idx, dtype=np.int64)
+    lens = lengths[idx]
+    cols = np.arange(int(lens.max()))
+    valid = cols < lens[:, None]
+    mat = np.full(valid.shape, PAD_INDEX, dtype=np.int64)
+    mat[valid] = ids[(starts[idx, None] + cols)[valid]]
+    return mat, lens

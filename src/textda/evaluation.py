@@ -117,8 +117,7 @@ def evaluate_corpus(params: ModelParams, vocab: Vocab, corpus: Corpus, max_doc_l
     if len(corpus) == 0:
         raise DataError("cannot evaluate an empty corpus")
     golds = corpus.label_indices()
-    enc = [vocab.encode(d.tokens, max_doc_len) for d in corpus]
-    preds = predict_all(params, enc).argmax(axis=1)
+    preds = predict_all(params, *vocab.encode([d.tokens for d in corpus], max_doc_len)).argmax(axis=1)
     stats = per_class_f1(golds, preds)
     return EvalReport(
         n_docs=len(corpus),
@@ -162,6 +161,21 @@ def top_filters_per_class(F_w: np.ndarray, k: int) -> dict[int, list[int]]:
     return {c: [int(j) for j in np.argsort(-F_w[c], kind="stable")[:k]] for c in range(F_w.shape[0])}
 
 
+def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k largest values (all of them if fewer), by value
+    descending and index ascending on ties, as a stable argsort of -values
+    would rank them, without sorting them all: the k-th largest value is
+    found by a partition, every index above it is taken, and at it the
+    lowest indices fill the rest."""
+    if k >= values.size:
+        chosen = np.arange(values.size)
+    else:
+        kth = np.partition(values, values.size - k)[values.size - k]
+        above = np.flatnonzero(values > kth)
+        chosen = np.sort(np.concatenate([above, np.flatnonzero(values == kth)[: k - above.size]]))
+    return chosen[np.argsort(-values[chosen], kind="stable")]
+
+
 def filter_analysis(
     params: ModelParams,
     vocab: Vocab,
@@ -181,9 +195,8 @@ def filter_analysis(
         raise ConfigError(f"k_trigrams must be at least 1, got {k_trigrams}")
     per_class = top_filters_per_class(params.F_w, k_filters)
     wanted = sorted({j for filters in per_class.values() for j in filters})
-    docs = [vocab.encode(d.tokens, max_doc_len) for corpus in corpora for d in corpus]
-    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
-    windows = packed_windows(np.concatenate(docs), lengths, params.window)
+    packed, lengths = vocab.encode([d.tokens for corpus in corpora for d in corpus], max_doc_len)
+    windows = packed_windows(packed, lengths, params.window)
     ids, id_of_window = np.unique(windows, axis=0, return_inverse=True)
     acts = np.maximum(ad.conv_rows(params.E, params.W, params.b, ids, wanted), 0.0)
 
@@ -213,8 +226,7 @@ def filter_analysis(
         summaries = []
         for j in per_class[c]:
             col = wanted.index(j)
-            # a stable argsort keeps tied activations in triple order
-            ranked = np.argsort(-table[:, col], kind="stable")[:k_trigrams]
+            ranked = _top_rows(table[:, col], k_trigrams)
             hits = [
                 TrigramHit(tokens=triple(i), activation=float(table[i, col]),
                            domains="+".join(sorted({corpora[k].domain for k in np.flatnonzero(present[i])})))

@@ -12,20 +12,23 @@ per-position activations: filter analysis, which traces filters back to
 the trigrams that fire them, builds its own windows with packed_windows and
 scores the distinct ones with autodiff.conv_rows.
 
-The encoder works on packed rows: it takes each document's own ids out of
-the padded [B, P] id matrix, one document after another, and packed_windows
-gathers their windows, [n_valid, l] in document-major order, with one index
-array, so the convolution never touches a padding position, and
-max-over-time pools each document's contiguous segment of rows. Padding ids
-fill only the window slots past a document's edges ("same" padding).
-The convolution and the pooling are one op (autodiff.conv_max_pool), which
-projects each distinct token of the batch once per window slot by one GEMM
-(a scoring pass projects its documents' tokens once for all its batches,
-ScoringPass), adds up each window's l slot projections a block of rows at a
-time and pools each block while it is in cache, so no [n_valid, h] array is
-built on either tape. A training pass keeps each document's winning rows, and its
-backward goes through those windows only. Training and scoring run on
-numpy alone.
+The encoder works on packed rows. Documents arrive encoded as one packed
+id array (data.Vocab.encode), and data.pad_batch lays a batch of them out
+as a padded [B, P] id matrix; the encoder takes each document's own ids
+back out of it, one document after another, and packed_windows gathers
+their windows, [n_valid, l] in document-major order, with one index array,
+so the convolution never touches a padding position, and max-over-time
+pools each document's contiguous segment of rows. Padding ids fill only the
+window slots past a document's edges ("same" padding). The convolution and
+the pooling are one op (autodiff.conv_max_pool), which projects each
+distinct token of the batch once per window slot by one GEMM (a scoring
+pass projects its documents' tokens once for all its batches, ScoringPass),
+adds up each window's l slot projections a block of rows at a time and
+pools each block while it is in cache, so no [n_valid, h] array is built on
+either tape. The bias b is added to the [B, h] maxima, not to every window
+row; rounding is monotone, so that is bit-equal to pooling x W^T + b. A
+training pass keeps each document's winning rows, and its backward goes
+through those windows only. Training and scoring run on numpy alone.
 """
 
 from __future__ import annotations

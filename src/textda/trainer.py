@@ -61,6 +61,7 @@ __all__ = [
     "EpochMetrics",
     "History",
     "RMSProp",
+    "Pools",
     "objective",
     "train",
     "select_model",
@@ -125,8 +126,8 @@ def select_model(history: History) -> int:
     return int(np.argmin(errors)) + 1
 
 
-def _dev_error(params: ModelParams, enc_dev, dev_labels: np.ndarray) -> float:
-    probs = predict_all(params, enc_dev)
+def _dev_error(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, dev_labels: np.ndarray) -> float:
+    probs = predict_all(params, ids, lengths)
     preds = probs.argmax(axis=1)
     return float((preds != dev_labels).mean())
 
@@ -136,30 +137,47 @@ def union_pools(source: Corpus, target: Corpus, source_unlabeled: Corpus | None 
     return [source, target] + ([source_unlabeled] if source_unlabeled else [])
 
 
-def objective(tape: Tape, leaves: dict[str, Tensor], pools: list[list[np.ndarray]], batch: BatchTriple,
+@dataclass
+class Pools:
+    """Training documents as packed ids (Vocab.encode's form), document k
+    being ids[starts[k] : starts[k] + lengths[k]]. The source, target and
+    union pools are runs of these documents, starting at the entries of
+    `first`. train packs the union (source, target, then any unlabeled
+    source), so its source pool and union start at document 0 and its
+    target pool at len(source)."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    first: tuple[int, int, int]  # the source, target and union pools' first documents
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.starts = np.cumsum(self.lengths) - self.lengths
+
+
+def objective(tape: Tape, leaves: dict[str, Tensor], pools: Pools, batch: BatchTriple,
               labels: np.ndarray, targets: np.ndarray | None, weights: LossWeights, w_t: float,
               config: TrainConfig, rng: np.random.Generator | None
               ) -> tuple[Tensor, LossBreakdown, dict[str, Tensor | None]]:
     """One step's L + lambda1 J + lambda2 Gamma + w_t Omega on the tape, its
     logged breakdown, and the term tensors by name ("L", "J", "Gamma",
-    "Omega"). `batch` indexes the encoded source, target and union `pools`,
-    the one-hot source `labels` and the ensemble's one-hot `targets`.
+    "Omega"). `batch` indexes the source, target and union `pools`, the
+    one-hot source `labels` and the ensemble's one-hot `targets`.
     Zero-weight terms, and Omega without targets, are skipped: their tensor
     is None and they log 0.0. The documents the active terms read are
     encoded as one batch, source, then target (for J or Gamma), then union
     (for Omega), and split_rows hands each loss its rows. One dropout draw
     over that batch gives the masks that one draw per part would, in the
     same order."""
-    enc_s, enc_t, enc_u = pools
+    first_s, first_t, first_u = pools.first
     use_t = weights.lambda1 > 0.0 or weights.lambda2 > 0.0
     use_u = weights.lambda3 > 0.0 and targets is not None
-    parts = [(enc_s, batch.source_idx)]
-    parts += [(enc_t, batch.target_idx)] if use_t else []
-    parts += [(enc_u, batch.union_idx)] if use_u else []
-    docs = [pool[i] for pool, idx in parts for i in idx.tolist()]
-    mat, lengths = pad_batch(docs, np.arange(len(docs)))
+    parts = [first_s + batch.source_idx]
+    parts += [first_t + batch.target_idx] if use_t else []
+    parts += [first_u + batch.union_idx] if use_u else []
+    mat, lengths = pad_batch(pools.ids, pools.starts, pools.lengths, np.concatenate(parts))
     xi = encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
-    xi_s, *xi_rest = split_rows(xi, [len(idx) for _, idx in parts])
+    xi_s, *xi_rest = split_rows(xi, [len(idx) for idx in parts])
 
     L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
     J = Gamma = Omega = None
@@ -195,14 +213,18 @@ def train(
 
     `source` must be labeled; `target` and `source_unlabeled` labels are never
     read. The union pool for ensemble bookkeeping is `union_pools` order.
+    The union's documents and then dev's are encoded by one Vocab.encode
+    call; the packed union serves the source, target and union pools, and
+    each scoring pass reads its own stretch of the ids.
     """
     weights = config.effective_weights()
-    cap = config.max_doc_len
-    enc_s, enc_t, *enc_su = [[vocab.encode(d.tokens, cap) for d in corpus]
-                             for corpus in union_pools(source, target, source_unlabeled)]
-    enc_union = [doc for pool in (enc_s, enc_t, *enc_su) for doc in pool]
-    pools = [enc_s, enc_t, enc_union]
-    enc_dev = [vocab.encode(d.tokens, cap) for d in dev]
+    corpora = union_pools(source, target, source_unlabeled)
+    n_union = sum(len(corpus) for corpus in corpora)
+    ids, lengths = vocab.encode([d.tokens for corpus in (*corpora, dev) for d in corpus], config.max_doc_len)
+    n_union_ids = int(lengths[:n_union].sum())
+    union = ids[:n_union_ids], lengths[:n_union]
+    pools = Pools(*union, first=(0, len(source), 0))
+    dev_ids, dev_lengths = ids[n_union_ids:], lengths[n_union:]
     dev_labels = dev.label_indices()
     labels_s = source.label_indices()
     onehot_s = np.eye(len(LABELS), dtype=np.float64)[labels_s]
@@ -210,13 +232,13 @@ def train(
     params = init_params(embeddings, config.window, config.hidden, named_rng(config.seed, "init"))
     optimizer = RMSProp(params.arrays(), config.learning_rate)
     stream = BatchStream(
-        labels_s, n_target=len(enc_t), n_union=len(enc_union),
+        labels_s, n_target=len(target), n_union=n_union,
         batch_size=config.batch_size, rng=named_rng(config.seed, "shuffle"),
     )
     rng_drop = named_rng(config.seed, "dropout")
 
     need_ensemble = weights.lambda3 > 0.0
-    ensemble = EnsembleState.zeros(len(enc_union), len(LABELS), config.alpha) if need_ensemble else None
+    ensemble = EnsembleState.zeros(n_union, len(LABELS), config.alpha) if need_ensemble else None
     z_tilde: np.ndarray | None = None
 
     history = History()
@@ -255,10 +277,10 @@ def train(
 
         epoch_row = total_loss(*map(float, sums / iters), weights, w_t)
 
-        dev_error = _dev_error(params, enc_dev, dev_labels)
+        dev_error = _dev_error(params, dev_ids, dev_lengths, dev_labels)
 
         if need_ensemble:
-            fresh = predict_all(params, enc_union)
+            fresh = predict_all(params, *union)
             ensemble.update(fresh)
             z_tilde = ensemble.to_targets()
             if dump_ensemble_dir is not None:

@@ -1,6 +1,7 @@
 """Ops that only tests use: the padded window builder, the encoder's
-convolution as its own tape op, with a [n, h] output, and two reductions
-for building test losses.
+convolution as its own tape op, with a [n, h] output, two reductions for
+building test losses, and the packing of per-document id arrays into the
+form textda scores and pads from.
 
 build_windows(mat, l)[valid] is the padded formulation that
 textda.model.packed_windows replaces; tests compare the packed windows
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from textda.autodiff import Tensor, _same_tape, accumulate
-from textda.data import PAD_INDEX
+from textda.data import PAD_INDEX, pad_batch
 from textda.errors import ConfigError, NumericalError, ShapeError
 
 
@@ -105,3 +106,15 @@ def vsum(x: Tensor) -> Tensor:
 
     x.tape.record(back)
     return out
+
+
+def pack(docs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-document id arrays as packed (ids, lengths), Vocab.encode's form."""
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    return np.concatenate([np.asarray(doc, dtype=np.int64) for doc in docs] or [np.empty(0, np.int64)]), lengths
+
+
+def pad_docs(docs, idx) -> tuple[np.ndarray, np.ndarray]:
+    """data.pad_batch of the documents idx of per-document id arrays."""
+    ids, lengths = pack(docs)
+    return pad_batch(ids, np.cumsum(lengths) - lengths, lengths, idx)

@@ -58,7 +58,7 @@ def _ppmi_svd_embeddings(corpora, vocab, dim, window=2):
     counts = np.zeros((V, V))
     for corpus in corpora:
         for doc in corpus:
-            ids = vocab.encode(doc.tokens, max_len=10**6)
+            ids, _ = vocab.encode([doc.tokens], max_len=10**6)
             for k in range(1, window + 1):
                 if len(ids) > k:
                     a, b = ids[:-k], ids[k:]
@@ -265,7 +265,7 @@ def test_criterion_6_ensemble_algebra(capsys):
         named_rng(2, "embeddings").uniform(-0.25, 0.25, size=(30, 6)),
         window=3, hidden=8, rng=named_rng(2, "init"))
     docs = [named_rng(3, "synth").integers(2, 30, size=n) for n in (5, 9, 4, 7, 6)]
-    model_preds = predict_all(params, docs)
+    model_preds = predict_all(params, np.concatenate(docs), np.array([len(doc) for doc in docs]))
     first = EnsembleState.zeros(len(docs), 3, alpha=alpha)
     first.update(model_preds)
     argmax_ok = bool(np.array_equal(
@@ -356,7 +356,7 @@ def test_criterion_8_filter_analysis_recovers_planted_trigram(capsys):
     # independent oracle: brute-force scan of every window position
     best_act, best_triple = -np.inf, None
     for doc in docs:
-        ids = vocab.encode(doc.tokens, max_len=50)
+        ids, _ = vocab.encode([doc.tokens], max_len=50)
         padded = np.concatenate([[0], ids, [0]])
         for i in range(len(ids)):
             x = np.concatenate([E[padded[i]], E[padded[i + 1]], E[padded[i + 2]]])

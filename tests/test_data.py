@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from reference_ops import pad_docs
 from textda.data import (
     BatchStream,
     Corpus,
@@ -19,7 +20,6 @@ from textda.data import (
     load_corpus,
     load_pretrained_embeddings,
     map_rating_to_label,
-    pad_batch,
     save_corpus,
     split_dev,
     tokenize,
@@ -186,11 +186,31 @@ def test_build_vocab_respects_size_cap():
 
 def test_encode_maps_unknowns_and_truncates():
     vocab = build_vocab([_corpus_of(["a b c"])], size=10)
-    ids = vocab.encode(["a", "zzz", "c"], max_len=400)
+    ids, _ = vocab.encode([["a", "zzz", "c"]], max_len=400)
     assert ids[1] == UNK_INDEX and ids[0] != UNK_INDEX
-    assert list(vocab.encode(["a", "b", "c"], max_len=2)) == list(vocab.encode(["a", "b"], max_len=2))
+    assert list(vocab.encode([["a", "b", "c"]], max_len=2)[0]) == list(vocab.encode([["a", "b"]], max_len=2)[0])
     with pytest.raises(ConfigError):
-        vocab.encode(["a"], max_len=0)
+        vocab.encode([["a"]], max_len=0)
+
+
+@pytest.mark.parametrize("max_len", [1, 3, 400])
+def test_packed_encode_is_the_per_document_ids_one_after_another(max_len):
+    vocab = build_vocab([_corpus_of(["a b c d", "b c"])], size=3)  # "d" is cut from the vocabulary
+    docs = [("a", "zzz", "c", "d", "b"), ("d",), ("b", "c", "a"), ("c", "c", "zzz", "a", "b", "b")]
+    ids, lengths = vocab.encode(docs, max_len)
+    # the per-document form, one array per document, that the packed form replaces
+    per_doc = [np.asarray([vocab.stoi.get(t, UNK_INDEX) for t in doc[:max_len]], dtype=np.int64) for doc in docs]
+    assert ids.dtype == lengths.dtype == np.int64
+    assert np.array_equal(lengths, [len(doc) for doc in per_doc])
+    assert np.array_equal(ids, np.concatenate(per_doc))
+    assert (ids == UNK_INDEX).any()  # "zzz" and "d"
+    # a generator of documents, and none at all
+    assert all(np.array_equal(x, y) for x, y in zip(vocab.encode((doc for doc in docs), max_len), (ids, lengths)))
+    empty_ids, empty_lengths = vocab.encode([], max_len)
+    assert empty_ids.shape == empty_lengths.shape == (0,) and empty_ids.dtype == np.int64
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match=f"max_len must be >= 1, got {bad}"):
+            vocab.encode(docs, bad)
 
 
 def test_vocab_save_load_and_content_hash(tmp_path):
@@ -297,6 +317,24 @@ def test_embeddings_ignore_trailing_whitespace_as_in_fasttext_vec_files(tmp_path
 def test_embeddings_parse_from_the_right_so_tokens_may_hold_spaces(tmp_path):
     alpha, _, found = _load_vecs(tmp_path / "vecs.txt", "new york 9.0 9.0\nalpha 1.0 2.0\n")
     assert found == 1 and np.array_equal(alpha, [1.0, 2.0])
+
+
+def test_embeddings_skip_a_one_field_miss_unread_and_keep_the_header_rule_first(tmp_path):
+    # dim 1, so the "count dim" header has dim spaces, as a vector line does
+    alpha, beta, found = _load_vecs(tmp_path / "vecs.vec",
+                                    "2 1\nzzz oops\nalpha 0.5\n<pad> 7.0\nnew york 9.0\nbeta -1.5 \n", dim=1)
+    assert found == 2 and alpha.tolist() == [0.5] and beta.tolist() == [-1.5]
+    # a vocabulary token "2": line 1 is still the header, a later "2 1" its vector
+    vocab = build_vocab([_corpus_of(["alpha 2"])], size=10)
+    path = tmp_path / "vecs.vec"
+    path.write_text("2 1\nalpha 0.5\n", encoding="utf-8")
+    E, found = load_pretrained_embeddings(path, vocab, dim=1, rng=named_rng(0, "embeddings"))
+    assert found == 1 and abs(E[vocab.stoi["2"], 0]) <= 0.25
+    path.write_text("alpha 0.5\n2 1\n", encoding="utf-8")
+    E, found = load_pretrained_embeddings(path, vocab, dim=1, rng=named_rng(0, "embeddings"))
+    assert found == 2 and E[vocab.stoi["2"], 0] == 1.0
+    with pytest.raises(DataError, match=r"vecs\.vec: line 3: duplicate token 'alpha' \(first on line 1\)"):
+        _load_vecs(path, "alpha 0.5\nzzz 1.0\nalpha 0.25\n", dim=1)
 
 
 def test_embeddings_reject_a_file_that_matches_no_vocabulary_token(tmp_path):
@@ -420,7 +458,7 @@ def test_batch_stream_validates_pools():
 
 def test_pad_batch_shapes_and_padding():
     docs = [np.array([5, 6, 7]), np.array([8]), np.array([9, 10])]
-    mat, lengths = pad_batch(docs, np.array([0, 1, 2]))
+    mat, lengths = pad_docs(docs, np.array([0, 1, 2]))
     assert mat.shape == (3, 3)
     assert np.array_equal(lengths, [3, 1, 2])
     assert np.array_equal(mat[1], [8, PAD_INDEX, PAD_INDEX])
@@ -431,7 +469,7 @@ def test_pad_batch_matches_row_by_row_padding():
     rng = np.random.default_rng(0)
     docs = [rng.integers(2, 50, size=n) for n in (4, 1, 9, 9, 2, 6)]
     idx = np.array([5, 0, 2, 1, 0, 3])
-    mat, lengths = pad_batch(docs, idx)
+    mat, lengths = pad_docs(docs, idx)
     ref = np.full((len(idx), 9), PAD_INDEX, dtype=np.int64)
     for row, i in enumerate(idx):
         ref[row, : len(docs[i])] = docs[i]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import textda.ensemble
+from reference_ops import pack, pad_docs
 from textda import autodiff as ad
-from textda.data import LABELS, PAD_INDEX, pad_batch
+from textda.data import LABELS, PAD_INDEX
 from textda.ensemble import EnsembleState, predict_all
 from textda.errors import ConfigError, NumericalError, ShapeError
 from textda.model import ScoringPass, forward_eval, init_params
@@ -86,7 +87,7 @@ def test_predict_all_chunking_matches_single_pass(monkeypatch):
         np.array([5]),
     ]
     monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 2)
-    chunked = predict_all(params, docs)
+    chunked = predict_all(params, *pack(docs))
     assert chunked.shape == (5, 3)
     # per-chunk padding must not change any document's prediction
     for i, doc in enumerate(docs):
@@ -111,17 +112,17 @@ def test_predict_all_sorts_each_batch_by_length_and_restores_corpus_order(monkey
         return forward_eval(*args)
 
     monkeypatch.setattr(textda.ensemble, "forward_eval", spy)
-    probs = predict_all(params, docs)
+    probs = predict_all(params, *pack(docs))
     assert len(calls) == 3
     for start, (mat, batch_lengths) in zip(range(0, len(docs), eval_batch), calls):
         idx = np.arange(start, min(start + eval_batch, len(docs)))
         # the same members as the contiguous slice, by non-decreasing length, stable on ties
         order = idx[sorted(range(len(idx)), key=lambda k: lengths[idx[k]])]
-        want_mat, want_lengths = pad_batch(docs, order)
+        want_mat, want_lengths = pad_docs(docs, order)
         assert np.array_equal(mat, want_mat) and np.array_equal(batch_lengths, want_lengths)
         assert np.all(np.diff(batch_lengths) >= 0)
         # each row back at its corpus position, bit-equal to the unsorted slice
-        unsorted, _ = forward_eval(params, *pad_batch(docs, idx))
+        unsorted, _ = forward_eval(params, *pad_docs(docs, idx))
         assert np.array_equal(probs[idx], unsorted)
 
 
@@ -135,7 +136,7 @@ def test_predict_all_rejects_non_finite_probabilities(monkeypatch):
     # sorted by length, document 1 is scored first; the error names document 0
     monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 2)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="document 0 are not finite"):
-        predict_all(params, docs)
+        predict_all(params, *pack(docs))
 
 
 def test_predict_all_names_a_non_finite_document_by_its_corpus_index(monkeypatch):
@@ -150,7 +151,7 @@ def test_predict_all_names_a_non_finite_document_by_its_corpus_index(monkeypatch
     monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 3)
     with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                   match=r"document 3 are not finite \(1 of the 3 in its batch"):
-        predict_all(params, docs)
+        predict_all(params, *pack(docs))
 
 
 def _scoring_case(width: int, n_docs: int, seed: int):
@@ -168,7 +169,7 @@ def test_predict_all_projects_the_pass_once(monkeypatch):
     real_project, real_forward_eval = ad.project, textda.ensemble.forward_eval
     monkeypatch.setattr(ad, "project", lambda *a: projections.append(a) or real_project(*a))
     monkeypatch.setattr(textda.ensemble, "forward_eval", lambda *a: batches.append(a) or real_forward_eval(*a))
-    predict_all(params, docs)
+    predict_all(params, *pack(docs))
     assert len(batches) == 3 and len(projections) == 1
     # the pass's distinct tokens and the padding id, each once
     assert np.array_equal(batches[0][0].projection.tokens, np.unique(np.concatenate([[PAD_INDEX], *docs])))
@@ -178,22 +179,38 @@ def test_predict_all_at_paper_width_matches_per_batch_scoring_and_repeats_its_by
     # at d = h = 300 a GEMM's rounding can depend on the set of rows it multiplies
     params, docs = _scoring_case(300, 60, seed=6)
     monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 25)
-    probs = predict_all(params, docs)
+    probs = predict_all(params, *pack(docs))
     for start in range(0, len(docs), 25):
         idx = np.arange(start, min(start + 25, len(docs)))
-        per_batch, _ = forward_eval(params, *pad_batch(docs, idx))
+        per_batch, _ = forward_eval(params, *pad_docs(docs, idx))
         assert np.all(np.abs(probs[idx] - per_batch) <= 1e-12 * np.abs(per_batch))
-    assert predict_all(params, docs).tobytes() == probs.tobytes()
+    assert predict_all(params, *pack(docs)).tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("width, n_docs", [(4, 45), (300, 60), (4, 0)])
+def test_predict_all_of_packed_ids_gives_the_bytes_of_per_batch_scoring(monkeypatch, width, n_docs):
+    params, docs = _scoring_case(width, n_docs, seed=9)
+    monkeypatch.setattr(textda.ensemble, "EVAL_BATCH", 20)
+    ids, lengths = pack(docs)
+    probs = predict_all(params, ids, lengths)
+    assert probs.shape == (n_docs, len(LABELS)) and probs.dtype == np.float64
+    # each contiguous batch of per-document arrays, unsorted, scored from the
+    # projection of the pass's tokens and the padding id
+    model = ScoringPass(params, ad.project(params.E, params.W, np.concatenate([[PAD_INDEX], *docs]))[0])
+    for start in range(0, n_docs, 20):
+        idx = np.arange(start, min(start + 20, n_docs))
+        per_batch, _ = forward_eval(model, *pad_docs(docs, idx))
+        assert probs[idx].tobytes() == per_batch.tobytes()
 
 
 def test_predict_all_of_no_documents_is_empty():
     params, _ = _scoring_case(4, 1, seed=7)
-    assert predict_all(params, []).shape == (0, len(LABELS))
+    assert predict_all(params, *pack([])).shape == (0, len(LABELS))
 
 
 def test_a_projection_missing_a_windows_token_is_refused():
     params, docs = _scoring_case(4, 3, seed=8)
-    mat, lengths = pad_batch(docs, np.arange(3))
+    mat, lengths = pad_docs(docs, np.arange(3))
     tokens = np.concatenate([[PAD_INDEX], *docs])
     absent = int(docs[1][0])
     projection = ad.project(params.E, params.W, tokens[tokens != absent])[0]

@@ -10,6 +10,7 @@ import pytest
 from textda.data import Corpus, Document, Vocab
 from textda.errors import ConfigError, DataError, NumericalError
 from textda.evaluation import (
+    _top_rows,
     EvalReport,
     accuracy,
     confusion_matrix,
@@ -130,6 +131,17 @@ def test_top_filters_per_class_ordering_and_ties():
         top_filters_per_class(F_w, k=4)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_top_rows_rank_as_a_stable_argsort_does(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, so ties straddle the k-th place; signed zeros tie too
+    values = rng.integers(0, 5, size=40) * 0.25
+    values[rng.random(40) < 0.2] = -0.0
+    for k in (1, 2, 7, 39, 40, 41):
+        want = np.argsort(-values, kind="stable")[:k]
+        assert np.array_equal(_top_rows(values, k), want), k
+
+
 def test_filter_analysis_finds_strongest_trigram_and_merges_domains():
     vocab, params = _toy_setup()
     src = Corpus([Document(("good", "great", "movie"), "positive", None)], "src")
@@ -201,7 +213,7 @@ def _brute_force_filter_tops(params, vocab, corpora, filters, k_trigrams, max_do
     best = {j: {} for j in filters}
     for corpus in corpora:
         for doc in corpus:
-            ids = [0] * half + list(vocab.encode(doc.tokens, max_doc_len)) + [0] * half
+            ids = [0] * half + list(vocab.encode([doc.tokens], max_doc_len)[0]) + [0] * half
             for i in range(len(ids) - 2 * half):
                 window = ids[i : i + params.window]
                 triple = tuple(names.get(w, vocab.itos[w]) for w in window)

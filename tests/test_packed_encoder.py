@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import textda.autodiff as ad
-from reference_ops import build_windows, conv_windows, mul, vsum
+from reference_ops import build_windows, conv_windows, mul, pack, vsum
 from textda.data import PAD_INDEX
 from textda.ensemble import predict_all
 from textda.errors import NumericalError, ShapeError
@@ -178,7 +178,7 @@ def test_predict_all_still_rejects_a_nan_embedding():
     # documents 1 and 2 read token 5; sorted by length, document 2 is scored first
     docs = [row[:n] for row, n in zip(mat, lengths)]
     with pytest.raises(NumericalError, match=r"document 1 are not finite \(2 of the 4 in its batch\)"):
-        predict_all(params, docs)
+        predict_all(params, *pack(docs))
 
 
 def _relu_then_pool(tape, leaves, mat, lengths, rate, rng):
@@ -319,7 +319,7 @@ def test_predict_all_names_a_nan_document_past_the_first_block():
     mat[mat == V - 1] = 1
     mat[80, 3] = V - 1  # document 80 alone reads the NaN row, in the third block
     with pytest.raises(NumericalError, match="document 80 are not finite"):
-        predict_all(params, list(mat))
+        predict_all(params, *pack(list(mat)))
 
 
 def test_forward_only_encode_checks_ids_and_lengths_as_the_recording_path_does():
@@ -426,6 +426,46 @@ def test_conv_max_pool_equals_the_unfused_chain_bit_for_bit(hidden):
         assert np.array_equal(grads[name], want), name
     assert want_maxima[1, 0] > 1.0 and (want_maxima[:, 1] < 0.0).all()
     assert grads["W"][0].any() and not grads["W"][1].any() and grads["b"][1] == 0.0
+
+
+def _maxima_of_biased_rows(E, W, b, idx_win, lengths):
+    """Each document's column maxima of fl(z + b), b added to every window
+    row before the pooling, as the convolution's fill once did."""
+    rows = ad.conv_rows(E, W, b, idx_win)  # z, then + b on every row
+    return np.stack([rows[s : s + n].max(axis=0) for s, n in zip(np.cumsum(lengths) - lengths, lengths)])
+
+
+@pytest.mark.parametrize("case", ["equal-run-over-blocks", "longer-than-a-block", "all-distinct"])
+def test_the_bias_added_after_pooling_gives_the_maxima_of_biased_rows_on_both_tapes(case):
+    params = _params(3)
+    params.b[:] = named_rng(3, "big bias").uniform(-40.0, 40.0, size=HIDDEN)  # rounds z + b coarsely
+    mat, lengths = _batch(BLOCK_CASES[case], seed=3)
+    idx_win = _windows(mat, lengths)
+    want = _maxima_of_biased_rows(params.E, params.W, params.b, idx_win, lengths)
+    for tape in (ad.Tape(), ad.NoGradTape()):
+        leaves = params.leaves(tape)
+        assert _fused(leaves, idx_win, lengths).data.tobytes() == want.tobytes()
+
+
+def test_the_bias_after_pooling_keeps_a_rounding_tie_and_a_nan_row():
+    # width 1, d = h = 1, W = 1: a window's z is its token's embedding.
+    # Token 2's z is below token 3's, but both round to b once b is added.
+    E = np.array([[0.0], [0.5], [1e-17], [2e-17], [np.nan]])
+    W, b = np.array([[1.0]]), np.array([1.0])
+    assert E[2, 0] < E[3, 0] and E[2, 0] + b[0] == E[3, 0] + b[0] == 1.0
+    idx_win = np.array([[2], [3], [1], [4], [1]])
+    lengths = np.array([2, 3])  # document 1 reads the NaN embedding
+    want = _maxima_of_biased_rows(E, W, b, idx_win, lengths)
+    assert want[0, 0] == 1.0 and np.isnan(want[1, 0])
+    for tape in (ad.Tape(), ad.NoGradTape()):
+        maxima = ad.conv_max_pool(tape.leaf(E), tape.leaf(W), tape.leaf(b), idx_win, lengths)
+        assert maxima.data.tobytes() == want.tobytes()
+    # the recording tape's winner is the argmax of z: token 3, where an
+    # argmax of z + b took the lower row, token 2; the maximum is the same
+    tape = ad.Tape()
+    E_t = tape.leaf(E)
+    tape.backward(vsum(ad.conv_max_pool(E_t, tape.leaf(W), tape.leaf(b), idx_win[:2], lengths[:1])))
+    assert E_t.grad[3, 0] == 1.0 and E_t.grad[2, 0] == 0.0
 
 
 @pytest.mark.parametrize("tape_cls", [ad.Tape, ad.NoGradTape])

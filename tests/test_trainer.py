@@ -41,6 +41,7 @@ from textda.trainer import (
     CSV_COLUMNS,
     EpochMetrics,
     History,
+    Pools,
     RMSProp,
     objective,
     select_model,
@@ -135,25 +136,33 @@ def test_history_csv_round_trip_exact(tmp_path):
 # ------------------------------------------------------------------ objective
 
 
+def _pools(vocab, source, target, config):
+    """train's pools of a source and a target corpus: the union, source
+    then target, packed, the source and the union starting at its first
+    document."""
+    ids, lengths = vocab.encode([d.tokens for c in (source, target) for d in c], config.max_doc_len)
+    return Pools(ids, lengths, first=(0, len(source), 0))
+
+
 @pytest.mark.parametrize("variant", ["MMD-baseline", "FANN"])
 def test_objective_takes_J_distance_from_the_variant(variant):
     config = dataclasses.replace(TrainConfig(**TINY), variant=variant, mmd_sigma=1.0, dropout_rate=0.0)
     source, target, _ = _tiny_data()
     vocab = build_vocab([source, target], config.vocab_size)
-    enc_s, enc_t = ([vocab.encode(d.tokens, config.max_doc_len) for d in c] for c in (source, target))
+    pools = _pools(vocab, source, target, config)
     embeddings, _ = load_pretrained_embeddings(None, vocab, config.embedding_dim, named_rng(0, "e"))
     params = init_params(embeddings, config.window, config.hidden, named_rng(0, "init"))
     batch = BatchTriple(np.arange(10), np.arange(10, 20), np.arange(10))
     onehot = np.eye(3)[source.label_indices()]
     tape = Tape()
     leaves = params.leaves(tape)
-    _, breakdown, terms = objective(tape, leaves, [enc_s, enc_t, enc_s + enc_t], batch, onehot, None,
+    _, breakdown, terms = objective(tape, leaves, pools, batch, onehot, None,
                                     config.effective_weights(), 0.0, config, None)
 
-    def encode(docs, idx):
-        return encode_batch(tape, leaves, *pad_batch(docs, idx)).xi
+    def encode(first, idx):
+        return encode_batch(tape, leaves, *pad_batch(pools.ids, pools.starts, pools.lengths, first + idx)).xi
 
-    xi_s, xi_t = encode(enc_s, batch.source_idx), encode(enc_t, batch.target_idx)
+    xi_s, xi_t = encode(pools.first[0], batch.source_idx), encode(pools.first[1], batch.target_idx)
     mmd = float(mmd_rbf(xi_s, xi_t, 1.0).data)
     kl = float(feature_adaptation_loss(xi_s, xi_t).data)
     assert mmd != kl
@@ -175,16 +184,17 @@ class _RecordedDraws:
 def _objective_per_part(tape, leaves, pools, batch, labels, targets, weights, w_t, config, rng):
     """The objective with one encode per part (source, target, union), in
     that order: the reference that objective's single encode must match."""
-    enc_s, enc_t, enc_u = pools
+    first_s, first_t, first_u = pools.first
 
-    def encode(docs, idx):
-        return encode_batch(tape, leaves, *pad_batch(docs, idx), config.dropout_rate, rng).xi
+    def encode(first, idx):
+        mat, lengths = pad_batch(pools.ids, pools.starts, pools.lengths, first + idx)
+        return encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
 
-    xi_s = encode(enc_s, batch.source_idx)
+    xi_s = encode(first_s, batch.source_idx)
     L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
     J = Gamma = Omega = None
     if weights.lambda1 > 0.0 or weights.lambda2 > 0.0:
-        xi_t = encode(enc_t, batch.target_idx)
+        xi_t = encode(first_t, batch.target_idx)
         if weights.lambda1 > 0.0:
             if config.variant == "MMD-baseline":
                 J = mmd_rbf(xi_s, xi_t, median_heuristic_sigma(xi_s.data, xi_t.data))
@@ -193,7 +203,7 @@ def _objective_per_part(tape, leaves, pools, batch, labels, targets, weights, w_
         if weights.lambda2 > 0.0:
             Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
     if weights.lambda3 > 0.0 and targets is not None:
-        xi_u = encode(enc_u, batch.union_idx)
+        xi_u = encode(first_u, batch.union_idx)
         Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
     total = compose_total(L, J, Gamma, Omega, weights, w_t)[0]
     return total, {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
@@ -206,13 +216,12 @@ def test_objective_encodes_all_parts_at_once_like_one_encode_per_part(monkeypatc
     config = TrainConfig(variant=variant, **TINY)  # dropout 0.5
     source, target, _ = _tiny_data()
     vocab = build_vocab([source, target], config.vocab_size)
-    enc_s, enc_t = ([vocab.encode(d.tokens, config.max_doc_len) for d in c] for c in (source, target))
-    pools = [enc_s, enc_t, enc_s + enc_t]
+    pools = _pools(vocab, source, target, config)
     embeddings, _ = load_pretrained_embeddings(None, vocab, config.embedding_dim, named_rng(0, "e"))
     params = init_params(embeddings, config.window, config.hidden, named_rng(0, "init"))
     batch = BatchTriple(np.arange(10), np.arange(5, 15), np.arange(40, 50))
     onehot = np.eye(3)[source.label_indices()]
-    targets = np.eye(3)[np.arange(len(pools[2])) % 3] if with_targets else None
+    targets = np.eye(3)[np.arange(len(pools.lengths)) % 3] if with_targets else None
     weights = config.effective_weights()
 
     def run(fn):
