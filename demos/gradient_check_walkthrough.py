@@ -53,7 +53,7 @@ def term(name, variant="DAS"):
     config = TrainConfig(variant=variant, dropout_rate=0.0, mmd_sigma=1.0)
 
     def loss(tape, leaves):
-        return objective(tape, leaves, pools, batch, y, z, all_on, 1.0, config, None)[2][name]
+        return objective(leaves, pools, batch, y, z, all_on, 1.0, config, None)[2][name]
 
     return loss
 

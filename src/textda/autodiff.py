@@ -13,9 +13,10 @@ max-over-time pooling are one op, conv_max_pool, which holds no array of
 every window position on either tape and whose backward goes through the
 winning windows only; it fills its windows from a projection of their
 tokens (project), which a scoring pass builds once for all its batches.
-embed_windows and max_over_time_batch, the unfused
-steps, have no caller in the package; they stay because the benchmark's
-tracer (perfbench/tracer.py) wraps them by name.
+embed_windows and max_over_time_batch, the unfused steps, and softmax have
+no caller in the package (forward_eval and the losses take _softmax_parts);
+they stay because the benchmark's tracer (perfbench/tracer.py) wraps them
+by name, and the tests use them.
 
 Conventions fixed here and relied on elsewhere:
   relu subgradient at 0 is 0; max pooling breaks ties toward the lowest

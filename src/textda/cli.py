@@ -272,9 +272,9 @@ def _gradcheck_fixture(cfg: TrainConfig):
     def build(component):
         def fn(tape, leaves):
             if component == "total":
-                return objective(tape, leaves, pools, batch, y, z_tilde, weights, w_t, total_cfg, None)[0]
+                return objective(leaves, pools, batch, y, z_tilde, weights, w_t, total_cfg, None)[0]
             config = mmd_cfg if component == "MMD" else terms_cfg
-            terms = objective(tape, leaves, pools, batch, y, z_tilde, all_on, 1.0, config, None)[2]
+            terms = objective(leaves, pools, batch, y, z_tilde, all_on, 1.0, config, None)[2]
             return terms["J" if component == "MMD" else component]
 
         return fn

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import TrainConfig
 from .data import LABELS, PAD_INDEX, Corpus, Vocab
 from .ensemble import predict_all
 from .errors import ConfigError, DataError, NumericalError
@@ -182,7 +183,7 @@ def filter_analysis(
     corpora: list[Corpus],
     k_filters: int,
     k_trigrams: int,
-    max_doc_len: int = 400,
+    max_doc_len: int = TrainConfig.max_doc_len,
 ) -> FilterReport:
     """Top activating trigrams for each class's strongest filters.
 

@@ -7,9 +7,10 @@ it is monotone and selects without rounding, so relu(max z) == max relu(z)
 bit for bit, and the ReLU and its backward touch [B, h] instead of
 [n_valid, h]. classify: the logit head F_w xi + F_b, which the losses take
 directly; only forward_eval applies the softmax, to report class
-probabilities. The encoding keeps only xi, not the windows or the
-per-position activations: filter analysis, which traces filters back to
-the trigrams that fire them, builds its own windows with packed_windows and
+probabilities. encode_batch returns the xi tensor; the leaves carry their
+tape, so neither it nor classify takes one. No window or per-position
+activation is kept: filter analysis, which traces filters back to the
+trigrams that fire them, builds its own windows with packed_windows and
 scores the distinct ones with autodiff.conv_rows.
 
 The encoder works on packed rows. Documents arrive encoded as one packed
@@ -46,7 +47,6 @@ from .errors import ConfigError, DataError, ShapeError
 
 __all__ = [
     "ModelParams",
-    "EncodedBatch",
     "init_params",
     "encode_batch",
     "classify",
@@ -130,11 +130,6 @@ def init_params(embeddings: np.ndarray, window: int, hidden: int, rng: np.random
     return ModelParams(E=E, W=W, b=np.zeros(hidden), F_w=F_w, F_b=np.zeros(len(LABELS)), window=window)
 
 
-@dataclass
-class EncodedBatch:
-    xi: ad.Tensor  # [B, h] pooled features, after the ReLU (and dropout at a rate above 0)
-
-
 def packed_windows(ids: np.ndarray, lengths: np.ndarray, window: int) -> np.ndarray:
     """The windows [n, l] of packed ids, each document's own ids in turn
     (lengths[k] of them for document k): position i covers ids i-(l-1)/2 ..
@@ -161,18 +156,13 @@ def _pooled(leaves: dict[str, ad.Tensor], mat: np.ndarray, lengths: np.ndarray,
     return ad.conv_max_pool(leaves["E"], leaves["W"], leaves["b"], windows, lengths, projection)
 
 
-def encode_batch(
-    tape: ad.Tape,
-    leaves: dict[str, ad.Tensor],
-    mat: np.ndarray,
-    lengths: np.ndarray,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> EncodedBatch:
-    return EncodedBatch(xi=ad.dropout(ad.relu(_pooled(leaves, mat, lengths)), dropout_rate, rng))
+def encode_batch(leaves: dict[str, ad.Tensor], mat: np.ndarray, lengths: np.ndarray,
+                 dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> ad.Tensor:
+    """The pooled features xi [B, h], after the ReLU and the dropout."""
+    return ad.dropout(ad.relu(_pooled(leaves, mat, lengths)), dropout_rate, rng)
 
 
-def classify(tape: ad.Tape, leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
+def classify(leaves: dict[str, ad.Tensor], xi: ad.Tensor) -> ad.Tensor:
     """Class logit rows: F_w xi + F_b."""
     return ad.affine(xi, leaves["F_w"], leaves["F_b"])
 
@@ -187,23 +177,23 @@ class ScoringPass(NamedTuple):
 
 
 def forward_eval(model: ModelParams | ScoringPass, mat: np.ndarray,
-                 lengths: np.ndarray) -> tuple[np.ndarray, EncodedBatch]:
+                 lengths: np.ndarray) -> tuple[np.ndarray, ad.Tensor]:
     """Deterministic eval-mode forward pass (dropout off); returns the class
-    probabilities as a plain array plus the encoding. Its tape records
-    nothing: the pass cannot be differentiated and pooling keeps only the
-    maxima. Given a ModelParams, the batch's distinct tokens are projected
-    as a training encode projects them; given a ScoringPass, the windows
-    are filled from the pass's projection. A row depends on its batch mates
-    only through that set of projected tokens, the batch's or the pass's,
-    since a GEMM's rounding can depend on the rows it multiplies; so
-    reordering a batch's documents leaves every row's bits as they were.
-    Finite but huge parameters overflow to non-finite rows;
+    probabilities [B, C] as a plain array, from autodiff._softmax_parts (the
+    expression autodiff.softmax computes), and the features xi. Its tape
+    records nothing: the pass cannot be differentiated and pooling keeps
+    only the maxima. Given a ModelParams, the batch's distinct tokens are
+    projected as a training encode projects them; given a ScoringPass, the
+    windows are filled from the pass's projection. A row depends on its
+    batch mates only through that set of projected tokens, the batch's or
+    the pass's, since a GEMM's rounding can depend on the rows it
+    multiplies; so reordering a batch's documents leaves every row's bits as
+    they were. Finite but huge parameters overflow to non-finite rows;
     ensemble.predict_all, the scoring entry point, refuses them."""
     params, projection = (model, None) if isinstance(model, ModelParams) else model
-    tape = ad.NoGradTape()
-    leaves = params.leaves(tape)
+    leaves = params.leaves(ad.NoGradTape())
     xi = ad.relu(_pooled(leaves, mat, lengths, projection))
-    return ad.softmax(classify(tape, leaves, xi)).data, EncodedBatch(xi=xi)
+    return ad._softmax_parts(classify(leaves, xi).data)[2], xi
 
 
 MAX_NORM = 3.0  # the paper's max-norm radius for the classifier's rows

@@ -155,14 +155,14 @@ class Pools:
         self.starts = np.cumsum(self.lengths) - self.lengths
 
 
-def objective(tape: Tape, leaves: dict[str, Tensor], pools: Pools, batch: BatchTriple,
-              labels: np.ndarray, targets: np.ndarray | None, weights: LossWeights, w_t: float,
-              config: TrainConfig, rng: np.random.Generator | None
+def objective(leaves: dict[str, Tensor], pools: Pools, batch: BatchTriple, labels: np.ndarray,
+              targets: np.ndarray | None, weights: LossWeights, w_t: float, config: TrainConfig,
+              rng: np.random.Generator | None
               ) -> tuple[Tensor, LossBreakdown, dict[str, Tensor | None]]:
-    """One step's L + lambda1 J + lambda2 Gamma + w_t Omega on the tape, its
-    logged breakdown, and the term tensors by name ("L", "J", "Gamma",
-    "Omega"). `batch` indexes the source, target and union `pools`, the
-    one-hot source `labels` and the ensemble's one-hot `targets`.
+    """One step's L + lambda1 J + lambda2 Gamma + w_t Omega on the tape the
+    `leaves` carry, its logged breakdown, and the term tensors by name ("L",
+    "J", "Gamma", "Omega"). `batch` indexes the source, target and union
+    `pools`, the one-hot source `labels` and the ensemble's one-hot `targets`.
     Zero-weight terms, and Omega without targets, are skipped: their tensor
     is None and they log 0.0. The documents the active terms read are
     encoded as one batch, source, then target (for J or Gamma), then union
@@ -176,10 +176,10 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: Pools, batch: BatchT
     parts += [first_t + batch.target_idx] if use_t else []
     parts += [first_u + batch.union_idx] if use_u else []
     mat, lengths = pad_batch(pools.ids, pools.starts, pools.lengths, np.concatenate(parts))
-    xi = encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
+    xi = encode_batch(leaves, mat, lengths, config.dropout_rate, rng)
     xi_s, *xi_rest = split_rows(xi, [len(idx) for idx in parts])
 
-    L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
+    L = source_cross_entropy(labels[batch.source_idx], classify(leaves, xi_s))
     J = Gamma = Omega = None
     if use_t:
         xi_t = xi_rest[0]
@@ -192,9 +192,9 @@ def objective(tape: Tape, leaves: dict[str, Tensor], pools: Pools, batch: BatchT
             else:
                 J = feature_adaptation_loss(xi_s, xi_t)
         if weights.lambda2 > 0.0:
-            Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
+            Gamma = entropy_min_loss(classify(leaves, xi_t))
     if use_u:
-        Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_rest[-1]))
+        Omega = bootstrap_loss(targets[batch.union_idx], classify(leaves, xi_rest[-1]))
     total, breakdown = compose_total(L, J, Gamma, Omega, weights, w_t)
     return total, breakdown, {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
 
@@ -251,8 +251,8 @@ def train(
         for triple in stream.epoch():
             tape = Tape()
             leaves = params.leaves(tape)
-            total_t, step, _ = objective(tape, leaves, pools, triple, onehot_s, z_tilde,
-                                      weights, w_t, config, rng_drop)
+            total_t, step, _ = objective(leaves, pools, triple, onehot_s, z_tilde,
+                                         weights, w_t, config, rng_drop)
             for name, value in (("L", step.L), ("J", step.J), ("Gamma", step.Gamma),
                                 ("Omega", step.Omega), ("total", step.total)):
                 if abs(value) > DIVERGENCE_LIMIT:

@@ -506,9 +506,9 @@ def _corrupt_w_gradient(monkeypatch):
     it last, after W's gradient is complete."""
     real = cli.objective
 
-    def corrupted(tape, leaves, *args):
-        tape.record(lambda: leaves["W"].grad.__iadd__(1e-3))
-        return real(tape, leaves, *args)
+    def corrupted(leaves, *args):
+        leaves["W"].tape.record(lambda: leaves["W"].grad.__iadd__(1e-3))
+        return real(leaves, *args)
 
     monkeypatch.setattr(cli, "objective", corrupted)
 

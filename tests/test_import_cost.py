@@ -39,8 +39,8 @@ predict_all(params, np.array([1, 2, 3, 4, 5, 6, 7, 8, 2]), np.array([3, 2, 4]))
 before = params.W.copy()
 tape = ad.Tape()
 leaves = params.leaves(tape)
-enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.5, rng=rng)
-tape.backward(source_cross_entropy(np.eye(3)[[0, 2]], classify(tape, leaves, enc.xi)))
+xi = encode_batch(leaves, mat, lengths, dropout_rate=0.5, rng=rng)
+tape.backward(source_cross_entropy(np.eye(3)[[0, 2]], classify(leaves, xi)))
 assert leaves['W'].grad.any() and leaves['E'].grad[1:7].any()
 RMSProp(params.arrays(), lr=1e-3).step(params.arrays(), {name: leaf.grad for name, leaf in leaves.items()})
 assert not np.array_equal(params.W, before)

@@ -38,7 +38,7 @@ def _toy_params():
 def _encode(params, mat, lengths):
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    return encode_batch(tape, leaves, np.asarray(mat), np.asarray(lengths))
+    return encode_batch(leaves, np.asarray(mat), np.asarray(lengths))
 
 
 def _activations(params, mat, lengths):
@@ -60,10 +60,10 @@ def _winning_rows(params, mat, lengths):
     for k in range(len(lengths)):
         tape = ad.Tape()
         leaves = params.leaves(tape)
-        enc = encode_batch(tape, leaves, np.asarray(mat), np.asarray(lengths))
-        pick = np.zeros(enc.xi.data.shape)
+        xi = encode_batch(leaves, np.asarray(mat), np.asarray(lengths))
+        pick = np.zeros(xi.data.shape)
         pick[k] = 1.0
-        tape.backward(vsum(mul(enc.xi, tape.leaf(pick))))
+        tape.backward(vsum(mul(xi, tape.leaf(pick))))
         rows.extend(np.flatnonzero((windows == leaves["W"].grad[0]).all(axis=1)).tolist())
     return rows
 
@@ -106,31 +106,31 @@ def test_packed_windows_refuse_lengths_that_do_not_cover_the_ids():
 
 def test_encode_hand_trace_a_b_c_b():
     # tokens a b c b -> window sums [0+1+2, 1+2+3, 2+3+2, 3+2+0] = [3, 6, 7, 5]
-    enc = _encode(_toy_params(), [[2, 3, 4, 3]], [4])
+    xi = _encode(_toy_params(), [[2, 3, 4, 3]], [4])
     _, H = _activations(_toy_params(), [[2, 3, 4, 3]], [4])
     assert np.allclose(H.reshape(4), [3.0, 6.0, 7.0, 5.0])
-    assert enc.xi.data.item() == 7.0
+    assert xi.data.item() == 7.0
     assert _winning_rows(_toy_params(), [[2, 3, 4, 3]], [4]) == [2]
 
 
 def test_encode_hand_trace_a_b_c_c():
     # tokens a b c c -> window sums [3, 6, 8, 6]; max 8 at position 2
-    enc = _encode(_toy_params(), [[2, 3, 4, 4]], [4])
+    xi = _encode(_toy_params(), [[2, 3, 4, 4]], [4])
     _, H = _activations(_toy_params(), [[2, 3, 4, 4]], [4])
     assert np.allclose(H.reshape(4), [3.0, 6.0, 8.0, 6.0])
-    assert enc.xi.data.item() == 8.0
+    assert xi.data.item() == 8.0
     assert _winning_rows(_toy_params(), [[2, 3, 4, 4]], [4]) == [2]
 
 
 def test_pooling_masks_padding_and_breaks_ties_low():
     # doc 2 is "b b" padded to length 4: positions 0 and 1 both activate 4
     mat, lengths = [[2, 3, 4, 3], [3, 3, 0, 0]], [4, 2]
-    enc = _encode(_toy_params(), mat, lengths)
-    assert enc.xi.data[1].item() == 4.0
+    xi = _encode(_toy_params(), mat, lengths)
+    assert xi.data[1].item() == 4.0
     # the padded positions are never convolved, so they cannot win the max
-    assert enc.xi.data[0].item() == 7.0
+    assert xi.data[0].item() == 7.0
     _, H = _activations(_toy_params(), mat, lengths)
-    assert H.shape == (6, 1) and np.array_equal(enc.xi.data, [H[:4].max(axis=0), H[4:].max(axis=0)])
+    assert H.shape == (6, 1) and np.array_equal(xi.data, [H[:4].max(axis=0), H[4:].max(axis=0)])
     assert H[4, 0] == H[5, 0] == 4.0
     # doc 1's gradient reaches its first position (row 4) only, not the tied row 5
     assert _winning_rows(_toy_params(), mat, lengths) == [2, 4]
@@ -140,8 +140,8 @@ def test_classify_rows_are_distributions():
     params = _toy_params()
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    enc = encode_batch(tape, leaves, np.array([[2, 3, 4, 3]]), np.array([4]))
-    logits = classify(tape, leaves, enc.xi)
+    xi = encode_batch(leaves, np.array([[2, 3, 4, 3]]), np.array([4]))
+    logits = classify(leaves, xi)
     assert logits.data.shape == (1, 3)
     probs = ad.softmax(logits)
     assert abs(probs.data.sum() - 1.0) < 1e-12
@@ -155,10 +155,10 @@ def test_forward_eval_is_deterministic():
     )
     mat = np.array([[2, 3, 4, 5, 6], [7, 8, 2, 0, 0]])
     lengths = np.array([5, 3])
-    p1, enc1 = forward_eval(params, mat, lengths)
-    p2, enc2 = forward_eval(params, mat, lengths)
+    p1, xi1 = forward_eval(params, mat, lengths)
+    p2, xi2 = forward_eval(params, mat, lengths)
     assert np.array_equal(p1, p2)
-    assert np.array_equal(enc1.xi.data, enc2.xi.data)
+    assert np.array_equal(xi1.data, xi2.data)
     assert np.array_equal(_activations(params, mat, lengths)[1], _activations(params, mat, lengths)[1])
     assert np.allclose(p1.sum(axis=1), 1.0)
 
@@ -172,16 +172,16 @@ def test_training_dropout_differs_from_eval():
     lengths = np.array([4])
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    dropped = encode_batch(tape, leaves, mat, lengths, dropout_rate=0.5, rng=named_rng(2, "dropout"))
+    dropped = encode_batch(leaves, mat, lengths, dropout_rate=0.5, rng=named_rng(2, "dropout"))
     clean = _encode(params, mat, lengths)
-    assert not np.array_equal(dropped.xi.data, clean.xi.data)
+    assert not np.array_equal(dropped.data, clean.data)
     # eval mode is rate 0: no mask and no draw from the rng
     tape2 = ad.Tape()
     leaves2 = params.leaves(tape2)
     rng = named_rng(2, "dropout")
     before = rng.bit_generator.state
-    off = encode_batch(tape2, leaves2, mat, lengths, dropout_rate=0.0, rng=rng)
-    assert np.array_equal(off.xi.data, clean.xi.data)
+    off = encode_batch(leaves2, mat, lengths, dropout_rate=0.0, rng=rng)
+    assert np.array_equal(off.data, clean.data)
     assert rng.bit_generator.state == before
 
 
@@ -320,11 +320,11 @@ def test_forward_eval_records_nothing_and_frees_its_encoding():
     lengths = np.array([3, 2])
     gc.disable()
     try:
-        probs, enc = forward_eval(params, mat, lengths)
+        probs, xi = forward_eval(params, mat, lengths)
         with pytest.raises(NumericalError):
-            enc.xi.tape.backward(vsum(enc.xi))
-        probe = weakref.ref(enc.xi)
-        del enc
+            xi.tape.backward(vsum(xi))
+        probe = weakref.ref(xi)
+        del xi
         assert probe() is None
     finally:
         gc.enable()

@@ -92,31 +92,31 @@ def _dense_conv_grads(params: ModelParams, idx_win, g):
 def _loss_and_grads(params, mat, lengths):
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    enc = encode_batch(tape, leaves, mat, lengths)
+    xi = encode_batch(leaves, mat, lengths)
     labels = np.eye(3)[np.arange(len(lengths)) % 3]
-    tape.backward(source_cross_entropy(labels, classify(tape, leaves, enc.xi)))
-    return enc.xi.data.copy(), {name: leaf.grad.copy() for name, leaf in leaves.items()}
+    tape.backward(source_cross_entropy(labels, classify(leaves, xi)))
+    return xi.data.copy(), {name: leaf.grad.copy() for name, leaf in leaves.items()}
 
 
 def test_forward_eval_matches_padded_reference_on_ragged_batch():
     params = _tie_params()
     mat, lengths = _ragged_batch()
-    probs, enc = forward_eval(params, mat, lengths)
+    probs, xi = forward_eval(params, mat, lengths)
     ref_probs, ref_arg = _padded_reference(params, mat, lengths)
     assert np.abs(probs - ref_probs).max() <= 1e-12
     # on a recording tape the gradient of sum(xi) goes through the reference's
     # winning window of every filter whose maximum is positive, and no other
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    rec = encode_batch(tape, leaves, mat, lengths)
-    tape.backward(vsum(rec.xi))
+    rec = encode_batch(leaves, mat, lengths)
+    tape.backward(vsum(rec))
     starts = np.cumsum(lengths) - lengths
     g = np.zeros((lengths.sum(), HIDDEN))
-    g[starts[:, None] + ref_arg, np.arange(HIDDEN)] = rec.xi.data > 0.0
+    g[starts[:, None] + ref_arg, np.arange(HIDDEN)] = rec.data > 0.0
     for name, want in _dense_conv_grads(params, _windows(mat, lengths), g).items():
         assert np.abs(leaves[name].grad - want).max() <= 1e-12, name
     # the repeated trigram ties at a positive activation; the lower position wins
-    assert enc.xi.data[1, 0] > 1.0 and ref_arg[1, 0] == 2
+    assert xi.data[1, 0] > 1.0 and ref_arg[1, 0] == 2
     assert _activations(params, mat, lengths).shape == (lengths.sum(), HIDDEN)
 
 
@@ -150,8 +150,8 @@ def test_grad_check_through_packed_encoder_and_classifier():
     labels = np.eye(3)[[0, 2, 1, 2]]
 
     def loss(tape, leaves):
-        enc = encode_batch(tape, leaves, mat, lengths)
-        return source_cross_entropy(labels, classify(tape, leaves, enc.xi))
+        xi = encode_batch(leaves, mat, lengths)
+        return source_cross_entropy(labels, classify(leaves, xi))
 
     report = ad.grad_check(loss, params.arrays())
     assert report.passed, report.summary()
@@ -161,14 +161,14 @@ def test_forward_only_pooling_matches_the_recording_tape_bit_for_bit():
     params = _tie_params()
     params.b[1] = -10.0  # filter 1 is ReLU-zero at every position: ties everywhere
     mat, lengths = _ragged_batch()
-    probs, enc = forward_eval(params, mat, lengths)
+    probs, xi = forward_eval(params, mat, lengths)
     tape = ad.Tape()
     leaves = params.leaves(tape)
-    ref_enc = encode_batch(tape, leaves, mat, lengths)
-    assert np.array_equal(enc.xi.data, ref_enc.xi.data)
-    assert np.array_equal(probs, ad.softmax(classify(tape, leaves, ref_enc.xi)).data)
-    assert not enc.xi.data[:, 1].any()
-    assert enc.xi.data[1, 0] > 1.0  # the positive tie
+    ref_xi = encode_batch(leaves, mat, lengths)
+    assert np.array_equal(xi.data, ref_xi.data)
+    assert np.array_equal(probs, ad.softmax(classify(leaves, ref_xi)).data)
+    assert not xi.data[:, 1].any()
+    assert xi.data[1, 0] > 1.0  # the positive tie
 
 
 def test_predict_all_still_rejects_a_nan_embedding():
@@ -202,11 +202,10 @@ def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, ra
         leaves = params.leaves(tape)
         rng = named_rng(9, "dropout")
         if order == "pool_then_relu":
-            enc = encode_batch(tape, leaves, mat, lengths, dropout_rate=rate, rng=rng)
-            xi = enc.xi
+            xi = encode_batch(leaves, mat, lengths, dropout_rate=rate, rng=rng)
         else:
             xi, H = _relu_then_pool(tape, leaves, mat, lengths, rate, rng)
-        loss = source_cross_entropy(labels, classify(tape, leaves, xi))
+        loss = source_cross_entropy(labels, classify(leaves, xi))
         if tape_cls is ad.Tape:
             tape.backward(loss)
         runs[order] = (xi.data, loss.data, {name: leaf.grad for name, leaf in leaves.items()})
@@ -222,16 +221,15 @@ def test_relu_after_pooling_matches_relu_before_pooling_bit_for_bit(tape_cls, ra
 
 
 def test_forward_eval_frees_the_pre_activations_with_its_encoding():
-    # the encoding holds only the pooled features, no [n_valid, h] array and
-    # no windows, and freeing it frees them
+    # the encoding is the pooled features alone, with no [n_valid, h] array
+    # and no windows, and freeing it frees them
     mat, lengths = _ragged_batch()
     gc.disable()
     try:
-        _, enc = forward_eval(_params(), mat, lengths)
-        assert sorted(vars(enc)) == ["xi"]
-        assert enc.xi.data.shape == (len(lengths), HIDDEN)
-        probe = weakref.ref(enc.xi)
-        del enc
+        _, xi = forward_eval(_params(), mat, lengths)
+        assert xi.data.shape == (len(lengths), HIDDEN)
+        probe = weakref.ref(xi)
+        del xi
         assert probe() is None
     finally:
         gc.enable()
@@ -256,7 +254,7 @@ BLOCK_CASES = {
     # a run of 100 documents of length 7 over three blocks
     "equal-run-over-blocks": [2, 2] + [7] * 100 + [3],
     "longer-than-a-block": [4, 300, 1, 6],
-    "max-doc-len": [400],  # data.max_doc_len's default
+    "max-doc-len": [400],  # TrainConfig.max_doc_len's default
     "all-distinct": [9, 1, 30, 2, 17, 40, 5, 3, 60, 11, 25],
     "single": [5],
 }
@@ -275,19 +273,19 @@ def test_forward_only_blocks_match_the_recording_path_bit_for_bit(case):
     leaves = params.leaves(tape)
     Z = conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
     maxima = ad.max_over_time_batch(Z, lengths)
-    want_probs = ad.softmax(classify(tape, leaves, ad.relu(maxima))).data
+    want_probs = ad.softmax(classify(leaves, ad.relu(maxima))).data
 
     no_grad = ad.NoGradTape()
     fast = params.leaves(no_grad)
     maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
-    probs, enc = forward_eval(params, mat, lengths)
+    probs, xi = forward_eval(params, mat, lengths)
     assert np.array_equal(ad.conv_rows(params.E, params.W, params.b, idx_win), Z.data)
     assert np.array_equal(maxima_fast.data, maxima.data)
     assert np.array_equal(probs, want_probs)
     assert no_grad._steps == []
-    assert not enc.xi.data[:, 1].any()
+    assert not xi.data[:, 1].any()
     if lengths[-1] >= 7:
-        assert enc.xi.data[-1, 0] > 1.0
+        assert xi.data[-1, 0] > 1.0
 
 
 def test_forward_only_blocks_of_wide_filters_match_the_recording_path_bit_for_bit():
@@ -301,7 +299,7 @@ def test_forward_only_blocks_of_wide_filters_match_the_recording_path_bit_for_bi
     leaves = params.leaves(tape)
     Z = conv_windows(leaves["E"], leaves["W"], leaves["b"], idx_win)
     maxima = ad.max_over_time_batch(Z, lengths)
-    want_probs = ad.softmax(classify(tape, leaves, ad.relu(maxima))).data
+    want_probs = ad.softmax(classify(leaves, ad.relu(maxima))).data
     fast = params.leaves(ad.NoGradTape())
     maxima_fast = ad.conv_max_pool(fast["E"], fast["W"], fast["b"], idx_win, lengths)
     assert np.array_equal(ad.conv_rows(params.E, params.W, params.b, idx_win), Z.data)
@@ -350,10 +348,9 @@ def test_a_forward_only_encode_still_applies_training_dropout():
     mat, lengths = _ragged_batch()
     xi = []
     for tape in (ad.Tape(), ad.NoGradTape()):
-        enc = encode_batch(tape, params.leaves(tape), mat, lengths, dropout_rate=0.5,
-                           rng=named_rng(4, "dropout"))
-        xi.append(enc.xi.data)
-    plain = forward_eval(params, mat, lengths)[1].xi.data
+        xi.append(encode_batch(params.leaves(tape), mat, lengths, dropout_rate=0.5,
+                               rng=named_rng(4, "dropout")).data)
+    plain = forward_eval(params, mat, lengths)[1].data
     kept = xi[1] != 0.0
     assert np.array_equal(xi[0], xi[1])
     assert np.array_equal(xi[1][kept], 2.0 * plain[kept])
@@ -479,10 +476,10 @@ def test_an_encode_and_its_backward_allocate_no_array_of_every_position(tape_cls
     leaves = params.leaves(tape)
     tracemalloc.start()
     try:
-        enc = encode_batch(tape, leaves, mat, lengths)
+        xi = encode_batch(leaves, mat, lengths)
         if tape_cls is ad.Tape:
             tape.backward(source_cross_entropy(np.eye(3)[np.arange(len(lengths)) % 3],
-                                               classify(tape, leaves, enc.xi)))
+                                               classify(leaves, xi)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

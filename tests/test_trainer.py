@@ -156,11 +156,11 @@ def test_objective_takes_J_distance_from_the_variant(variant):
     onehot = np.eye(3)[source.label_indices()]
     tape = Tape()
     leaves = params.leaves(tape)
-    _, breakdown, terms = objective(tape, leaves, pools, batch, onehot, None,
+    _, breakdown, terms = objective(leaves, pools, batch, onehot, None,
                                     config.effective_weights(), 0.0, config, None)
 
     def encode(first, idx):
-        return encode_batch(tape, leaves, *pad_batch(pools.ids, pools.starts, pools.lengths, first + idx)).xi
+        return encode_batch(leaves, *pad_batch(pools.ids, pools.starts, pools.lengths, first + idx))
 
     xi_s, xi_t = encode(pools.first[0], batch.source_idx), encode(pools.first[1], batch.target_idx)
     mmd = float(mmd_rbf(xi_s, xi_t, 1.0).data)
@@ -181,17 +181,17 @@ class _RecordedDraws:
         return self.draws[-1]
 
 
-def _objective_per_part(tape, leaves, pools, batch, labels, targets, weights, w_t, config, rng):
+def _objective_per_part(leaves, pools, batch, labels, targets, weights, w_t, config, rng):
     """The objective with one encode per part (source, target, union), in
     that order: the reference that objective's single encode must match."""
     first_s, first_t, first_u = pools.first
 
     def encode(first, idx):
         mat, lengths = pad_batch(pools.ids, pools.starts, pools.lengths, first + idx)
-        return encode_batch(tape, leaves, mat, lengths, config.dropout_rate, rng).xi
+        return encode_batch(leaves, mat, lengths, config.dropout_rate, rng)
 
     xi_s = encode(first_s, batch.source_idx)
-    L = source_cross_entropy(labels[batch.source_idx], classify(tape, leaves, xi_s))
+    L = source_cross_entropy(labels[batch.source_idx], classify(leaves, xi_s))
     J = Gamma = Omega = None
     if weights.lambda1 > 0.0 or weights.lambda2 > 0.0:
         xi_t = encode(first_t, batch.target_idx)
@@ -201,10 +201,10 @@ def _objective_per_part(tape, leaves, pools, batch, labels, targets, weights, w_
             else:
                 J = feature_adaptation_loss(xi_s, xi_t)
         if weights.lambda2 > 0.0:
-            Gamma = entropy_min_loss(classify(tape, leaves, xi_t))
+            Gamma = entropy_min_loss(classify(leaves, xi_t))
     if weights.lambda3 > 0.0 and targets is not None:
         xi_u = encode(first_u, batch.union_idx)
-        Omega = bootstrap_loss(targets[batch.union_idx], classify(tape, leaves, xi_u))
+        Omega = bootstrap_loss(targets[batch.union_idx], classify(leaves, xi_u))
     total = compose_total(L, J, Gamma, Omega, weights, w_t)[0]
     return total, {"L": L, "J": J, "Gamma": Gamma, "Omega": Omega}
 
@@ -228,7 +228,7 @@ def test_objective_encodes_all_parts_at_once_like_one_encode_per_part(monkeypatc
         tape = Tape()
         leaves = params.leaves(tape)
         rng = _RecordedDraws(7)
-        total, *rest = fn(tape, leaves, pools, batch, onehot, targets, weights, 0.5, config, rng)
+        total, *rest = fn(leaves, pools, batch, onehot, targets, weights, 0.5, config, rng)
         tape.backward(total)
         return rest[-1], {name: leaf.grad for name, leaf in leaves.items()}, rng.draws
 
